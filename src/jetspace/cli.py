@@ -4,13 +4,16 @@ property suites, and the counterexample table.
 All outputs are deterministic functions of (arguments, input files, seed);
 floats are printed with 17 significant digits so reports round-trip exactly.
 Exit codes: 0 when every requested check passes, 1 when a property suite
-fails, 2 on input or usage errors.
+fails, 2 on input or usage errors, 3 when a computation fails numerically
+(overflow, division by zero, or disagreeing computation routes).  Codes 2 and
+3 come with a JSON error object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -45,11 +48,19 @@ class RunConfig:
     experiment_ell: int | None = None
 
 
+def _finite_float(text: str) -> float:
+    """Parse a JSON number or NaN/Infinity literal, rejecting non-finite values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in input")
+    return value
+
+
 def _load_input(config: RunConfig) -> dict:
     if not config.input_path:
         raise ValueError("this command needs --input")
     with open(config.input_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def _emit(config: RunConfig, payload: dict, csv_text: str | None) -> None:
@@ -82,34 +93,22 @@ def cmd_metric(config: RunConfig) -> int:
         candidates = [ser.jet_from_dict(j) for j in data.get("candidates", [])]
         if not candidates:
             candidates = interpolating_candidates(jets[0], jets[1], count=3)
-        payload.update(
-            {
-                "cube_distance": cube_distance(q1, q2),
-                "weighted_cube_distance": weighted_cube_distance(mod, q1, q2),
-                "poincare_distance": poincare_distance(
-                    cube_to_halfspace(q1), cube_to_halfspace(q2)
-                ),
-                "jet_distance": jet_distance(mod, jets[0], jets[1], cross_check=True),
-                "geodesic_lower": d_lower(mod, jets[0], jets[1]),
-                "geodesic_upper": d_upper(mod, jets[0], jets[1], candidates),
-            }
-        )
     elif "cubes" in data:
         cubes = [ser.cube_from_dict(c) for c in data["cubes"]]
         if len(cubes) != 2:
             raise ValueError("metric needs exactly two cubes")
         q1, q2 = cubes
-        payload.update(
-            {
-                "cube_distance": cube_distance(q1, q2),
-                "weighted_cube_distance": weighted_cube_distance(mod, q1, q2),
-                "poincare_distance": poincare_distance(
-                    cube_to_halfspace(q1), cube_to_halfspace(q2)
-                ),
-            }
-        )
     else:
         raise ValueError("metric input needs 'jets' or 'cubes'")
+    payload["cube_distance"] = cube_distance(q1, q2)
+    payload["weighted_cube_distance"] = weighted_cube_distance(mod, q1, q2)
+    payload["poincare_distance"] = poincare_distance(
+        cube_to_halfspace(q1), cube_to_halfspace(q2)
+    )
+    if "jets" in data:
+        payload["jet_distance"] = jet_distance(mod, jets[0], jets[1], cross_check=True)
+        payload["geodesic_lower"] = d_lower(mod, jets[0], jets[1])
+        payload["geodesic_upper"] = d_upper(mod, jets[0], jets[1], candidates)
     rows = [(key, val) for key, val in payload.items() if isinstance(val, float)]
     _emit(config, payload, ser.write_csv(("quantity", "value"), rows))
     return 0
@@ -128,7 +127,7 @@ def cmd_check(config: RunConfig) -> int:
     field = fit_field(sample, cubes, k=k, m=m, mod=mod, interpolate_center=interp)
     mode = "center-interpolating best fit" if interp else "unconstrained best fit"
     report = check_conditions(sample, field, mod, k, fit_mode=mode)
-    lo = lo_seminorm(field, mod)
+    lo = lo_seminorm(field, mod, report.pair_ratios)
     sn = star_norm(field, k)
     limits = []
     if len(radii) >= 3:
@@ -150,27 +149,12 @@ def cmd_check(config: RunConfig) -> int:
         "field": ser.poly_field_to_dict(field),
     }
     # CSV projection: one row per ordered cube pair with its worst ratio
-    from .jets import gauge
-    from .poly import multi_indices
-    from .cubes import point_sub, uniform_norm
-
-    rows = []
-    ents = field.entries
-    top = field.top_degree
-    for i, (q1, p1) in enumerate(ents):
-        for j, (q2, p2) in enumerate(ents):
-            if i == j:
-                continue
-            sep = uniform_norm(point_sub(q1.center, q2.center))
-            t = max(q1.radius, q2.radius) + sep
-            v = min(q1.radius, q2.radius)
-            diff = p1 - p2
-            worst = max(
-                abs(diff.deriv_eval(alpha, q1.center))
-                / gauge(mod, top, alpha, t, v)
-                for alpha in multi_indices(field.n, top)
-            )
-            rows.append((i, j, worst))
+    rows = [
+        (i, j, worst)
+        for i, row in enumerate(report.pair_ratios.tolist())
+        for j, worst in enumerate(row)
+        if i != j
+    ]
     _emit(config, payload, ser.write_csv(("cube_i", "cube_j", "worst_ratio"), rows))
     return 0
 
@@ -349,11 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     config = _config_from_args(args)
     try:
         return _COMMANDS[config.command](config)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            ser.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        )
-        return 2
+    except (ValueError, KeyError, OSError) as exc:
+        code, error = 2, exc
+    except (ArithmeticError, AssertionError) as exc:
+        code, error = 3, exc
+    sys.stderr.write(
+        ser.dumps({"error": {"type": type(error).__name__, "message": str(error)}})
+    )
+    return code
 
 
 if __name__ == "__main__":

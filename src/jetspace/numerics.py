@@ -17,7 +17,8 @@ def adaptive_simpson(
     """Integrate a smooth function on [a, b] by adaptive Simpson bisection.
 
     The error control is relative to the running whole-interval estimate,
-    with an absolute floor so that zero integrals terminate.
+    with an absolute floor so that zero integrals terminate.  An estimate
+    that is not finite raises OverflowError.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -43,6 +44,8 @@ def adaptive_simpson(
         right = simpson(x1, x2, f1, frm, f2)
         # Richardson: |left+right-s| <= 15*tol is the standard acceptance test.
         err = left + right - s
+        if not math.isfinite(err):  # would bisect 2^max_depth times otherwise
+            raise OverflowError("quadrature estimate is not finite")
         tol = rel_tol * max(scale, abs(left + right))
         if depth <= 0 or abs(err) <= 15.0 * tol:
             return left + right + err / 15.0

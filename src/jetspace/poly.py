@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
+import numpy as np
+
 MultiIndex = tuple[int, ...]
 
 
@@ -45,6 +47,51 @@ def multi_indices(n: int, max_order: int) -> tuple[MultiIndex, ...]:
 def poly_space_dim(n: int, degree: int) -> int:
     """Dimension of the space of n-variate polynomials of degree <= degree."""
     return math.comb(n + degree, degree)
+
+
+def deriv_matrix(
+    n: int, degree: int, orders: Sequence[MultiIndex], points: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """Exact values of the monomial derivatives d^alpha y^beta at each point.
+
+    Entry [p, a, b] belongs to points[p], alpha = orders[a] and
+    beta = multi_indices(n, degree)[b].  The factors are multiplied in
+    ``Poly.deriv_eval``'s order with Python floats (numpy's elementwise power
+    can round differently), so every entry equals
+    ``Poly(n, degree, {beta: 1.0}).deriv_eval(alpha, x)`` bit for bit.
+    """
+    betas = multi_indices(n, degree)
+    out = np.zeros((len(points), len(orders), len(betas)))
+    for p, x in enumerate(points):
+        if len(x) != n:
+            raise ValueError("point dimension mismatch")
+        for a, alpha in enumerate(orders):
+            for b, beta in enumerate(betas):
+                if any(bi < ai for ai, bi in zip(alpha, beta)):
+                    continue
+                term = 1.0
+                for ai, bi, xi in zip(alpha, beta, x):
+                    term *= math.perm(bi, ai)
+                    rest = bi - ai
+                    if rest:
+                        term *= xi**rest
+                out[p, a, b] = term
+    return out
+
+
+def add_shifted_power(
+    out: dict[MultiIndex, float], lead: float, beta: MultiIndex, x: Sequence[float]
+) -> None:
+    """Add lead * (y - x)^beta to ``out``, expanded into origin monomials
+    through exact binomials."""
+    for gamma in product(*(range(b + 1) for b in beta)):
+        c = lead
+        for bi, gi, xi in zip(beta, gamma, x):
+            c *= math.comb(bi, gi)
+            if bi - gi:
+                c *= (-xi) ** (bi - gi)
+        if c != 0.0:
+            out[gamma] = out.get(gamma, 0.0) + c
 
 
 @dataclass(frozen=True)
@@ -159,15 +206,6 @@ class Poly:
         out: dict[MultiIndex, float] = {}
         for alpha in multi_indices(self.n, min(k, self.degree)):
             a_coef = self.deriv_eval(alpha, x) / mi_factorial(alpha)
-            if a_coef == 0.0:
-                continue
-            # expand (y - x)^alpha into origin monomials by exact binomials
-            for gamma in product(*(range(a + 1) for a in alpha)):
-                c = a_coef
-                for ai, gi, xi in zip(alpha, gamma, x):
-                    c *= math.comb(ai, gi)
-                    if ai - gi:
-                        c *= (-xi) ** (ai - gi)
-                if c != 0.0:
-                    out[gamma] = out.get(gamma, 0.0) + c
+            if a_coef != 0.0:
+                add_shifted_power(out, a_coef, alpha, x)
         return Poly(n=self.n, degree=k, coef=out)

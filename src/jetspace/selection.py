@@ -19,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubes import Cube, cube_distance, point_sub, uniform_norm
-from .jets import gauge
+from .cubes import Cube, cube_distance
 from .lp import LPBuilder, lp_solve
 from .modulus import Modulus
-from .poly import Poly, mi_order, multi_indices, poly_space_dim
-from .whitney import PolyField
+from .poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
+from .whitney import PolyField, pair_gauges
 
 COEF_BOX = 1e6
 SUBSET_BUDGET = 5000
@@ -126,37 +125,25 @@ def membership_block(
     if lam < 0:
         raise ValueError("relaxation scale must be non-negative")
     n = spec.base.n
-    alphas = multi_indices(n, degree)
-    cvars = [builder.var(f"{tag}c{j}") for j in range(len(alphas))]
+    cvars = [builder.var(f"{tag}c{j}") for j in range(poly_space_dim(n, degree))]
     tvars = [builder.var(f"{tag}t{j}") for j in range(spec.dim)]
     x = cube.center
     r = cube.radius
     wr = mod.eval(r)
+    low_orders = multi_indices(n, k)
+    deriv = deriv_matrix(n, degree, low_orders, [x])[0].tolist()
 
-    def coef_row(alpha) -> dict[int, float]:
-        row: dict[int, float] = {}
-        for j, beta in enumerate(alphas):
-            val = Poly(n, degree, {beta: 1.0}).deriv_eval(alpha, x)
-            if val != 0.0:
-                row[cvars[j]] = val
-        return row
-
-    for alpha in multi_indices(n, k):
-        row = coef_row(alpha)
+    for alpha, vals in zip(low_orders, deriv):
         base_val = spec.base.deriv_eval(alpha, x)
-        dir_vals = [d.deriv_eval(alpha, x) for d in spec.directions]
+        coeffs = {cv: val for cv, val in zip(cvars, vals) if val != 0.0}
+        for tv, d in zip(tvars, spec.directions):
+            coeffs[tv] = coeffs.get(tv, 0.0) - d.deriv_eval(alpha, x)
         if lam == 0.0:
-            coeffs = dict(row)
-            for tv, dv in zip(tvars, dir_vals):
-                coeffs[tv] = coeffs.get(tv, 0.0) - dv
             builder.add_eq(coeffs, base_val)
         else:
             slack = lam * r ** (k - mi_order(alpha)) * wr
-            up = dict(row)
-            for tv, dv in zip(tvars, dir_vals):
-                up[tv] = up.get(tv, 0.0) - dv
-            builder.add_le(up, base_val + slack)
-            builder.add_le({j: -v for j, v in up.items()}, slack - base_val)
+            builder.add_le(coeffs, base_val + slack)
+            builder.add_le({j: -v for j, v in coeffs.items()}, slack - base_val)
     if lam == 0.0:
         # content of the chosen member above order k must vanish for the
         # Taylor part to coincide with it as a polynomial
@@ -197,19 +184,15 @@ def _pairwise_rows(
 ) -> None:
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
-    for i in range(len(inst.nodes)):
-        for j in range(i + 1, len(inst.nodes)):
-            _, qi = inst.nodes[i]
-            _, qj = inst.nodes[j]
-            sep = uniform_norm(point_sub(qi.center, qj.center))
-            t = max(qi.radius, qj.radius) + sep
-            v = min(qi.radius, qj.radius)
-            for y in (qi.center, qj.center):
-                for alpha in alphas:
-                    w = gauge(inst.modulus, degree, alpha, t, v)
+    cubes = [cube for _, cube in inst.nodes]
+    deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes]).tolist()
+    gauges = pair_gauges(inst.modulus, degree, alphas, cubes).tolist()
+    for i in range(len(cubes)):
+        for j in range(i + 1, len(cubes)):
+            for at in (i, j):
+                for vals, w in zip(deriv[at], gauges[i][j]):
                     row: dict[int, float] = {}
-                    for idx, beta in enumerate(alphas):
-                        val = Poly(inst.n, degree, {beta: 1.0}).deriv_eval(alpha, y)
+                    for idx, val in enumerate(vals):
                         if val != 0.0:
                             row[node_cvars[i][idx]] = val
                             row[node_cvars[j][idx]] = row.get(node_cvars[j][idx], 0.0) - val
@@ -220,6 +203,23 @@ def _pairwise_rows(
                             builder.add_le(coeffs, 0.0)
                         else:
                             builder.add_le(coeffs, lam_fixed * w)
+
+
+def _selection_rows(
+    builder: LPBuilder, inst: SelectionInstance, lam_var: int | None, lam: float
+) -> tuple[list[list[int]], list[int]]:
+    """Membership blocks relaxed by lam, then pairwise rows bounded by lam_var
+    (or by lam without it); returns node coefficient variables, boxed ones."""
+    node_cvars: list[list[int]] = []
+    boxed: list[int] = []
+    for idx, (spec, cube) in enumerate(inst.nodes):
+        cvars, tvars = membership_block(
+            builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree, lam
+        )
+        node_cvars.append(cvars)
+        boxed.extend(cvars + tvars)
+    _pairwise_rows(builder, inst, node_cvars, lam_var, lam)
+    return node_cvars, boxed
 
 
 def _box_rows(builder: LPBuilder, var_ids: Sequence[int]) -> None:
@@ -251,16 +251,7 @@ def best_selection(inst: SelectionInstance) -> SelectionResult:
     """
     builder = LPBuilder()
     lam_var = builder.var("lam")
-    node_cvars: list[list[int]] = []
-    boxed: list[int] = []
-    for idx, (spec, cube) in enumerate(inst.nodes):
-        cvars, tvars = membership_block(
-            builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree, 0.0
-        )
-        node_cvars.append(cvars)
-        boxed.extend(cvars)
-        boxed.extend(tvars)
-    _pairwise_rows(builder, inst, node_cvars, lam_var, None)
+    node_cvars, boxed = _selection_rows(builder, inst, lam_var, 0.0)
     builder.add_ge({lam_var: 1.0}, 0.0)
     _box_rows(builder, boxed)
     builder.minimize({lam_var: 1.0})
@@ -281,16 +272,7 @@ def relaxed_feasible(inst: SelectionInstance, lam: float) -> SelectionResult:
     within the lam-relaxed set membership whose field satisfies the pairwise
     seminorm bound lam?"""
     builder = LPBuilder()
-    node_cvars = []
-    boxed: list[int] = []
-    for idx, (spec, cube) in enumerate(inst.nodes):
-        cvars, tvars = membership_block(
-            builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree, lam
-        )
-        node_cvars.append(cvars)
-        boxed.extend(cvars)
-        boxed.extend(tvars)
-    _pairwise_rows(builder, inst, node_cvars, None, lam)
+    node_cvars, boxed = _selection_rows(builder, inst, None, lam)
     _box_rows(builder, boxed)
     builder.minimize({})
     sol = lp_solve(builder.build())

@@ -21,7 +21,7 @@ from .cubes import Cube, Point, as_point, point_sub, uniform_norm, weighted_cube
 from .jets import Jet, gauge, jet_distance, scale
 from .lp import LPBuilder, lp_solve
 from .modulus import Modulus
-from .poly import MultiIndex, Poly, mi_order, multi_indices
+from .poly import MultiIndex, Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +226,12 @@ def _scaled_basis(n: int, degree: int, cube: Cube) -> list[Poly]:
     LPs well conditioned regardless of the cube's scale or position.
     """
     out = []
-    x = cube.center
     inv_r = 1.0 / cube.radius
     for beta in multi_indices(n, degree):
-        # expand (y - x)^beta through exact binomials, scaled by r^-|beta|
         coef: dict[MultiIndex, float] = {}
-        for gamma in _sub_indices(beta):
-            c = inv_r ** mi_order(beta)
-            for bi, gi, xi in zip(beta, gamma, x):
-                c *= math.comb(bi, gi)
-                if bi - gi:
-                    c *= (-xi) ** (bi - gi)
-            if c != 0.0:
-                coef[gamma] = coef.get(gamma, 0.0) + c
+        add_shifted_power(coef, inv_r ** mi_order(beta), beta, cube.center)
         out.append(Poly(n, degree, coef))
     return out
-
-
-def _sub_indices(beta: MultiIndex):
-    from itertools import product as _product
-
-    return _product(*(range(b + 1) for b in beta))
 
 
 def _two_stage_sup_fit(
@@ -416,6 +401,60 @@ def fit_field(
 # condition sweeps
 
 
+def pair_gauges(
+    mod: Modulus, top: int, orders: Sequence[MultiIndex], cubes: Sequence[Cube]
+) -> np.ndarray:
+    """gauge(mod, top, alpha, t, v) of every ordered cube pair: entry [i, j, a]
+    for alpha = orders[a], and +inf on the diagonal.
+
+    The gauge is symmetric in the pair and its core integral does not depend
+    on alpha, so each unordered pair costs one integral.
+    """
+    powers = [top - mi_order(alpha) for alpha in orders]
+    out = np.full((len(cubes), len(cubes), len(orders)), np.inf)
+    for i, qi in enumerate(cubes):
+        for j in range(i + 1, len(cubes)):
+            qj = cubes[j]
+            sep = uniform_norm(point_sub(qi.center, qj.center))
+            t = max(qi.radius, qj.radius) + sep
+            v = min(qi.radius, qj.radius)
+            core = gauge(mod, top, top, t, v)  # top order: the bare integral
+            out[i, j] = out[j, i] = [t**e * core for e in powers]
+    return out
+
+
+def pairwise_sweep(field: PolyField, mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered cube pair's worst derivative discrepancy at the first
+    center divided by its gauge, in one sweep.
+
+    Returns (ratio, order): ratio[i, j] is the maximum over orders alpha of
+    |D^alpha(P_i - P_j)(x_i)| / gauge(t, v), and order[i, j] the position in
+    ``multi_indices(n, top)`` of the first order reaching it; the diagonal is
+    zero.  Discrepancies are coefficient differences times the exact
+    derivative matrix at the centers.  A zero gauge raises FloatingPointError.
+    """
+    if mod.m != field.m:
+        raise ValueError("modulus order does not match the field context")
+    top = field.top_degree
+    orders = multi_indices(field.n, top)
+    cubes = [q for q, _ in field.entries]
+    coef = np.array([[p.coef.get(beta, 0.0) for beta in orders] for _, p in field.entries])
+    deriv = deriv_matrix(field.n, top, orders, [q.center for q in cubes])
+    # the infinite diagonal gauge gives a cube's zero self-discrepancy ratio 0
+    gauges = pair_gauges(mod, top, orders, cubes)
+    size = len(cubes)
+    ratio = np.zeros((size, size))
+    order = np.zeros((size, size), dtype=int)
+    rows = np.arange(size)
+    with np.errstate(divide="raise", invalid="raise"):
+        for i in range(size):
+            disc = np.abs(((coef[i] - coef)[:, None, :] * deriv[i]).sum(axis=2))
+            ratios = disc / gauges[i]
+            order[i] = ratios.argmax(axis=1)
+            ratio[i] = ratios[rows, order[i]]
+    return ratio, order
+
+
 @dataclass(frozen=True)
 class ConditionStat:
     """Worst ratio of one condition family with its witness."""
@@ -429,7 +468,8 @@ class ConditionStat:
 class CheckReport:
     """Aggregated trace-condition report; lambda_hat is the smallest
     multiplier making every checked inequality hold (max of the family
-    maxima)."""
+    maxima).  ``pair_ratios`` holds the worst ratio of every ordered cube
+    pair (see ``pairwise_sweep``)."""
 
     lambda_hat: float
     pointwise: ConditionStat
@@ -437,6 +477,29 @@ class CheckReport:
     interpolation: tuple[tuple[Cube, float], ...] | None
     fit_mode: str | None
     notes: tuple[str, ...]
+    pair_ratios: np.ndarray
+
+
+def _pointwise_bound(field: PolyField, k: int) -> tuple[float, dict | None, bool]:
+    """Worst center derivative scaled by the radius power it may legally grow
+    with, over cubes of radius <= 1; its witness; whether any cube
+    qualified."""
+    if k != field.k:
+        raise ValueError("context k mismatch")
+    worst = 0.0
+    witness = None
+    any_small = False
+    for idx, (cube, poly) in enumerate(field.entries):
+        if cube.radius > 1.0:
+            continue
+        any_small = True
+        for gamma in multi_indices(field.n, field.top_degree):
+            e = max(0, mi_order(gamma) - k)
+            ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
+            if ratio > worst:
+                worst = ratio
+                witness = {"cube_index": idx, "order": gamma, "ratio": ratio}
+    return worst, witness, any_small
 
 
 def check_conditions(
@@ -458,46 +521,14 @@ def check_conditions(
     A zero gauge denominator cannot occur for distinct cubes of positive
     radius, so no ratio is ever indeterminate.
     """
-    if k != field.k:
-        raise ValueError("context k mismatch")
-    if mod.m != field.m:
-        raise ValueError("modulus order does not match the field context")
-    top = field.top_degree
-    n = field.n
-
-    worst_pt = 0.0
-    wit_pt = None
-    for idx, (cube, poly) in enumerate(field.entries):
-        if cube.radius > 1.0:
-            continue
-        for gamma in multi_indices(n, top):
-            e = max(0, mi_order(gamma) - k)
-            ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
-            if ratio > worst_pt:
-                worst_pt = ratio
-                wit_pt = {"cube_index": idx, "order": gamma, "ratio": ratio}
-
-    worst_pair = 0.0
+    worst_pt, wit_pt, _ = _pointwise_bound(field, k)
+    pair_ratios, pair_orders = pairwise_sweep(field, mod)
+    worst_pair = float(pair_ratios.max(initial=0.0))
     wit_pair = None
-    ents = field.entries
-    for i, (q1, p1) in enumerate(ents):
-        for j, (q2, p2) in enumerate(ents):
-            if i == j:
-                continue
-            sep = uniform_norm(point_sub(q1.center, q2.center))
-            t = max(q1.radius, q2.radius) + sep
-            v = min(q1.radius, q2.radius)
-            diff = p1 - p2
-            for alpha in multi_indices(n, top):
-                denom = gauge(mod, top, alpha, t, v)
-                ratio = abs(diff.deriv_eval(alpha, q1.center)) / denom
-                if ratio > worst_pair:
-                    worst_pair = ratio
-                    wit_pair = {
-                        "cube_indices": (i, j),
-                        "order": alpha,
-                        "ratio": ratio,
-                    }
+    if worst_pair > 0.0:
+        i, j = np.unravel_index(int(pair_ratios.argmax()), pair_ratios.shape)
+        order = multi_indices(field.n, field.top_degree)[pair_orders[i, j]]
+        wit_pair = {"cube_indices": (int(i), int(j)), "order": order, "ratio": worst_pair}
 
     interpolation = None
     if sample is not None and sample.values is not None:
@@ -517,6 +548,7 @@ def check_conditions(
         interpolation=interpolation,
         fit_mode=fit_mode,
         notes=notes,
+        pair_ratios=pair_ratios,
     )
 
 
@@ -530,32 +562,9 @@ def lipschitz_forms(field: PolyField, mod: Modulus, lam: float) -> tuple[bool, b
     """
     if lam <= 0:
         raise ValueError("scale must be positive")
-    if mod.m != field.m:
-        raise ValueError("modulus order does not match the field context")
-    top = field.top_degree
-    n = field.n
+    ratio_ok = bool(pairwise_sweep(field, mod)[0].max(initial=0.0) <= lam)
+
     jets = field.jets()
-
-    ratio_ok = True
-    for i, (q1, p1) in enumerate(field.entries):
-        for j, (q2, p2) in enumerate(field.entries):
-            if i == j:
-                continue
-            sep = uniform_norm(point_sub(q1.center, q2.center))
-            t = max(q1.radius, q2.radius) + sep
-            v = min(q1.radius, q2.radius)
-            diff = p1 - p2
-            for alpha in multi_indices(n, top):
-                if abs(diff.deriv_eval(alpha, q1.center)) > lam * gauge(
-                    mod, top, alpha, t, v
-                ):
-                    ratio_ok = False
-                    break
-            if not ratio_ok:
-                break
-        if not ratio_ok:
-            break
-
     metric_ok = True
     inv = 1.0 / lam
     for i in range(len(jets)):
@@ -583,29 +592,20 @@ class LoSeminorm:
     upper: float
 
 
-def lo_seminorm(field: PolyField, mod: Modulus) -> LoSeminorm:
+def lo_seminorm(
+    field: PolyField, mod: Modulus, pair_ratios: np.ndarray | None = None
+) -> LoSeminorm:
     """Smallest multiplier whose reciprocal scaling makes the field
     1-Lipschitz in the quasi-distance sense: the maximum over cube pairs,
-    derivative orders and both centers of discrepancy / gauge."""
-    if mod.m != field.m:
-        raise ValueError("modulus order does not match the field context")
-    top = field.top_degree
-    n = field.n
-    worst = 0.0
-    ents = field.entries
-    for i in range(len(ents)):
-        q1, p1 = ents[i]
-        for j in range(i + 1, len(ents)):
-            q2, p2 = ents[j]
-            sep = uniform_norm(point_sub(q1.center, q2.center))
-            t = max(q1.radius, q2.radius) + sep
-            v = min(q1.radius, q2.radius)
-            diff = p1 - p2
-            for alpha in multi_indices(n, top):
-                denom = gauge(mod, top, alpha, t, v)
-                for y in (q1.center, q2.center):
-                    worst = max(worst, abs(diff.deriv_eval(alpha, y)) / denom)
-    return LoSeminorm(value=worst, lower=worst * math.exp(-n), upper=worst)
+    derivative orders and both centers of discrepancy / gauge.
+
+    ``pair_ratios``, when given, are the field's per-pair ratios from
+    ``pairwise_sweep`` (a ``CheckReport`` carries them), not swept again.
+    """
+    if pair_ratios is None:
+        pair_ratios = pairwise_sweep(field, mod)[0]
+    worst = float(pair_ratios.max(initial=0.0))
+    return LoSeminorm(value=worst, lower=worst * math.exp(-field.n), upper=worst)
 
 
 @dataclass(frozen=True)
@@ -618,20 +618,7 @@ class StarNorm:
 
 
 def star_norm(field: PolyField, k: int) -> StarNorm:
-    if k != field.k:
-        raise ValueError("context k mismatch")
-    top = field.top_degree
-    value = 0.0
-    any_small = False
-    for cube, poly in field.entries:
-        if cube.radius > 1.0:
-            continue
-        any_small = True
-        for gamma in multi_indices(field.n, top):
-            e = max(0, mi_order(gamma) - k)
-            value = max(
-                value, abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
-            )
+    value, _, any_small = _pointwise_bound(field, k)
     return StarNorm(value=value, empty_sup=not any_small)
 
 

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jetspace.cli import main
 
@@ -206,3 +208,103 @@ def test_counterexample_bound_exit_code(capsys):
     assert main(["counterexample", "--imax", "31"]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "ValueError" in err
+
+
+def _error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_non_finite_input_numbers_exit_2(tmp_path, capsys):
+    nan_centre = {"omega": MOD_D, "cubes": [{"x": [math.nan], "r": 1.0}, {"x": [0.0], "r": 1.0}]}
+    path = _write(tmp_path, "nan.json", nan_centre)  # json writes the NaN literal
+    assert main(["metric", "--input", path]) == 2
+    assert "NaN" in _error(capsys)["message"]
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"omega": {"family": "power", "q": 1.0, "m": 2},'
+        ' "cubes": [{"x": [1e400], "r": 1.0}, {"x": [0.0], "r": 1.0}]}'
+    )
+    assert main(["metric", "--input", str(path)]) == 2
+    assert "1e400" in _error(capsys)["message"]
+
+
+def test_numerical_failure_exit_3(tmp_path, capsys):
+    payload = {
+        "omega": {"family": "powerlog", "q": 1.0, "m": 2},
+        "cubes": [{"x": [1e300], "r": 1e-300}, {"x": [0.0], "r": 1.0}],
+    }
+    path = _write(tmp_path, "in.json", payload)
+    assert main(["metric", "--input", path]) == 3
+    assert _error(capsys)["type"] == "OverflowError"
+
+
+def _fuzz_floats(low, high):
+    return st.one_of(st.floats(low, high), st.sampled_from([0.0, 1e300, -1e300, 1e-300, -1e-300]))
+
+
+_FUZZ_OMEGA = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "family": st.sampled_from(["power", "powerlog"]),
+            "q": _fuzz_floats(0.0, 3.0),
+            "m": st.integers(0, 3),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "family": st.just("table"),
+            "m": st.integers(0, 3),
+            "knots": st.lists(
+                st.tuples(_fuzz_floats(0.01, 10.0), _fuzz_floats(0.01, 10.0)), min_size=2, max_size=3
+            ).map(sorted),
+        }
+    ),
+)
+
+
+def _fuzz_cube(n):
+    return st.fixed_dictionaries(
+        {"x": st.lists(_fuzz_floats(-4.0, 4.0), min_size=n, max_size=n), "r": _fuzz_floats(0.01, 4.0)}
+    )
+
+
+def _fuzz_jet(n):
+    keys = ["[0]", "[1]"] if n == 1 else ["[0,0]", "[1,0]", "[0,1]"]
+    coef = st.dictionaries(st.sampled_from(keys), _fuzz_floats(-4.0, 4.0))
+    poly = st.fixed_dictionaries({"n": st.just(n), "L": st.just(1), "coef": coef})
+    return st.fixed_dictionaries({"poly": poly, "cube": _fuzz_cube(n)})
+
+
+_FUZZ_METRIC = st.integers(1, 2).flatmap(
+    lambda n: st.one_of(
+        st.fixed_dictionaries(
+            {"omega": _FUZZ_OMEGA, "cubes": st.lists(_fuzz_cube(n), min_size=2, max_size=2)}
+        ),
+        st.fixed_dictionaries(
+            {
+                "omega": _FUZZ_OMEGA,
+                "jets": st.lists(_fuzz_jet(n), min_size=2, max_size=2),
+                "candidates": st.lists(_fuzz_jet(n), max_size=2),
+            }
+        ),
+    )
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_FUZZ_METRIC, literal=st.none() | st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_metric_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal):
+    if literal is not None:  # json writes NaN/Infinity literals for these
+        first = payload.get("cubes", payload.get("jets"))[0]
+        first.get("cube", first)["x"][0] = literal
+    path = _write(tmp_path, "fuzz.json", payload)
+    code = main(["metric", "--input", path, "--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
+    err = capsys.readouterr().err
+    if code:
+        assert "type" in json.loads(err)["error"]

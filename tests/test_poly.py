@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetspace.poly import Poly, mi_factorial, mi_order, multi_indices, poly_space_dim
+from jetspace.poly import (
+    Poly,
+    deriv_matrix,
+    mi_factorial,
+    mi_order,
+    multi_indices,
+    poly_space_dim,
+)
 
 
 def test_multi_index_enumeration():
@@ -98,3 +105,20 @@ def test_taylor_derivative_match_multivariate():
             assert t.deriv_eval(alpha, x) == pytest.approx(
                 p.deriv_eval(alpha, x), rel=1e-9, abs=1e-9
             )
+
+
+def test_deriv_matrix_bit_identical_to_deriv_eval():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for degree in range(4):
+            orders = multi_indices(n, degree + 1)  # orders above the degree give 0
+            points = [tuple(rng.uniform(-3, 3, size=n).tolist()) for _ in range(4)]
+            mat = deriv_matrix(n, degree, orders, points)
+            assert mat.shape == (4, len(orders), len(multi_indices(n, degree)))
+            for p, x in enumerate(points):
+                for a, alpha in enumerate(orders):
+                    for b, beta in enumerate(multi_indices(n, degree)):
+                        want = Poly(n, degree, {beta: 1.0}).deriv_eval(alpha, x)
+                        assert mat[p, a, b].tobytes() == np.float64(want).tobytes()
+    with pytest.raises(ValueError):
+        deriv_matrix(2, 1, multi_indices(2, 1), [(0.0,)])

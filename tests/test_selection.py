@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from jetspace.cubes import Cube
+from jetspace.cubes import Cube, point_sub, uniform_norm
+from jetspace.jets import gauge
 from jetspace.lp import LPBuilder, lp_solve
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
@@ -18,6 +19,7 @@ from jetspace.selection import (
     membership_block,
     relaxed_feasible,
     selection_field,
+    _pairwise_rows,
 )
 from jetspace.whitney import lo_seminorm
 
@@ -346,3 +348,80 @@ def test_counterexample_bounds():
     with pytest.raises(ValueError):
         counterexample_family(31)
     assert len(counterexample_family(30)) == 30
+
+
+# -- LP rows against the scalar loop they replaced ---------------------------------
+
+
+def _oracle_pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed):
+    """The pairwise LP rows as built one Poly per coefficient."""
+    degree = inst.top_degree
+    alphas = multi_indices(inst.n, degree)
+    for i in range(len(inst.nodes)):
+        for j in range(i + 1, len(inst.nodes)):
+            _, qi = inst.nodes[i]
+            _, qj = inst.nodes[j]
+            sep = uniform_norm(point_sub(qi.center, qj.center))
+            t = max(qi.radius, qj.radius) + sep
+            v = min(qi.radius, qj.radius)
+            for y in (qi.center, qj.center):
+                for alpha in alphas:
+                    w = gauge(inst.modulus, degree, alpha, t, v)
+                    row: dict[int, float] = {}
+                    for idx, beta in enumerate(alphas):
+                        val = Poly(inst.n, degree, {beta: 1.0}).deriv_eval(alpha, y)
+                        if val != 0.0:
+                            row[node_cvars[i][idx]] = val
+                            row[node_cvars[j][idx]] = row.get(node_cvars[j][idx], 0.0) - val
+                    for sign in (1.0, -1.0):
+                        coeffs = {key: sign * val for key, val in row.items()}
+                        if lam_var is not None:
+                            coeffs[lam_var] = -w
+                            builder.add_le(coeffs, 0.0)
+                        else:
+                            builder.add_le(coeffs, lam_fixed * w)
+
+
+def _selection_lp(inst, pairwise_rows, lam_fixed):
+    builder = LPBuilder()
+    lam_var = builder.var("lam") if lam_fixed is None else None
+    node_cvars = []
+    for idx, (spec, cube) in enumerate(inst.nodes):
+        cvars, _ = membership_block(
+            builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree,
+            lam_fixed or 0.0,
+        )
+        node_cvars.append(cvars)
+    pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed)
+    return builder.build()
+
+
+def _select_1d_instance(rng, nodes):
+    mod = Modulus.power(1.0, 2)
+    out = []
+    for _ in range(nodes):
+        lo = float(rng.uniform(-2.0, 2.0))
+        cube = Cube((float(rng.uniform(-6.0, 6.0)),), float(rng.uniform(0.2, 1.5)))
+        out.append((interval_set(lo, lo + float(rng.uniform(0.05, 1.0))), cube))
+    return SelectionInstance(n=1, k=0, m=2, modulus=mod, nodes=tuple(out))
+
+
+def _jet_instance_2d(rng, nodes):
+    mod = Modulus.power(1.5, 2)
+    out = []
+    for _ in range(nodes):
+        coef = {a: float(rng.uniform(-2, 2)) for a in multi_indices(2, 1)}
+        cube = Cube(tuple(float(c) for c in rng.uniform(-3, 3, size=2)), float(rng.uniform(0.2, 1.5)))
+        out.append((singleton(2, 1, coef), cube))
+    return SelectionInstance(n=2, k=1, m=2, modulus=mod, nodes=tuple(out))
+
+
+@pytest.mark.parametrize("lam_fixed", [None, 0.7])
+def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
+    rng = np.random.default_rng(61)
+    for inst in (_select_1d_instance(rng, 8), _jet_instance_2d(rng, 5)):
+        new = _selection_lp(inst, _pairwise_rows, lam_fixed)
+        old = _selection_lp(inst, _oracle_pairwise_rows, lam_fixed)
+        assert new.a_ub.tobytes() == old.a_ub.tobytes()
+        assert new.b_ub.tobytes() == old.b_ub.tobytes()
+        assert new.a_eq.tobytes() == old.a_eq.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetspace.cubes import Cube, cube_family, dyadic_radii
+from jetspace.cubes import Cube, cube_family, dyadic_radii, point_sub, uniform_norm
+from jetspace.jets import gauge
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
 from jetspace.whitney import (
@@ -22,6 +23,7 @@ from jetspace.whitney import (
     lo_norm_full,
     lo_seminorm,
     local_fit,
+    pairwise_sweep,
     seminorm_estimate,
     star_norm,
 )
@@ -343,6 +345,161 @@ def test_check_pairwise_equals_lo_seminorm():
     assert rep.pairwise.lambda_hat == pytest.approx(
         lo_seminorm(field, MOD).value, rel=1e-12
     )
+
+
+# -- the pairwise sweep against the scalar loops it replaced --------------------------------
+#
+# The four oracles below are the per-pair loops of check_conditions,
+# lo_seminorm, lipschitz_forms (ratio form) and the check command's CSV
+# projection, kept as they were before the single sweep replaced them.
+
+
+def _oracle_check_pairwise(field, mod):
+    top = field.top_degree
+    n = field.n
+    worst_pair = 0.0
+    wit_pair = None
+    ents = field.entries
+    for i, (q1, p1) in enumerate(ents):
+        for j, (q2, p2) in enumerate(ents):
+            if i == j:
+                continue
+            sep = uniform_norm(point_sub(q1.center, q2.center))
+            t = max(q1.radius, q2.radius) + sep
+            v = min(q1.radius, q2.radius)
+            diff = p1 - p2
+            for alpha in multi_indices(n, top):
+                denom = gauge(mod, top, alpha, t, v)
+                ratio = abs(diff.deriv_eval(alpha, q1.center)) / denom
+                if ratio > worst_pair:
+                    worst_pair = ratio
+                    wit_pair = {
+                        "cube_indices": (i, j),
+                        "order": alpha,
+                        "ratio": ratio,
+                    }
+    return worst_pair, wit_pair
+
+
+def _oracle_lo_seminorm(field, mod):
+    top = field.top_degree
+    n = field.n
+    worst = 0.0
+    ents = field.entries
+    for i in range(len(ents)):
+        q1, p1 = ents[i]
+        for j in range(i + 1, len(ents)):
+            q2, p2 = ents[j]
+            sep = uniform_norm(point_sub(q1.center, q2.center))
+            t = max(q1.radius, q2.radius) + sep
+            v = min(q1.radius, q2.radius)
+            diff = p1 - p2
+            for alpha in multi_indices(n, top):
+                denom = gauge(mod, top, alpha, t, v)
+                for y in (q1.center, q2.center):
+                    worst = max(worst, abs(diff.deriv_eval(alpha, y)) / denom)
+    return worst
+
+
+def _oracle_ratio_form(field, mod, lam):
+    top = field.top_degree
+    n = field.n
+    ratio_ok = True
+    for i, (q1, p1) in enumerate(field.entries):
+        for j, (q2, p2) in enumerate(field.entries):
+            if i == j:
+                continue
+            sep = uniform_norm(point_sub(q1.center, q2.center))
+            t = max(q1.radius, q2.radius) + sep
+            v = min(q1.radius, q2.radius)
+            diff = p1 - p2
+            for alpha in multi_indices(n, top):
+                if abs(diff.deriv_eval(alpha, q1.center)) > lam * gauge(
+                    mod, top, alpha, t, v
+                ):
+                    ratio_ok = False
+                    break
+            if not ratio_ok:
+                break
+        if not ratio_ok:
+            break
+    return ratio_ok
+
+
+def _oracle_csv_rows(field, mod):
+    rows = []
+    ents = field.entries
+    top = field.top_degree
+    for i, (q1, p1) in enumerate(ents):
+        for j, (q2, p2) in enumerate(ents):
+            if i == j:
+                continue
+            sep = uniform_norm(point_sub(q1.center, q2.center))
+            t = max(q1.radius, q2.radius) + sep
+            v = min(q1.radius, q2.radius)
+            diff = p1 - p2
+            worst = max(
+                abs(diff.deriv_eval(alpha, q1.center))
+                / gauge(mod, top, alpha, t, v)
+                for alpha in multi_indices(field.n, top)
+            )
+            rows.append((i, j, worst))
+    return rows
+
+
+def _oracle_ratio_triples(field, mod):
+    """Every (ratio, i, j, order) the sweep maximizes over."""
+    top = field.top_degree
+    out = []
+    for i, (q1, p1) in enumerate(field.entries):
+        for j, (q2, p2) in enumerate(field.entries):
+            if i == j:
+                continue
+            t = max(q1.radius, q2.radius) + uniform_norm(point_sub(q1.center, q2.center))
+            v = min(q1.radius, q2.radius)
+            for alpha in multi_indices(field.n, top):
+                u = abs((p1 - p2).deriv_eval(alpha, q1.center))
+                out.append((u / gauge(mod, top, alpha, t, v), i, j, alpha))
+    return out
+
+
+def _sweep_modulus(family, m):
+    if family == "power":
+        return Modulus.power(0.5 * m, m)
+    if family == "powerlog":
+        return Modulus.power_log(m - 1.0, m)
+    return Modulus.table([(0.05, 0.02), (1.0, 0.8), (10.0, 3.0)], m)
+
+
+@pytest.mark.parametrize("family", ["power", "powerlog", "table"])
+@pytest.mark.parametrize("n, k, m", [(n, k, m) for n in (1, 2) for k in (0, 1) for m in (1, 2)])
+def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m):
+    rng = np.random.default_rng(1000 * n + 100 * k + 10 * m + len(family))
+    mod = _sweep_modulus(family, m)
+    for _ in range(3):
+        field = _random_field(rng, n, k, m, 5)
+        ratio, _ = pairwise_sweep(field, mod)
+        rep = check_conditions(None, field, mod, k)
+        assert rep.pair_ratios.tobytes() == ratio.tobytes()
+        scale = max(ratio.max(), 1e-300)
+
+        for i, j, worst in _oracle_csv_rows(field, mod):
+            assert abs(ratio[i, j] - worst) <= 1e-12 * scale
+        oracle_lam, oracle_wit = _oracle_check_pairwise(field, mod)
+        assert abs(rep.pairwise.lambda_hat - oracle_lam) <= 1e-12 * scale
+        lo_star = _oracle_lo_seminorm(field, mod)
+        assert abs(lo_seminorm(field, mod).value - lo_star) <= 1e-12 * scale
+        assert lo_seminorm(field, mod).value == rep.pairwise.lambda_hat
+
+        triples = sorted(_oracle_ratio_triples(field, mod), key=lambda r: -r[0])
+        if triples[0][0] - triples[1][0] > 1e-12 * triples[0][0]:
+            wit = rep.pairwise.witness
+            assert wit["cube_indices"] == oracle_wit["cube_indices"]
+            assert wit["order"] == oracle_wit["order"]
+            assert type(wit["cube_indices"][0]) is int and type(wit["ratio"]) is float
+
+        for lam in (lo_star * (1 + 1e-9), lo_star * (1 - 1e-9)):
+            assert lipschitz_forms(field, mod, lam)[0] == _oracle_ratio_form(field, mod, lam)
 
 
 # -- star norm -----------------------------------------------------------------------------
