@@ -49,7 +49,8 @@ class RunConfig:
 
 
 def _finite_float(text: str) -> float:
-    """Parse a JSON number or NaN/Infinity literal, rejecting non-finite values."""
+    """Parse a JSON number (integers too, so one beyond the float range is
+    caught) or NaN/Infinity literal, rejecting non-finite values."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text} in input")
@@ -60,7 +61,10 @@ def _load_input(config: RunConfig) -> dict:
     if not config.input_path:
         raise ValueError("this command needs --input")
     with open(config.input_path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        data = json.load(
+            fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_float
+        )
+    return ser.as_object(data, "input")
 
 
 def _emit(config: RunConfig, payload: dict, csv_text: str | None) -> None:
@@ -86,15 +90,16 @@ def cmd_metric(config: RunConfig) -> int:
     mod = ser.modulus_from_dict(data["omega"])
     payload: dict = {"omega": ser.modulus_to_dict(mod)}
     if "jets" in data:
-        jets = [ser.jet_from_dict(j) for j in data["jets"]]
+        jets = [ser.jet_from_dict(j) for j in ser.as_array(data["jets"], "jets")]
         if len(jets) != 2:
             raise ValueError("metric needs exactly two jets")
         q1, q2 = jets[0].cube, jets[1].cube
-        candidates = [ser.jet_from_dict(j) for j in data.get("candidates", [])]
+        candidates = ser.as_array(data.get("candidates", []), "candidates")
+        candidates = [ser.jet_from_dict(j) for j in candidates]
         if not candidates:
             candidates = interpolating_candidates(jets[0], jets[1], count=3)
     elif "cubes" in data:
-        cubes = [ser.cube_from_dict(c) for c in data["cubes"]]
+        cubes = [ser.cube_from_dict(c) for c in ser.as_array(data["cubes"], "cubes")]
         if len(cubes) != 2:
             raise ValueError("metric needs exactly two cubes")
         q1, q2 = cubes
@@ -118,9 +123,9 @@ def cmd_check(config: RunConfig) -> int:
     data = _load_input(config)
     sample, mod, k, m = ser.sample_set_from_dict(data)
     if "radii" in data:
-        radii = [float(r) for r in data["radii"]]
+        radii = ser.as_numbers(data["radii"], "radii")
     else:
-        levels = int(data.get("radii_levels", config.radii_levels))
+        levels = ser.as_int(data.get("radii_levels", config.radii_levels), "radii_levels")
         radii = dyadic_radii(sample.points, levels)
     interp = bool(data.get("interpolate_center", config.interpolate_center))
     cubes = cube_family(sample.points, radii)
@@ -173,15 +178,15 @@ def cmd_select(config: RunConfig) -> int:
             "of at most e^n"
         ),
     }
+    exp = ser.as_object(data.get("experiment", {}), "experiment")
     ell = config.experiment_ell
-    if ell is None and "experiment" in data:
-        ell = data["experiment"].get("ell")
+    if ell is None and exp.get("ell") is not None:
+        ell = ser.as_int(exp["ell"], "experiment ell")
     if ell is not None or "experiment" in data:
-        exp = data.get("experiment", {})
         rep = finiteness_experiment(
             inst,
             ell=ell,
-            budget=int(exp.get("budget", 5000)),
+            budget=ser.as_int(exp.get("budget", 5000), "experiment budget"),
             seed=config.seed,
         )
         payload["experiment"] = {

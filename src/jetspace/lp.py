@@ -110,47 +110,33 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     # row equilibration: scale every constraint to unit max-norm so pivot
     # tolerances are meaningful across badly mixed data scales
-    a_ub, b_ub = problem.a_ub.copy(), problem.b_ub.copy()
-    a_eq, b_eq = problem.a_eq.copy(), problem.b_eq.copy()
-    for mat, vec in ((a_ub, b_ub), (a_eq, b_eq)):
-        if mat.size:
-            norms = np.max(np.abs(mat), axis=1)
-            keep = norms > 0
-            mat[keep] /= norms[keep, None]
-            vec[keep] /= norms[keep]
+    a = np.vstack([problem.a_ub, problem.a_eq])
+    b = np.concatenate([problem.b_ub, problem.b_eq])
+    if a.size:
+        norms = np.max(np.abs(a), axis=1)
+        keep = norms > 0
+        a[keep] /= norms[keep, None]
+        b[keep] /= norms[keep]
 
-    # standard form: x = xp - xm, slack s >= 0 on inequality rows
-    n_split = 2 * n
-    a = np.zeros((m, n_split + m_ub))
-    b = np.zeros(m)
-    a[:m_ub, :n] = a_ub
-    a[:m_ub, n:n_split] = -a_ub
-    a[:m_ub, n_split : n_split + m_ub] = np.eye(m_ub)
-    b[:m_ub] = b_ub
-    a[m_ub:, :n] = a_eq
-    a[m_ub:, n:n_split] = -a_eq
-    b[m_ub:] = b_eq
-
+    # standard form, written straight into the tableau: x = xp - xm, a slack
+    # s >= 0 on each inequality row, and an artificial column on each row whose
+    # slack cannot start the basis (equalities, and inequalities with b < 0,
+    # which are negated to b > 0)
     flipped = b < 0
-    a[flipped] *= -1.0
-    b[flipped] *= -1.0
-
-    # initial basis: surviving slack columns where possible, artificials elsewhere
-    basis = np.full(m, -1, dtype=int)
-    needs_art = []
-    for i in range(m):
-        if i < m_ub and not flipped[i]:
-            basis[i] = n_split + i
-        else:
-            needs_art.append(i)
+    art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
+    n_split = 2 * n
     n_core = n_split + m_ub
-    n_art = len(needs_art)
+    n_art = art_rows.size
     tableau = np.zeros((m, n_core + n_art + 1))
-    tableau[:, :n_core] = a
-    tableau[:, -1] = b
-    for k, i in enumerate(needs_art):
-        tableau[i, n_core + k] = 1.0
-        basis[i] = n_core + k
+    tableau[:, :n] = a
+    np.negative(tableau[:, :n], out=tableau[:, n:n_split])
+    tableau[np.arange(m_ub), n_split + np.arange(m_ub)] = 1.0
+    sign = np.where(flipped, -1.0, 1.0)
+    tableau[:, :n_core] *= sign[:, None]
+    tableau[:, -1] = b * sign
+    basis = n_split + np.arange(m)
+    basis[art_rows] = n_core + np.arange(n_art)
+    tableau[art_rows, basis[art_rows]] = 1.0
 
     if n_art:
         phase1_cost = np.zeros(n_core + n_art)
@@ -176,9 +162,10 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     # verify against the (equilibrated) constraints: a corrupted tableau must
     # fail loudly, never return a silently infeasible "optimum"
     tol = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if a_ub.size and float(np.max(a_ub @ x - b_ub)) > tol:
+    resid = a @ x - b
+    if m_ub and float(np.max(resid[:m_ub])) > tol:
         raise ArithmeticError("simplex lost primal feasibility (inequalities)")
-    if a_eq.size and float(np.max(np.abs(a_eq @ x - b_eq))) > tol:
+    if m_eq and float(np.max(np.abs(resid[m_ub:]))) > tol:
         raise ArithmeticError("simplex lost primal feasibility (equalities)")
     return LPSolution(status="optimal", x=x, objective=float(problem.objective @ x))
 
@@ -197,48 +184,26 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, restrict)
     ncols = tableau.shape[1] - 1
     limit = ncols if restrict is None else restrict
     max_iter = 20000 + 200 * (m + ncols)
-    in_basis = np.zeros(ncols, dtype=bool)
-    in_basis[basis] = True
     stall = 0
     last_obj = math.inf
     for _ in range(max_iter):
         cb = cost[basis]
         reduced = cost[:limit] - cb @ tableau[:, :limit]
-        reduced[in_basis[:limit]] = 0.0
+        reduced[basis[basis < limit]] = 0.0
         bland = stall > 40
-        entering = -1
-        if bland:
-            for j in range(limit):
-                if reduced[j] < -_COST_TOL:
-                    entering = j
-                    break
-        else:
-            j = int(np.argmin(reduced))
-            if reduced[j] < -_COST_TOL:
-                entering = j
-        if entering < 0:
+        # Bland: the first improving column; otherwise the most negative
+        entering = int(np.argmax(reduced < -_COST_TOL) if bland else np.argmin(reduced))
+        if not reduced[entering] < -_COST_TOL:
             return "optimal"
         col = tableau[:, entering]
-        rhs = tableau[:, -1]
-        best_ratio = math.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                best_ratio = min(best_ratio, max(rhs[i], 0.0) / col[i])
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        best_ratio = float(ratios.min(initial=math.inf))
         if not math.isfinite(best_ratio):
             return "unbounded"
-        tie = best_ratio + 1e-9 * max(1.0, best_ratio)
-        leaving = -1
-        for i in range(m):
-            if col[i] > _PIVOT_TOL and max(rhs[i], 0.0) / col[i] <= tie:
-                if leaving < 0:
-                    leaving = i
-                elif bland:
-                    if basis[i] < basis[leaving]:
-                        leaving = i
-                elif col[i] > col[leaving]:
-                    leaving = i
-        in_basis[basis[leaving]] = False
-        in_basis[entering] = True
+        tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
+        # first tied row with the largest pivot, or the smallest basic index
+        leaving = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
         _pivot(tableau, basis, leaving, entering)
         obj = float(cost[basis] @ tableau[:, -1])
         if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
@@ -252,8 +217,8 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, restrict)
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     piv = tableau[row]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
+    for i in np.flatnonzero(tableau[:, col]):
+        if i != row:
             tableau[i] -= tableau[i, col] * piv
     basis[row] = col
     rhs = tableau[:, -1]
@@ -262,14 +227,13 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _drive_out_artificials(tableau: np.ndarray, basis: np.ndarray, n_core: int) -> None:
     """Pivot degenerate artificials out of the basis; zero redundant rows."""
-    for i in range(tableau.shape[0]):
-        if basis[i] >= n_core:
-            row = tableau[i, :n_core]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > _PIVOT_TOL:
-                _pivot(tableau, basis, i, j)
-            else:
-                # redundant constraint row (rows are equilibrated, so entries
-                # this small are noise); neutralize it
-                tableau[i, :] = 0.0
-                tableau[i, basis[i]] = 1.0
+    for i in np.flatnonzero(basis >= n_core):
+        row = tableau[i, :n_core]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > _PIVOT_TOL:
+            _pivot(tableau, basis, i, j)
+        else:
+            # redundant constraint row (rows are equilibrated, so entries
+            # this small are noise); neutralize it
+            tableau[i, :] = 0.0
+            tableau[i, basis[i]] = 1.0

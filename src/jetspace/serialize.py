@@ -104,6 +104,40 @@ def write_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# decoded JSON of the wrong type is an input error (ValueError), not a
+# TypeError or AttributeError from the code that uses it
+
+
+def as_object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def as_array(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def as_number(value: Any, what: str) -> float:
+    """A JSON number as float; strings such as "nan" are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, not {type(value).__name__}")
+    return float(value)
+
+
+def as_numbers(value: Any, what: str) -> tuple[float, ...]:
+    return tuple(as_number(v, what) for v in as_array(value, what))
+
+
+def as_int(value: Any, what: str) -> int:
+    if not as_number(value, what).is_integer():
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
 # domain objects <-> dicts
 
 
@@ -114,18 +148,18 @@ def modulus_to_dict(mod: Modulus) -> dict:
 
 
 def modulus_from_dict(d: dict, default_m: int | None = None) -> Modulus:
+    d = as_object(d, "omega")
     family = d.get("family")
-    m = d.get("m", default_m)
-    if m is None:
-        raise ValueError("modulus dict needs an order m")
+    m = as_int(d.get("m", default_m), "omega m")
     if default_m is not None and m != default_m:
         raise ValueError("modulus order conflicts with the context order")
     if family == "table":
-        return Modulus.table(d["knots"], int(m))
+        knots = [as_numbers(knot, "omega knot") for knot in as_array(d["knots"], "omega knots")]
+        return Modulus.table(knots, m)
     if family == "power":
-        return Modulus.power(float(d["q"]), int(m))
+        return Modulus.power(as_number(d["q"], "omega q"), m)
     if family == "powerlog":
-        return Modulus.power_log(float(d["q"]), int(m))
+        return Modulus.power_log(as_number(d["q"], "omega q"), m)
     raise ValueError(f"unknown modulus family {family!r}")
 
 
@@ -134,7 +168,8 @@ def cube_to_dict(cube: Cube) -> dict:
 
 
 def cube_from_dict(d: dict) -> Cube:
-    return Cube(center=tuple(float(v) for v in d["x"]), radius=float(d["r"]))
+    d = as_object(d, "cube")
+    return Cube(center=as_numbers(d["x"], "cube x"), radius=as_number(d["r"], "cube r"))
 
 
 def halfspace_to_dict(z: HalfSpacePoint) -> dict:
@@ -142,7 +177,8 @@ def halfspace_to_dict(z: HalfSpacePoint) -> dict:
 
 
 def halfspace_from_dict(d: dict) -> HalfSpacePoint:
-    return HalfSpacePoint(base=tuple(float(v) for v in d["x"]), height=float(d["h"]))
+    d = as_object(d, "half-space point")
+    return HalfSpacePoint(base=as_numbers(d["x"], "point x"), height=as_number(d["h"], "point h"))
 
 
 def _mi_key(alpha: Sequence[int]) -> str:
@@ -159,11 +195,12 @@ def poly_to_dict(poly: Poly) -> dict:
 
 
 def poly_from_dict(d: dict) -> Poly:
+    d = as_object(d, "poly")
     coef = {}
-    for key, val in d.get("coef", {}).items():
-        alpha = tuple(int(v) for v in json.loads(key))
-        coef[alpha] = float(val)
-    return Poly(n=int(d["n"]), degree=int(d["L"]), coef=coef)
+    for key, val in as_object(d.get("coef", {}), "poly coef").items():
+        alpha = tuple(as_int(v, "coef key") for v in as_numbers(json.loads(key), "coef key"))
+        coef[alpha] = as_number(val, "poly coef")
+    return Poly(n=as_int(d["n"], "poly n"), degree=as_int(d["L"], "poly L"), coef=coef)
 
 
 def jet_to_dict(jet: Jet) -> dict:
@@ -171,6 +208,7 @@ def jet_to_dict(jet: Jet) -> dict:
 
 
 def jet_from_dict(d: dict) -> Jet:
+    d = as_object(d, "jet")
     return Jet(poly=poly_from_dict(d["poly"]), cube=cube_from_dict(d["cube"]))
 
 
@@ -195,17 +233,17 @@ def sample_set_to_dict(
 
 
 def sample_set_from_dict(d: dict) -> tuple[SampleSet, Modulus, int, int]:
-    n = int(d["n"])
-    k = int(d["k"])
-    m = int(d["m"])
+    d = as_object(d, "sample set")
+    n, k, m = (as_int(d[key], key) for key in "nkm")
     mod = modulus_from_dict(d["omega"], default_m=m)
     pts = []
     values: list[float] = []
     jets: list[Poly] = []
-    for entry in d["points"]:
-        pts.append(tuple(float(v) for v in entry["x"]))
+    for entry in as_array(d["points"], "points"):
+        entry = as_object(entry, "sample point")
+        pts.append(as_numbers(entry["x"], "point x"))
         if "f" in entry:
-            values.append(float(entry["f"]))
+            values.append(as_number(entry["f"], "point f"))
         elif "jet" in entry:
             jets.append(poly_from_dict(entry["jet"]))
         else:
@@ -230,12 +268,13 @@ def convex_set_to_dict(spec: ConvexSetSpec) -> dict:
 
 
 def convex_set_from_dict(d: dict) -> ConvexSetSpec:
+    d = as_object(d, "convex set")
+    rows = [as_object(row, "set ineq") for row in as_array(d.get("ineq", []), "set ineq")]
     return ConvexSetSpec(
         base=poly_from_dict(d["base"]),
-        directions=tuple(poly_from_dict(x) for x in d.get("dirs", ())),
+        directions=tuple(poly_from_dict(x) for x in as_array(d.get("dirs", []), "set dirs")),
         inequalities=tuple(
-            (tuple(float(v) for v in row["a"]), float(row["b"]))
-            for row in d.get("ineq", ())
+            (as_numbers(row["a"], "ineq a"), as_number(row["b"], "ineq b")) for row in rows
         ),
     )
 
@@ -256,15 +295,13 @@ def selection_instance_to_dict(inst: SelectionInstance) -> dict:
 
 
 def selection_instance_from_dict(d: dict) -> SelectionInstance:
-    ctx = d["context"]
-    mod = modulus_from_dict(ctx["omega"], default_m=int(ctx["m"]))
-    nodes = tuple(
-        (convex_set_from_dict(node["set"]), cube_from_dict(node["cube"]))
-        for node in d["nodes"]
-    )
-    return SelectionInstance(
-        n=int(ctx["n"]), k=int(ctx["k"]), m=int(ctx["m"]), modulus=mod, nodes=nodes
-    )
+    d = as_object(d, "selection instance")
+    ctx = as_object(d["context"], "context")
+    n, k, m = (as_int(ctx[key], f"context {key}") for key in "nkm")
+    mod = modulus_from_dict(ctx["omega"], default_m=m)
+    entries = [as_object(node, "node") for node in as_array(d["nodes"], "nodes")]
+    nodes = tuple((convex_set_from_dict(e["set"]), cube_from_dict(e["cube"])) for e in entries)
+    return SelectionInstance(n=n, k=k, m=m, modulus=mod, nodes=nodes)
 
 
 def poly_field_to_dict(field: PolyField) -> dict:

@@ -226,6 +226,30 @@ def test_non_finite_input_numbers_exit_2(tmp_path, capsys):
     )
     assert main(["metric", "--input", str(path)]) == 2
     assert "1e400" in _error(capsys)["message"]
+    big_int = "1" + "0" * 400  # an integer beyond the float range
+    path.write_text(
+        '{"omega": {"family": "power", "q": 1.0, "m": 2},'
+        f' "cubes": [{{"x": [0.0], "r": {big_int}}}, {{"x": [0.0], "r": 1.0}}]}}'
+    )
+    assert main(["metric", "--input", str(path)]) == 2
+    assert big_int in _error(capsys)["message"]
+
+
+def test_wrongly_typed_input_exits_2(tmp_path, capsys):
+    select = {"context": {"n": 1, "k": 0, "m": 2, "omega": MOD_D}, "nodes": 5}
+    cases = [
+        ("metric", [1, 2], "input must be a JSON object"),
+        ("metric", {"omega": MOD_D, "cubes": [1, 2]}, "cube must be a JSON object"),
+        ("metric", {"omega": 5, "cubes": []}, "omega must be a JSON object"),
+        ("select", select, "nodes must be a JSON array"),
+        # float() read numbers written as strings, so "nan" got past the check
+        ("metric", {"omega": MOD_D, "cubes": [{"x": ["nan"], "r": 1.0}] * 2}, "cube x"),
+    ]
+    for command, payload, message in cases:
+        path = _write(tmp_path, "in.json", payload)
+        assert main([command, "--input", path]) == 2
+        error = _error(capsys)
+        assert error["type"] == "ValueError" and message in error["message"]
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
@@ -291,17 +315,39 @@ _FUZZ_METRIC = st.integers(1, 2).flatmap(
 )
 
 
+_WRONG_TYPES = st.sampled_from([None, True, 5, 2.5, "x", [], [1, 2], {}, {"x": 1}])
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON value, outermost first."""
+    if isinstance(node, (dict, list)):
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            yield node, key
+            yield from _slots(child)
+
+
 @settings(
     max_examples=100,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(payload=_FUZZ_METRIC, literal=st.none() | st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_metric_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal):
+@given(
+    payload=_FUZZ_METRIC,
+    literal=st.none() | st.sampled_from([math.nan, math.inf, -math.inf]),
+    wrong=st.none() | st.tuples(st.integers(0, 10**6), _WRONG_TYPES),
+)
+def test_metric_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal, wrong):
     if literal is not None:  # json writes NaN/Infinity literals for these
         first = payload.get("cubes", payload.get("jets"))[0]
         first.get("cube", first)["x"][0] = literal
+    if wrong is not None:  # one value, or the whole payload, of another JSON type
+        slots = [(None, None), *_slots(payload)]
+        container, key = slots[wrong[0] % len(slots)]
+        if container is None:
+            payload = wrong[1]
+        else:
+            container[key] = wrong[1]
     path = _write(tmp_path, "fuzz.json", payload)
     code = main(["metric", "--input", path, "--output", str(tmp_path / "out.json")])
     assert code in (0, 2, 3)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from jetspace.lp import LPBuilder, LPProblem, lp_solve
+from jetspace import lp
+from jetspace.lp import _COST_TOL, _FEAS_TOL, _PIVOT_TOL, LPBuilder, LPProblem, LPSolution, lp_solve
 
 
 def test_min_with_lower_bound():
@@ -155,3 +156,318 @@ def test_badly_scaled_lp_stays_consistent():
             abs(sol.x[x] * s - t) for t, s in zip(targets, slopes)
         )
         assert resid <= sol.objective + 1e-7 * max(1.0, sol.objective)
+
+
+# ---------------------------------------------------------------------------
+# reference solver: the dense simplex before whole-array scanning, kept
+# verbatim except that it records its pivots, counts its Bland iterations and
+# drops its comments
+
+
+class _LoopSimplex:
+    def __init__(self):
+        self.pivots = []
+        self.bland_iterations = 0
+
+    def lp_solve(self, problem: LPProblem) -> LPSolution:
+        n = problem.objective.size
+        m_ub = problem.a_ub.shape[0]
+        m_eq = problem.a_eq.shape[0]
+        m = m_ub + m_eq
+        if m == 0:
+            if np.any(problem.objective != 0.0):
+                return LPSolution(status="unbounded")
+            return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
+
+        a_ub, b_ub = problem.a_ub.copy(), problem.b_ub.copy()
+        a_eq, b_eq = problem.a_eq.copy(), problem.b_eq.copy()
+        for mat, vec in ((a_ub, b_ub), (a_eq, b_eq)):
+            if mat.size:
+                norms = np.max(np.abs(mat), axis=1)
+                keep = norms > 0
+                mat[keep] /= norms[keep, None]
+                vec[keep] /= norms[keep]
+
+        n_split = 2 * n
+        a = np.zeros((m, n_split + m_ub))
+        b = np.zeros(m)
+        a[:m_ub, :n] = a_ub
+        a[:m_ub, n:n_split] = -a_ub
+        a[:m_ub, n_split : n_split + m_ub] = np.eye(m_ub)
+        b[:m_ub] = b_ub
+        a[m_ub:, :n] = a_eq
+        a[m_ub:, n:n_split] = -a_eq
+        b[m_ub:] = b_eq
+
+        flipped = b < 0
+        a[flipped] *= -1.0
+        b[flipped] *= -1.0
+
+        basis = np.full(m, -1, dtype=int)
+        needs_art = []
+        for i in range(m):
+            if i < m_ub and not flipped[i]:
+                basis[i] = n_split + i
+            else:
+                needs_art.append(i)
+        n_core = n_split + m_ub
+        n_art = len(needs_art)
+        tableau = np.zeros((m, n_core + n_art + 1))
+        tableau[:, :n_core] = a
+        tableau[:, -1] = b
+        for k, i in enumerate(needs_art):
+            tableau[i, n_core + k] = 1.0
+            basis[i] = n_core + k
+
+        if n_art:
+            phase1_cost = np.zeros(n_core + n_art)
+            phase1_cost[n_core:] = 1.0
+            status = self._simplex(tableau, basis, phase1_cost, restrict=None)
+            if status != "optimal":
+                raise ArithmeticError("phase-1 simplex failed to terminate")
+            scale = max(1.0, float(np.max(np.abs(b))))
+            if float(phase1_cost[basis] @ tableau[:, -1]) > _FEAS_TOL * scale:
+                return LPSolution(status="infeasible")
+            self._drive_out_artificials(tableau, basis, n_core)
+
+        cost = np.zeros(tableau.shape[1] - 1)
+        cost[:n] = problem.objective
+        cost[n:n_split] = -problem.objective
+        status = self._simplex(tableau, basis, cost, restrict=n_core)
+        if status == "unbounded":
+            return LPSolution(status="unbounded")
+
+        full = np.zeros(tableau.shape[1] - 1)
+        full[basis] = tableau[:, -1]
+        x = full[:n] - full[n:n_split]
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+        if a_ub.size and float(np.max(a_ub @ x - b_ub)) > tol:
+            raise ArithmeticError("simplex lost primal feasibility (inequalities)")
+        if a_eq.size and float(np.max(np.abs(a_eq @ x - b_eq))) > tol:
+            raise ArithmeticError("simplex lost primal feasibility (equalities)")
+        return LPSolution(status="optimal", x=x, objective=float(problem.objective @ x))
+
+    def _simplex(self, tableau, basis, cost, restrict) -> str:
+        m = tableau.shape[0]
+        ncols = tableau.shape[1] - 1
+        limit = ncols if restrict is None else restrict
+        max_iter = 20000 + 200 * (m + ncols)
+        in_basis = np.zeros(ncols, dtype=bool)
+        in_basis[basis] = True
+        stall = 0
+        last_obj = math.inf
+        for _ in range(max_iter):
+            cb = cost[basis]
+            reduced = cost[:limit] - cb @ tableau[:, :limit]
+            reduced[in_basis[:limit]] = 0.0
+            bland = stall > 40
+            self.bland_iterations += bland
+            entering = -1
+            if bland:
+                for j in range(limit):
+                    if reduced[j] < -_COST_TOL:
+                        entering = j
+                        break
+            else:
+                j = int(np.argmin(reduced))
+                if reduced[j] < -_COST_TOL:
+                    entering = j
+            if entering < 0:
+                return "optimal"
+            col = tableau[:, entering]
+            rhs = tableau[:, -1]
+            best_ratio = math.inf
+            for i in range(m):
+                if col[i] > _PIVOT_TOL:
+                    best_ratio = min(best_ratio, max(rhs[i], 0.0) / col[i])
+            if not math.isfinite(best_ratio):
+                return "unbounded"
+            tie = best_ratio + 1e-9 * max(1.0, best_ratio)
+            leaving = -1
+            for i in range(m):
+                if col[i] > _PIVOT_TOL and max(rhs[i], 0.0) / col[i] <= tie:
+                    if leaving < 0:
+                        leaving = i
+                    elif bland:
+                        if basis[i] < basis[leaving]:
+                            leaving = i
+                    elif col[i] > col[leaving]:
+                        leaving = i
+            in_basis[basis[leaving]] = False
+            in_basis[entering] = True
+            self._pivot(tableau, basis, leaving, entering)
+            obj = float(cost[basis] @ tableau[:, -1])
+            if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
+                stall = 0
+            else:
+                stall += 1
+            last_obj = obj
+        raise ArithmeticError("simplex iteration limit exceeded")
+
+    def _pivot(self, tableau, basis, row, col) -> None:
+        self.pivots.append((int(row), int(col)))
+        tableau[row] /= tableau[row, col]
+        piv = tableau[row]
+        for i in range(tableau.shape[0]):
+            if i != row and tableau[i, col] != 0.0:
+                tableau[i] -= tableau[i, col] * piv
+        basis[row] = col
+        rhs = tableau[:, -1]
+        rhs[np.abs(rhs) < 1e-13] = 0.0
+
+    def _drive_out_artificials(self, tableau, basis, n_core) -> None:
+        for i in range(tableau.shape[0]):
+            if basis[i] >= n_core:
+                row = tableau[i, :n_core]
+                j = int(np.argmax(np.abs(row)))
+                if abs(row[j]) > _PIVOT_TOL:
+                    self._pivot(tableau, basis, i, j)
+                else:
+                    tableau[i, :] = 0.0
+                    tableau[i, basis[i]] = 1.0
+
+
+def _boxed_rows(rng, nv, rows, rhs_low):
+    """Random rows a x <= b plus the box |x_i| <= 3."""
+    a = np.vstack([rng.normal(size=(rows, nv)), np.eye(nv), -np.eye(nv)])
+    b = np.concatenate([rng.uniform(rhs_low, 2.0, size=rows), np.full(2 * nv, 3.0)])
+    return a, b
+
+
+def _mixed_lps():
+    """Inequality and equality rows; b_ub > 0 needs artificials only for the
+    equalities, b_ub of either sign needs them for the flipped rows too."""
+    rng = np.random.default_rng(5)
+    for rhs_low in (0.5, -1.0):
+        for _ in range(40):
+            nv = int(rng.integers(2, 7))
+            a, b = _boxed_rows(rng, nv, int(rng.integers(1, 9)), rhs_low)
+            m_eq = int(rng.integers(0, 3))
+            a_eq = rng.normal(size=(m_eq, nv))
+            yield LPProblem(rng.normal(size=nv), a, b, a_eq, rng.uniform(-0.5, 0.5, size=m_eq))
+
+
+def _redundant_lps():
+    """Dependent equality rows, which leave artificials basic after phase 1:
+    combinations of other rows (neutralized), and rows whose negation is also
+    present with b = 0 (phase 1 ends at once; the first copies pivot out)."""
+    rng = np.random.default_rng(9)
+    for case in range(24):
+        nv = int(rng.integers(3, 6))
+        a, b = _boxed_rows(rng, nv, int(rng.integers(2, 6)), 0.5)
+        e = rng.normal(size=(2, nv))
+        if case % 3 == 0:
+            a_eq, b_eq = np.vstack([e, -e]), np.zeros(4)
+        else:
+            a_eq = np.vstack([e, rng.normal(size=2) @ e, 2.0 * e[0]])
+            b_eq = a_eq @ rng.uniform(-0.5, 0.5, size=nv)
+        yield LPProblem(rng.normal(size=nv), a, b, a_eq, b_eq)
+
+
+def _status_lps():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        nv = int(rng.integers(1, 5))
+        a = rng.normal(size=(3, nv))
+        # infeasible: u x <= -1 and -u x <= -1
+        u = rng.normal(size=nv)
+        a_ub = np.vstack([a, u, -u])
+        b_ub = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+        yield LPProblem(rng.normal(size=nv), a_ub, b_ub, np.zeros((0, nv)), np.zeros(0))
+        # unbounded: the cone a x <= 0 holds the ray x = -t e_0, along
+        # which the objective sum_i a_i x falls without bound
+        a[:, 0] = np.abs(a[:, 0])
+        yield LPProblem(a.sum(axis=0), a, np.zeros(3), np.zeros((0, nv)), np.zeros(0))
+
+
+def _degenerate_lps(count=13):
+    """Cones through the origin with a_0 > 0, cut by a box: many rows tie at
+    ratio 0, the objective stalls, and Bland's rule takes over."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        nv, rows = 20, 150
+        a = rng.normal(size=(rows, nv))
+        a[:, 0] = np.abs(a[:, 0])
+        a = np.vstack([a, np.eye(nv), -np.eye(nv)])
+        b = np.concatenate([np.zeros(rows), np.ones(2 * nv)])
+        yield LPProblem(rng.normal(size=nv), a, b, np.zeros((0, nv)), np.zeros(0))
+
+
+def _against_loop_simplex(monkeypatch, problems):
+    """Solve each problem with both solvers; assert the same pivots and the
+    same bytes.  Returns the statuses and the reference's Bland iterations."""
+    pivots = []
+    pivot = lp._pivot
+
+    def recording_pivot(tableau, basis, row, col):
+        pivots.append((int(row), int(col)))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", recording_pivot)
+    statuses, bland = [], 0
+    for problem in problems:
+        pivots.clear()
+        sol = lp_solve(problem)
+        ref = _LoopSimplex()
+        expected = ref.lp_solve(problem)
+        assert pivots == ref.pivots
+        assert sol.status == expected.status
+        if expected.x is not None:
+            assert sol.x.tobytes() == expected.x.tobytes()
+            assert sol.objective == expected.objective
+        statuses.append(sol.status)
+        bland += ref.bland_iterations
+    return statuses, bland
+
+
+def test_mixed_lps_pivot_like_loop_simplex(monkeypatch):
+    statuses, _ = _against_loop_simplex(monkeypatch, _mixed_lps())
+    assert statuses.count("optimal") >= 40 and "infeasible" in statuses
+
+
+def test_redundant_equalities_pivot_like_loop_simplex(monkeypatch):
+    # on entry, count the basic artificials whose row has a usable pivot and
+    # those whose row is noise, so that both branches are known to run
+    seen = {"pivoted": 0, "neutralized": 0}
+    drive_out = lp._drive_out_artificials
+
+    def counting_drive_out(tableau, basis, n_core):
+        for i in np.flatnonzero(basis >= n_core):
+            big = np.max(np.abs(tableau[i, :n_core])) > _PIVOT_TOL
+            seen["pivoted" if big else "neutralized"] += 1
+        drive_out(tableau, basis, n_core)
+
+    monkeypatch.setattr(lp, "_drive_out_artificials", counting_drive_out)
+    statuses, _ = _against_loop_simplex(monkeypatch, _redundant_lps())
+    assert set(statuses) == {"optimal"}
+    assert seen["pivoted"] > 0 and seen["neutralized"] > 0
+
+
+def test_infeasible_and_unbounded_like_loop_simplex(monkeypatch):
+    statuses, _ = _against_loop_simplex(monkeypatch, _status_lps())
+    assert statuses.count("infeasible") == 10 and statuses.count("unbounded") == 10
+
+
+def test_degenerate_lps_reach_bland_like_loop_simplex(monkeypatch):
+    statuses, bland = _against_loop_simplex(monkeypatch, _degenerate_lps())
+    assert set(statuses) == {"optimal"}
+    assert bland > 0
+
+
+def test_objective_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps(4)]
+    for problem in problems:
+        sol = lp_solve(problem)
+        ref = optimize.linprog(
+            problem.objective,
+            A_ub=problem.a_ub,
+            b_ub=problem.b_ub,
+            A_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+            bounds=(None, None),
+            method="highs",
+        )
+        assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if ref.status == 0:
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)

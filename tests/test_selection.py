@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jetspace import selection
 from jetspace.cubes import Cube, point_sub, uniform_norm
 from jetspace.jets import gauge
 from jetspace.lp import LPBuilder, lp_solve
@@ -425,3 +426,35 @@ def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
         assert new.a_ub.tobytes() == old.a_ub.tobytes()
         assert new.b_ub.tobytes() == old.b_ub.tobytes()
         assert new.a_eq.tobytes() == old.a_eq.tobytes()
+
+
+def test_selection_lp_objective_matches_highs(monkeypatch):
+    # the select workload's shape: 1-D interval sets, k=0, m=2, power q=1
+    optimize = pytest.importorskip("scipy.optimize")
+    solved = []
+
+    def recording_lp_solve(problem):
+        solved.append((problem, lp_solve(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    rng = np.random.default_rng(1)
+    for nodes in (8, 12, 16, 24) * 3:
+        spec = []
+        for _ in range(nodes):
+            x, r, lo = rng.uniform(-6.0, 6.0), rng.uniform(0.2, 1.5), rng.uniform(-2.0, 2.0)
+            spec.append((interval_set(lo, lo + rng.uniform(0.05, 1.0)), Cube((x,), r)))
+        inst = SelectionInstance(n=1, k=0, m=2, modulus=Modulus.power(1, 2), nodes=tuple(spec))
+        best_selection(inst)
+    for problem, sol in solved:
+        ref = optimize.linprog(
+            problem.objective,
+            A_ub=problem.a_ub,
+            b_ub=problem.b_ub,
+            A_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+            bounds=(None, None),
+            method="highs",
+        )
+        assert ref.status == 0 and sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
