@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from . import serialize as ser
 from .cubes import (
@@ -33,21 +33,6 @@ from .suites import DEFAULT_SEED, run_all
 from .whitney import check_conditions, fit_field, limit_jet, lo_seminorm, star_norm
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    seed: int = DEFAULT_SEED
-    trials: int | None = None
-    tol: float | None = None
-    imax: int = 8
-    radii_levels: int = 3
-    interpolate_center: bool = True
-    experiment_ell: int | None = None
-
-
 def _finite_float(text: str) -> float:
     """Parse a JSON number (integers too, so one beyond the float range is
     caught) or NaN/Infinity literal, rejecting non-finite values."""
@@ -57,25 +42,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_input(config: RunConfig) -> dict:
-    if not config.input_path:
+def _load_input(args: argparse.Namespace) -> dict:
+    if not args.input:
         raise ValueError("this command needs --input")
-    with open(config.input_path, "r", encoding="utf-8") as fh:
-        data = json.load(
-            fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_float
-        )
+    with open(args.input, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(
+                fh, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_float
+            )
+        except RecursionError as exc:
+            raise ValueError("input JSON is nested too deeply") from exc
     return ser.as_object(data, "input")
 
 
-def _emit(config: RunConfig, payload: dict, csv_text: str | None) -> None:
-    if config.fmt == "csv":
-        if csv_text is None:
-            raise ValueError("no CSV projection for this command")
-        text = csv_text
+def _emit(
+    args: argparse.Namespace,
+    payload: dict,
+    csv_header: Sequence[str],
+    csv_rows: Iterable[Sequence[Any]],
+) -> None:
+    """Write the payload as JSON, or its CSV projection, formatted only when
+    ``--format csv`` asks for it (the rows may be a lazy iterable)."""
+    if args.format == "csv":
+        text = ser.write_csv(csv_header, csv_rows)
     else:
         text = ser.dumps(payload)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -85,8 +78,8 @@ def _emit(config: RunConfig, payload: dict, csv_text: str | None) -> None:
 # subcommands
 
 
-def cmd_metric(config: RunConfig) -> int:
-    data = _load_input(config)
+def cmd_metric(args: argparse.Namespace) -> int:
+    data = _load_input(args)
     mod = ser.modulus_from_dict(data["omega"])
     payload: dict = {"omega": ser.modulus_to_dict(mod)}
     if "jets" in data:
@@ -114,20 +107,22 @@ def cmd_metric(config: RunConfig) -> int:
         payload["jet_distance"] = jet_distance(mod, jets[0], jets[1], cross_check=True)
         payload["geodesic_lower"] = d_lower(mod, jets[0], jets[1])
         payload["geodesic_upper"] = d_upper(mod, jets[0], jets[1], candidates)
-    rows = [(key, val) for key, val in payload.items() if isinstance(val, float)]
-    _emit(config, payload, ser.write_csv(("quantity", "value"), rows))
+    rows = ((key, val) for key, val in payload.items() if isinstance(val, float))
+    _emit(args, payload, ("quantity", "value"), rows)
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
-    data = _load_input(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    data = _load_input(args)
     sample, mod, k, m = ser.sample_set_from_dict(data)
     if "radii" in data:
         radii = ser.as_numbers(data["radii"], "radii")
     else:
-        levels = ser.as_int(data.get("radii_levels", config.radii_levels), "radii_levels")
+        levels = ser.as_int(data.get("radii_levels", args.radii_levels), "radii_levels")
         radii = dyadic_radii(sample.points, levels)
-    interp = bool(data.get("interpolate_center", config.interpolate_center))
+    interp = ser.as_bool(
+        data.get("interpolate_center", not args.no_interp_center), "interpolate_center"
+    )
     cubes = cube_family(sample.points, radii)
     field = fit_field(sample, cubes, k=k, m=m, mod=mod, interpolate_center=interp)
     mode = "center-interpolating best fit" if interp else "unconstrained best fit"
@@ -154,18 +149,18 @@ def cmd_check(config: RunConfig) -> int:
         "field": ser.poly_field_to_dict(field),
     }
     # CSV projection: one row per ordered cube pair with its worst ratio
-    rows = [
+    rows = (
         (i, j, worst)
         for i, row in enumerate(report.pair_ratios.tolist())
         for j, worst in enumerate(row)
         if i != j
-    ]
-    _emit(config, payload, ser.write_csv(("cube_i", "cube_j", "worst_ratio"), rows))
+    )
+    _emit(args, payload, ("cube_i", "cube_j", "worst_ratio"), rows)
     return 0
 
 
-def cmd_select(config: RunConfig) -> int:
-    data = _load_input(config)
+def cmd_select(args: argparse.Namespace) -> int:
+    data = _load_input(args)
     inst = ser.selection_instance_from_dict(data)
     result = best_selection(inst)
     payload: dict = {
@@ -179,7 +174,7 @@ def cmd_select(config: RunConfig) -> int:
         ),
     }
     exp = ser.as_object(data.get("experiment", {}), "experiment")
-    ell = config.experiment_ell
+    ell = args.experiment_ell
     if ell is None and exp.get("ell") is not None:
         ell = ser.as_int(exp["ell"], "experiment ell")
     if ell is not None or "experiment" in data:
@@ -187,7 +182,7 @@ def cmd_select(config: RunConfig) -> int:
             inst,
             ell=ell,
             budget=ser.as_int(exp.get("budget", 5000), "experiment budget"),
-            seed=config.seed,
+            seed=args.seed,
         )
         payload["experiment"] = {
             "subset_size_bound": rep.subset_size_bound,
@@ -201,16 +196,16 @@ def cmd_select(config: RunConfig) -> int:
     rows = [("lambda_star", result.lam)]
     if "experiment" in payload:
         rows.append(("gamma_hat", payload["experiment"]["gamma_hat"]))
-    _emit(config, payload, ser.write_csv(("quantity", "value"), rows))
+    _emit(args, payload, ("quantity", "value"), rows)
     return 0
 
 
-def cmd_properties(config: RunConfig) -> int:
-    results = run_all(seed=config.seed, trials=config.trials, slack=config.tol)
+def cmd_properties(args: argparse.Namespace) -> int:
+    results = run_all(seed=args.seed, trials=args.trials, slack=args.tol)
     all_passed = all(r.passed for r in results)
     payload = {
-        "seed": config.seed,
-        "trials_override": config.trials,
+        "seed": args.seed,
+        "trials_override": args.trials,
         "suites": [
             {
                 "name": r.name,
@@ -225,17 +220,13 @@ def cmd_properties(config: RunConfig) -> int:
         ],
         "all_passed": all_passed,
     }
-    rows = [(r.name, r.trials, r.failures, r.worst) for r in results]
-    _emit(
-        config,
-        payload,
-        ser.write_csv(("suite", "trials", "failures", "worst"), rows),
-    )
+    rows = ((r.name, r.trials, r.failures, r.worst) for r in results)
+    _emit(args, payload, ("suite", "trials", "failures", "worst"), rows)
     return 0 if all_passed else 1
 
 
-def cmd_counterexample(config: RunConfig) -> int:
-    rows = counterexample_family(config.imax)
+def cmd_counterexample(args: argparse.Namespace) -> int:
+    rows = counterexample_family(args.imax)
     payload = {
         "rows": [
             {"i": r.i, "step_distance": r.step_distance, "log_distance": r.log_distance}
@@ -246,12 +237,8 @@ def cmd_counterexample(config: RunConfig) -> int:
             "bound: the two cube scales cannot be monotonically reconciled"
         ),
     }
-    csv_rows = [(r.i, r.step_distance, r.log_distance) for r in rows]
-    _emit(
-        config,
-        payload,
-        ser.write_csv(("i", "step_distance", "log_distance"), csv_rows),
-    )
+    csv_rows = ((r.i, r.step_distance, r.log_distance) for r in rows)
+    _emit(args, payload, ("i", "step_distance", "log_distance"), csv_rows)
     return 0
 
 
@@ -269,58 +256,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="input JSON path")
+    def add(name: str, about: str, *, reads_input: bool, seeded: bool = False):
+        p = sub.add_parser(name, help=about)
+        if reads_input:
+            p.add_argument("--input", help="input JSON path")
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=DEFAULT_SEED,
-            help=f"random seed (default {DEFAULT_SEED})",
-        )
-        p.add_argument("--trials", type=int, help="trial-count override")
-        p.add_argument(
-            "--tol",
-            type=float,
-            help="relative-slack override for the inequality property suites",
-        )
+        if seeded:
+            p.add_argument(
+                "--seed",
+                type=int,
+                default=DEFAULT_SEED,
+                help=f"random seed (default {DEFAULT_SEED})",
+            )
+        return p
 
-    p = sub.add_parser("metric", help="distances between two cubes or two jets")
-    common(p)
-    p = sub.add_parser("check", help="trace-condition report for a sample set")
-    common(p)
+    add("metric", "distances between two cubes or two jets", reads_input=True)
+    p = add("check", "trace-condition report for a sample set", reads_input=True)
     p.add_argument("--radii-levels", type=int, default=3)
     p.add_argument(
         "--no-interp-center",
         action="store_true",
         help="fit without pinning the value at each cube center",
     )
-    p = sub.add_parser("select", help="optimal Lipschitz selection for an instance")
-    common(p)
+    p = add(
+        "select", "optimal Lipschitz selection for an instance", reads_input=True, seeded=True
+    )
     p.add_argument("--experiment-ell", type=int, help="run the subset experiment")
-    p = sub.add_parser("properties", help="run every randomized property suite")
-    common(p)
-    p = sub.add_parser("counterexample", help="incompatible-scales cube table")
-    common(p)
+    p = add("properties", "run every randomized property suite", reads_input=False, seeded=True)
+    p.add_argument("--trials", type=int, help="trial-count override")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="relative-slack override for the inequality property suites",
+    )
+    p = add("counterexample", "incompatible-scales cube table", reads_input=False)
     p.add_argument("--imax", type=int, default=8)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        fmt=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        trials=getattr(args, "trials", None),
-        tol=getattr(args, "tol", None),
-        imax=getattr(args, "imax", 8),
-        radii_levels=getattr(args, "radii_levels", 3),
-        interpolate_center=not getattr(args, "no_interp_center", False),
-        experiment_ell=getattr(args, "experiment_ell", None),
-    )
 
 
 _COMMANDS = {
@@ -335,9 +307,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         code, error = 2, exc
     except (ArithmeticError, AssertionError) as exc:

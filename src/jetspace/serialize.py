@@ -12,7 +12,7 @@ import dataclasses
 import io
 import json
 import math
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .cubes import Cube, HalfSpacePoint
 from .jets import Jet
@@ -87,7 +87,7 @@ def _write(obj: Any, out: io.StringIO, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def write_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Flat CSV projection with round-trip-exact floats and \\n line ends."""
     lines = [",".join(header)]
     for row in rows:
@@ -129,6 +129,12 @@ def as_number(value: Any, what: str) -> float:
 
 def as_numbers(value: Any, what: str) -> tuple[float, ...]:
     return tuple(as_number(v, what) for v in as_array(value, what))
+
+
+def as_bool(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON boolean, not {type(value).__name__}")
+    return value
 
 
 def as_int(value: Any, what: str) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cubes import Cube, Point, as_point, point_sub, uniform_norm, weighted_cube_distance
 from .jets import Jet, gauge, jet_distance, scale
-from .lp import LPBuilder, lp_solve
+from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import MultiIndex, Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
 
@@ -219,85 +219,84 @@ def _corner_points(lows: np.ndarray, highs: np.ndarray):
 # local polynomial fitting
 
 
-def _scaled_basis(n: int, degree: int, cube: Cube) -> list[Poly]:
-    """Cube-local polynomial basis ((y - x_Q)/r_Q)^beta, expanded exactly.
-
-    On the cube every basis value lies in [-1, 1], which keeps the fitting
-    LPs well conditioned regardless of the cube's scale or position.
-    """
-    out = []
-    inv_r = 1.0 / cube.radius
-    for beta in multi_indices(n, degree):
-        coef: dict[MultiIndex, float] = {}
-        add_shifted_power(coef, inv_r ** mi_order(beta), beta, cube.center)
-        out.append(Poly(n, degree, coef))
-    return out
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Rows (or entries) of ``first`` and ``second`` alternating, first[0] first."""
+    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
 
 
-def _two_stage_sup_fit(
-    n: int,
+def _sup_fit(
+    cube: Cube,
     degree: int,
-    basis: list[Poly],
-    rows: list[list[float]],
-    targets: list[float],
-    weights: list[float],
-    eq_rows: list[tuple[list[float], float]],
+    orders: Sequence[MultiIndex],
+    weights: Sequence[float],
+    target: Callable[[Point], list[float]],
+    pts: Sequence[Point],
+    interpolate_center: bool,
 ) -> Poly:
-    """min-sup-residual fit with an l1-minimal tie-break.
+    """min-sup-residual fit with an l1-minimal tie-break, in the cube-local
+    basis ((y - x_Q)/r_Q)^beta.
 
-    Rows constrain |row . d - target| <= eps * weight over basis coordinates
-    d; equality rows pin row . d = target.  Stage one minimizes eps; stage two
-    re-solves at the optimal eps minimizing the l1 mass of d, which (in the
-    cube-local basis) keeps radius-weighted derivative magnitudes small.
+    For each captured point y and each alpha = orders[a], the fit's D^alpha at
+    y is held within eps * weights[a] of target(y)[a]; with
+    ``interpolate_center`` it equals target(x_Q) at the center.  Stage one
+    minimizes eps; stage two re-solves at the optimal eps minimizing the l1
+    mass of the local coordinates d, which keeps radius-weighted derivative
+    magnitudes small.  On the cube every basis value lies in [-1, 1], which
+    keeps both LPs well conditioned regardless of the cube's scale or position.
     """
-    b = LPBuilder()
-    dvars = [b.var(f"d{j}") for j in range(len(basis))]
-    evar = b.var("eps")
-    for row, target, weight in zip(rows, targets, weights):
-        coeffs = {dvars[j]: row[j] for j in range(len(basis)) if row[j] != 0.0}
-        b.add_le({**coeffs, evar: -weight}, target)
-        b.add_le({**{j: -v for j, v in coeffs.items()}, evar: -weight}, -target)
-    b.add_ge({evar: 1.0}, 0.0)
-    for row, target in eq_rows:
-        b.add_eq({dvars[j]: row[j] for j in range(len(basis)) if row[j] != 0.0}, target)
-    b.minimize({evar: 1.0})
-    sol = lp_solve(b.build())
+    n = cube.dim
+    betas = multi_indices(n, degree)
+    size = len(betas)
+    inv_r = 1.0 / cube.radius
+    col_scale = [inv_r ** mi_order(beta) for beta in betas]
+
+    def rows_at(points: Sequence[Point]) -> np.ndarray:
+        local = [point_sub(y, cube.center) for y in points]
+        return deriv_matrix(n, degree, orders, local).reshape(-1, size) * col_scale
+
+    a = rows_at(pts)
+    t = np.array([v for y in pts for v in target(y)])
+    w = np.tile(weights, len(pts))
+    if interpolate_center:
+        a_eq, b_eq = rows_at([cube.center]), np.array(target(cube.center))
+    else:
+        a_eq, b_eq = np.zeros((0, size)), np.zeros(0)
+
+    # stage one over (d, eps): +-(row . d - target) <= eps * weight, eps >= 0
+    a_ub = _interleave(np.column_stack([a, -w]), np.column_stack([-a, -w]))
+    a_ub = np.vstack([a_ub, np.append(np.zeros(size), -1.0)])
+    b_ub = np.append(_interleave(t, -t), -0.0)
+    a_eq1 = np.column_stack([a_eq, np.zeros(len(b_eq))])
+    sol = lp_solve(LPProblem(np.append(np.zeros(size), 1.0), a_ub, b_ub, a_eq1, b_eq))
     if sol.status != "optimal":
         raise ArithmeticError(f"sup-norm fit LP ended with status {sol.status}")
     eps_star = max(sol.objective, 0.0)
 
+    # stage two over (pos, neg), d = pos - neg: pos_j, neg_j >= 0, then the
+    # row pairs with eps fixed at its optimum
     eps_fix = eps_star + 1e-11 * (1.0 + eps_star)
-    b2 = LPBuilder()
-    pos = [b2.var(f"p{j}") for j in range(len(basis))]
-    neg = [b2.var(f"m{j}") for j in range(len(basis))]
-    for j in range(len(basis)):
-        b2.add_ge({pos[j]: 1.0}, 0.0)
-        b2.add_ge({neg[j]: 1.0}, 0.0)
-    for row, target, weight in zip(rows, targets, weights):
-        coeffs = {}
-        for j in range(len(basis)):
-            if row[j] != 0.0:
-                coeffs[pos[j]] = row[j]
-                coeffs[neg[j]] = -row[j]
-        b2.add_le(dict(coeffs), target + eps_fix * weight)
-        b2.add_le({jj: -v for jj, v in coeffs.items()}, eps_fix * weight - target)
-    for row, target in eq_rows:
-        coeffs = {}
-        for j in range(len(basis)):
-            if row[j] != 0.0:
-                coeffs[pos[j]] = row[j]
-                coeffs[neg[j]] = -row[j]
-        b2.add_eq(coeffs, target)
-    b2.minimize({v: 1.0 for v in pos + neg})
-    sol2 = lp_solve(b2.build())
+    eye = np.eye(2 * size)
+    split = np.hstack([a, -a])
+    a_ub = np.vstack([_interleave(-eye[:size], -eye[size:]), _interleave(split, -split)])
+    b_ub = np.concatenate(
+        [np.full(2 * size, -0.0), _interleave(t + eps_fix * w, eps_fix * w - t)]
+    )
+    sol2 = lp_solve(LPProblem(np.ones(2 * size), a_ub, b_ub, np.hstack([a_eq, -a_eq]), b_eq))
     if sol2.status != "optimal":
         raise ArithmeticError(f"tie-break LP ended with status {sol2.status}")
-    result = Poly.zero(n, degree)
-    for j, base in enumerate(basis):
-        d = float(sol2.x[pos[j]] - sol2.x[neg[j]])
-        if d != 0.0:
-            result = result + base.scale(d)
-    return result
+    d = (sol2.x[:size] - sol2.x[size:]).tolist()
+    coef: dict[MultiIndex, float] = {}
+    for beta, scale_j, d_j in zip(betas, col_scale, d):
+        if d_j != 0.0:
+            add_shifted_power(coef, d_j * scale_j, beta, cube.center)
+    return Poly(n, degree, coef)
+
+
+def _captured(sample: SampleSet, cube: Cube) -> list[Point]:
+    pts = [p for p in sample.points if cube.contains(p)]
+    if not pts:
+        raise ValueError("cube captures no sample points")
+    return pts
 
 
 def local_fit(
@@ -316,20 +315,9 @@ def local_fit(
     """
     if sample.values is None:
         raise ValueError("scalar sample data required (use jet_fit for jet data)")
-    pts = [p for p in sample.points if cube.contains(p)]
-    if not pts:
-        raise ValueError("cube captures no sample points")
-    basis = _scaled_basis(sample.n, degree, cube)
-    rows = [[base.eval(p) for base in basis] for p in pts]
-    targets = [sample.value_at(p) for p in pts]
-    eq_rows = []
-    if interpolate_center:
-        eq_rows.append(
-            ([base.eval(cube.center) for base in basis], sample.value_at(cube.center))
-        )
-    return _two_stage_sup_fit(
-        sample.n, degree, basis, rows, targets, [1.0] * len(rows), eq_rows
-    )
+    pts = _captured(sample, cube)
+    value = lambda y: [sample.value_at(y)]
+    return _sup_fit(cube, degree, [(0,) * sample.n], [1.0], value, pts, interpolate_center)
 
 
 def jet_fit(
@@ -346,33 +334,19 @@ def jet_fit(
     the center is pinned to the center's data polynomial."""
     if sample.jets is None:
         raise ValueError("jet sample data required")
-    pts = [p for p in sample.points if cube.contains(p)]
-    if not pts:
-        raise ValueError("cube captures no sample points")
+    pts = _captured(sample, cube)
     low_orders = multi_indices(sample.n, k)
     r = cube.radius
     wr = mod.eval(r)
     if wr == 0.0:
         raise ValueError("modulus vanishes at the cube radius")
-    basis = _scaled_basis(sample.n, degree, cube)
-    rows, targets, weights = [], [], []
-    for p in pts:
-        data = sample.jet_at(p)
-        for alpha in low_orders:
-            rows.append([base.deriv_eval(alpha, p) for base in basis])
-            targets.append(data.deriv_eval(alpha, p))
-            weights.append(r ** (k - mi_order(alpha)) * wr)
-    eq_rows = []
-    if interpolate_center:
-        data = sample.jet_at(cube.center)
-        for alpha in low_orders:
-            eq_rows.append(
-                (
-                    [base.deriv_eval(alpha, cube.center) for base in basis],
-                    data.deriv_eval(alpha, cube.center),
-                )
-            )
-    return _two_stage_sup_fit(sample.n, degree, basis, rows, targets, weights, eq_rows)
+    weights = [r ** (k - mi_order(alpha)) * wr for alpha in low_orders]
+
+    def derivs(y: Point) -> list[float]:
+        data = sample.jet_at(y)
+        return [data.deriv_eval(alpha, y) for alpha in low_orders]
+
+    return _sup_fit(cube, degree, low_orders, weights, derivs, pts, interpolate_center)
 
 
 def fit_field(

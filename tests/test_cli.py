@@ -252,6 +252,50 @@ def test_wrongly_typed_input_exits_2(tmp_path, capsys):
         assert error["type"] == "ValueError" and message in error["message"]
 
 
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["metric", "--input", str(path)]) == 2
+    error = _error(capsys)
+    assert error["type"] == "ValueError" and "nested too deeply" in error["message"]
+
+
+def test_interpolate_center_must_be_a_boolean(tmp_path, capsys):
+    payload = {
+        "n": 1, "k": 0, "m": 2, "omega": MOD_D,
+        "points": [{"x": [0.0], "f": 0.0}, {"x": [1.0], "f": 1.0}],
+        "radii": [1.0, 0.5],
+    }
+    for value in ("false", 0, None):
+        path = _write(tmp_path, "in.json", {**payload, "interpolate_center": value})
+        assert main(["check", "--input", path]) == 2
+        error = _error(capsys)
+        assert error["type"] == "ValueError"
+        assert "interpolate_center must be a JSON boolean" in error["message"]
+    path = _write(tmp_path, "in.json", {**payload, "interpolate_center": False})
+    code, text = _run(tmp_path, ["check", "--input", path])
+    assert code == 0
+    assert json.loads(text)["report"]["fit_mode"] == "unconstrained best fit"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--seed", "5"],
+        ["check", "--trials", "5"],
+        ["metric", "--tol", "3"],
+        ["select", "--trials", "5"],
+        ["properties", "--input", "x.json"],
+        ["counterexample", "--seed", "5"],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_3(tmp_path, capsys):
     payload = {
         "omega": {"family": "powerlog", "q": 1.0, "m": 2},

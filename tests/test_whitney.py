@@ -1,16 +1,19 @@
 """Trace machinery: differences, norms, fits, condition sweeps, limit jets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetspace import lp, whitney
 from jetspace.cubes import Cube, cube_family, dyadic_radii, point_sub, uniform_norm
 from jetspace.jets import gauge
+from jetspace.lp import LPBuilder, lp_solve
 from jetspace.modulus import Modulus
-from jetspace.poly import Poly, multi_indices
+from jetspace.poly import Poly, add_shifted_power, mi_order, multi_indices
 from jetspace.whitney import (
     PolyField,
     SampleSet,
@@ -202,6 +205,236 @@ def test_jet_fit_recovers_polynomial_jets():
     fit = jet_fit(s, Cube((0.5,), 1.0), k=0, degree=1, mod=MOD)
     for p in pts:
         assert fit.eval(p) == pytest.approx(target.eval(p), abs=1e-8)
+
+
+# The fitting code before the fits were built on ``deriv_matrix``, kept as the
+# reference: a basis Poly per coordinate, rows from Poly evaluation, and both
+# LPs built through LPBuilder.
+
+
+def _oracle_scaled_basis(n: int, degree: int, cube: Cube) -> list[Poly]:
+    """Cube-local polynomial basis ((y - x_Q)/r_Q)^beta, expanded exactly.
+
+    On the cube every basis value lies in [-1, 1], which keeps the fitting
+    LPs well conditioned regardless of the cube's scale or position.
+    """
+    out = []
+    inv_r = 1.0 / cube.radius
+    for beta in multi_indices(n, degree):
+        coef: dict[MultiIndex, float] = {}
+        add_shifted_power(coef, inv_r ** mi_order(beta), beta, cube.center)
+        out.append(Poly(n, degree, coef))
+    return out
+
+
+def _oracle_two_stage_sup_fit(
+    n: int,
+    degree: int,
+    basis: list[Poly],
+    rows: list[list[float]],
+    targets: list[float],
+    weights: list[float],
+    eq_rows: list[tuple[list[float], float]],
+) -> Poly:
+    """min-sup-residual fit with an l1-minimal tie-break.
+
+    Rows constrain |row . d - target| <= eps * weight over basis coordinates
+    d; equality rows pin row . d = target.  Stage one minimizes eps; stage two
+    re-solves at the optimal eps minimizing the l1 mass of d, which (in the
+    cube-local basis) keeps radius-weighted derivative magnitudes small.
+    """
+    b = LPBuilder()
+    dvars = [b.var(f"d{j}") for j in range(len(basis))]
+    evar = b.var("eps")
+    for row, target, weight in zip(rows, targets, weights):
+        coeffs = {dvars[j]: row[j] for j in range(len(basis)) if row[j] != 0.0}
+        b.add_le({**coeffs, evar: -weight}, target)
+        b.add_le({**{j: -v for j, v in coeffs.items()}, evar: -weight}, -target)
+    b.add_ge({evar: 1.0}, 0.0)
+    for row, target in eq_rows:
+        b.add_eq({dvars[j]: row[j] for j in range(len(basis)) if row[j] != 0.0}, target)
+    b.minimize({evar: 1.0})
+    sol = lp_solve(b.build())
+    if sol.status != "optimal":
+        raise ArithmeticError(f"sup-norm fit LP ended with status {sol.status}")
+    eps_star = max(sol.objective, 0.0)
+
+    eps_fix = eps_star + 1e-11 * (1.0 + eps_star)
+    b2 = LPBuilder()
+    pos = [b2.var(f"p{j}") for j in range(len(basis))]
+    neg = [b2.var(f"m{j}") for j in range(len(basis))]
+    for j in range(len(basis)):
+        b2.add_ge({pos[j]: 1.0}, 0.0)
+        b2.add_ge({neg[j]: 1.0}, 0.0)
+    for row, target, weight in zip(rows, targets, weights):
+        coeffs = {}
+        for j in range(len(basis)):
+            if row[j] != 0.0:
+                coeffs[pos[j]] = row[j]
+                coeffs[neg[j]] = -row[j]
+        b2.add_le(dict(coeffs), target + eps_fix * weight)
+        b2.add_le({jj: -v for jj, v in coeffs.items()}, eps_fix * weight - target)
+    for row, target in eq_rows:
+        coeffs = {}
+        for j in range(len(basis)):
+            if row[j] != 0.0:
+                coeffs[pos[j]] = row[j]
+                coeffs[neg[j]] = -row[j]
+        b2.add_eq(coeffs, target)
+    b2.minimize({v: 1.0 for v in pos + neg})
+    sol2 = lp_solve(b2.build())
+    if sol2.status != "optimal":
+        raise ArithmeticError(f"tie-break LP ended with status {sol2.status}")
+    result = Poly.zero(n, degree)
+    for j, base in enumerate(basis):
+        d = float(sol2.x[pos[j]] - sol2.x[neg[j]])
+        if d != 0.0:
+            result = result + base.scale(d)
+    return result
+
+
+def _oracle_local_fit(
+    sample: SampleSet,
+    cube: Cube,
+    degree: int,
+    interpolate_center: bool = False,
+) -> Poly:
+    """Sup-norm best polynomial fit to the scalar samples inside the cube.
+
+    Minimizes the maximum absolute residual over the captured points by
+    linear programming in cube-local scaled coordinates; ties are broken by a
+    second solve minimizing the sum of absolute local coefficients at the
+    optimal residual.  With ``interpolate_center`` the fit is pinned to the
+    sample value at the cube center (which must itself be a sample point).
+    """
+    if sample.values is None:
+        raise ValueError("scalar sample data required (use jet_fit for jet data)")
+    pts = [p for p in sample.points if cube.contains(p)]
+    if not pts:
+        raise ValueError("cube captures no sample points")
+    basis = _oracle_scaled_basis(sample.n, degree, cube)
+    rows = [[base.eval(p) for base in basis] for p in pts]
+    targets = [sample.value_at(p) for p in pts]
+    eq_rows = []
+    if interpolate_center:
+        eq_rows.append(
+            ([base.eval(cube.center) for base in basis], sample.value_at(cube.center))
+        )
+    return _oracle_two_stage_sup_fit(
+        sample.n, degree, basis, rows, targets, [1.0] * len(rows), eq_rows
+    )
+
+
+def _oracle_jet_fit(
+    sample: SampleSet,
+    cube: Cube,
+    k: int,
+    degree: int,
+    mod: Modulus,
+    interpolate_center: bool = False,
+) -> Poly:
+    """Best fit to jet data inside the cube: minimizes the largest scaled
+    deviation |D^a(P - P_y)(y)| / (r^(k-|a|) w(r)) over captured points y and
+    orders |a| <= k.  With ``interpolate_center`` the degree-k Taylor part at
+    the center is pinned to the center's data polynomial."""
+    if sample.jets is None:
+        raise ValueError("jet sample data required")
+    pts = [p for p in sample.points if cube.contains(p)]
+    if not pts:
+        raise ValueError("cube captures no sample points")
+    low_orders = multi_indices(sample.n, k)
+    r = cube.radius
+    wr = mod.eval(r)
+    if wr == 0.0:
+        raise ValueError("modulus vanishes at the cube radius")
+    basis = _oracle_scaled_basis(sample.n, degree, cube)
+    rows, targets, weights = [], [], []
+    for p in pts:
+        data = sample.jet_at(p)
+        for alpha in low_orders:
+            rows.append([base.deriv_eval(alpha, p) for base in basis])
+            targets.append(data.deriv_eval(alpha, p))
+            weights.append(r ** (k - mi_order(alpha)) * wr)
+    eq_rows = []
+    if interpolate_center:
+        data = sample.jet_at(cube.center)
+        for alpha in low_orders:
+            eq_rows.append(
+                (
+                    [base.deriv_eval(alpha, cube.center) for base in basis],
+                    data.deriv_eval(alpha, cube.center),
+                )
+            )
+    return _oracle_two_stage_sup_fit(sample.n, degree, basis, rows, targets, weights, eq_rows)
+
+
+def _recorded_fit(monkeypatch, module, fit, *args, **kwargs):
+    """The fit's result and the LPProblems it passed to ``lp_solve``."""
+    problems = []
+
+    def record(problem):
+        problems.append(problem)
+        return lp.lp_solve(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "lp_solve", record)
+        return fit(*args, **kwargs), problems
+
+
+def _fit_corpus():
+    """Seeded fits: the center is a sample point, 1-8 points inside the cube,
+    two outside it; the cube sits away from the origin."""
+    rng = np.random.default_rng(61)
+    specs = [("scalar", n, degree, 0, 0) for n in (1, 2) for degree in (0, 1, 2)]
+    specs += [("jet", n, k + m - 1, k, m) for n in (1, 2) for k in (0, 1) for m in (1, 2)]
+    for kind, n, degree, k, m in specs:
+        for interp in (False, True):
+            for _ in range(5):
+                count = int(rng.integers(1, 9))
+                center = rng.uniform(-3.0, 3.0, size=n)
+                r = float(rng.uniform(0.2, 2.0))
+                inside = center + r * rng.uniform(-1.0, 1.0, size=(count - 1, n))
+                outside = center + 3.0 * r * (1.0 + rng.uniform(size=(2, n)))
+                pts = tuple(tuple(map(float, p)) for p in (center, *inside, *outside))
+                if kind == "scalar":
+                    vals = tuple(float(v) for v in rng.uniform(-2.0, 2.0, size=len(pts)))
+                    sample = SampleSet(n=n, points=pts, values=vals)
+                else:
+                    jets = tuple(
+                        Poly(n, k, {a: float(rng.uniform(-2, 2)) for a in multi_indices(n, k)})
+                        for _ in pts
+                    )
+                    sample = SampleSet(n=n, points=pts, jets=jets)
+                yield kind, sample, Cube(pts[0], r), degree, k, Modulus.power(0.5, m), interp
+
+
+def test_fits_match_basis_poly_oracle(monkeypatch):
+    this = sys.modules[__name__]
+    cases = 0
+    for kind, sample, cube, degree, k, mod, interp in _fit_corpus():
+        if kind == "scalar":
+            new = _recorded_fit(monkeypatch, whitney, local_fit, sample, cube, degree, interp)
+            old = _recorded_fit(monkeypatch, this, _oracle_local_fit, sample, cube, degree, interp)
+        else:
+            args = (sample, cube, k, degree, mod, interp)
+            new = _recorded_fit(monkeypatch, whitney, jet_fit, *args)
+            old = _recorded_fit(monkeypatch, this, _oracle_jet_fit, *args)
+        (fit, problems), (ref, ref_problems) = new, old
+        assert fit.degree == ref.degree == degree
+        scale = max([1.0] + [abs(c) for c in ref.coef.values()])
+        for beta in multi_indices(sample.n, degree):
+            diff = abs(fit.coef.get(beta, 0.0) - ref.coef.get(beta, 0.0))
+            assert diff <= 1e-9 * scale, (kind, interp, beta)
+        # same two LPs: variables, rows in the same order, equal up to rounding
+        assert len(problems) == len(ref_problems) == 2
+        for got, want in zip(problems, ref_problems):
+            for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape, name
+                tol = 1e-9 * max([1.0] + np.abs(b).ravel().tolist())
+                assert np.all(np.abs(a - b) <= tol), name
+        cases += 1
+    assert cases == (6 + 8) * 2 * 5
 
 
 # -- condition sweeps ------------------------------------------------------------------
