@@ -187,10 +187,14 @@ def _pairwise_rows(
     cubes = [cube for _, cube in inst.nodes]
     deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes]).tolist()
     gauges = pair_gauges(inst.modulus, degree, alphas, cubes).tolist()
+    # a top-order derivative is constant, so its rows at x_j repeat those at x_i
+    top = [mi_order(alpha) == degree for alpha in alphas]
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
             for at in (i, j):
-                for vals, w in zip(deriv[at], gauges[i][j]):
+                for vals, w, is_top in zip(deriv[at], gauges[i][j], top):
+                    if is_top and at == j:
+                        continue
                     row: dict[int, float] = {}
                     for idx, val in enumerate(vals):
                         if val != 0.0:

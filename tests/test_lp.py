@@ -159,6 +159,160 @@ def test_badly_scaled_lp_stays_consistent():
 
 
 # ---------------------------------------------------------------------------
+# reference solver: the two-phase primal simplex on the tall tableau (one row
+# per constraint, a slack column per inequality) that lp_solve used before it
+# solved the dual; kept verbatim except that it records its pivots
+
+
+class _PrimalTableau:
+    def __init__(self):
+        self.pivots = []
+
+    def lp_solve(self, problem: LPProblem) -> LPSolution:
+        """Solve the problem by two-phase dense simplex with Bland's rule."""
+        n = problem.objective.size
+        m_ub = problem.a_ub.shape[0]
+        m_eq = problem.a_eq.shape[0]
+        m = m_ub + m_eq
+        if m == 0:
+            # objective over free variables with no constraints
+            if np.any(problem.objective != 0.0):
+                return LPSolution(status="unbounded")
+            return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
+
+        # row equilibration: scale every constraint to unit max-norm so pivot
+        # tolerances are meaningful across badly mixed data scales
+        a = np.vstack([problem.a_ub, problem.a_eq])
+        b = np.concatenate([problem.b_ub, problem.b_eq])
+        if a.size:
+            norms = np.max(np.abs(a), axis=1)
+            keep = norms > 0
+            a[keep] /= norms[keep, None]
+            b[keep] /= norms[keep]
+
+        # standard form, written straight into the tableau: x = xp - xm, a slack
+        # s >= 0 on each inequality row, and an artificial column on each row whose
+        # slack cannot start the basis (equalities, and inequalities with b < 0,
+        # which are negated to b > 0)
+        flipped = b < 0
+        art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
+        n_split = 2 * n
+        n_core = n_split + m_ub
+        n_art = art_rows.size
+        tableau = np.zeros((m, n_core + n_art + 1))
+        tableau[:, :n] = a
+        np.negative(tableau[:, :n], out=tableau[:, n:n_split])
+        tableau[np.arange(m_ub), n_split + np.arange(m_ub)] = 1.0
+        sign = np.where(flipped, -1.0, 1.0)
+        tableau[:, :n_core] *= sign[:, None]
+        tableau[:, -1] = b * sign
+        basis = n_split + np.arange(m)
+        basis[art_rows] = n_core + np.arange(n_art)
+        tableau[art_rows, basis[art_rows]] = 1.0
+
+        if n_art:
+            phase1_cost = np.zeros(n_core + n_art)
+            phase1_cost[n_core:] = 1.0
+            status = self._simplex(tableau, basis, phase1_cost, restrict=None)
+            if status != "optimal":
+                raise ArithmeticError("phase-1 simplex failed to terminate")
+            scale = max(1.0, float(np.max(np.abs(b))))
+            if float(phase1_cost[basis] @ tableau[:, -1]) > _FEAS_TOL * scale:
+                return LPSolution(status="infeasible")
+            self._drive_out_artificials(tableau, basis, n_core)
+
+        cost = np.zeros(tableau.shape[1] - 1)
+        cost[:n] = problem.objective
+        cost[n:n_split] = -problem.objective
+        status = self._simplex(tableau, basis, cost, restrict=n_core)
+        if status == "unbounded":
+            return LPSolution(status="unbounded")
+
+        full = np.zeros(tableau.shape[1] - 1)
+        full[basis] = tableau[:, -1]
+        x = full[:n] - full[n:n_split]
+        # verify against the (equilibrated) constraints: a corrupted tableau must
+        # fail loudly, never return a silently infeasible "optimum"
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+        resid = a @ x - b
+        if m_ub and float(np.max(resid[:m_ub])) > tol:
+            raise ArithmeticError("simplex lost primal feasibility (inequalities)")
+        if m_eq and float(np.max(np.abs(resid[m_ub:]))) > tol:
+            raise ArithmeticError("simplex lost primal feasibility (equalities)")
+        return LPSolution(status="optimal", x=x, objective=float(problem.objective @ x))
+
+
+    def _simplex(self, tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, restrict) -> str:
+        """Run primal simplex to optimality on a tableau in canonical form.
+
+        ``restrict`` limits entering candidates to columns < restrict (used in
+        phase 2 to keep artificial columns out of the basis).  Ordinarily the
+        entering column is the most negative reduced cost and ratio-test ties are
+        broken on the largest pivot (numerical stability); when the objective
+        stalls on degenerate pivots the rule switches to Bland's smallest-index
+        selection, whose termination guarantee breaks the cycle.
+        """
+        m = tableau.shape[0]
+        ncols = tableau.shape[1] - 1
+        limit = ncols if restrict is None else restrict
+        max_iter = 20000 + 200 * (m + ncols)
+        stall = 0
+        last_obj = math.inf
+        for _ in range(max_iter):
+            cb = cost[basis]
+            reduced = cost[:limit] - cb @ tableau[:, :limit]
+            reduced[basis[basis < limit]] = 0.0
+            bland = stall > 40
+            # Bland: the first improving column; otherwise the most negative
+            entering = int(np.argmax(reduced < -_COST_TOL) if bland else np.argmin(reduced))
+            if not reduced[entering] < -_COST_TOL:
+                return "optimal"
+            col = tableau[:, entering]
+            rows = np.flatnonzero(col > _PIVOT_TOL)
+            ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+            best_ratio = float(ratios.min(initial=math.inf))
+            if not math.isfinite(best_ratio):
+                return "unbounded"
+            tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
+            # first tied row with the largest pivot, or the smallest basic index
+            leaving = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
+            self._pivot(tableau, basis, leaving, entering)
+            obj = float(cost[basis] @ tableau[:, -1])
+            if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
+                stall = 0
+            else:
+                stall += 1
+            last_obj = obj
+        raise ArithmeticError("simplex iteration limit exceeded")
+
+
+    def _pivot(self, tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+        self.pivots.append((int(row), int(col)))
+        tableau[row] /= tableau[row, col]
+        piv = tableau[row]
+        for i in np.flatnonzero(tableau[:, col]):
+            if i != row:
+                tableau[i] -= tableau[i, col] * piv
+        basis[row] = col
+        rhs = tableau[:, -1]
+        rhs[np.abs(rhs) < 1e-13] = 0.0
+
+
+    def _drive_out_artificials(self, tableau: np.ndarray, basis: np.ndarray, n_core: int) -> None:
+        """Pivot degenerate artificials out of the basis; zero redundant rows."""
+        for i in np.flatnonzero(basis >= n_core):
+            row = tableau[i, :n_core]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > _PIVOT_TOL:
+                self._pivot(tableau, basis, i, j)
+            else:
+                # redundant constraint row (rows are equilibrated, so entries
+                # this small are noise); neutralize it
+                tableau[i, :] = 0.0
+                tableau[i, basis[i]] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # reference solver: the dense simplex before whole-array scanning, kept
 # verbatim except that it records its pivots, counts its Bland iterations and
 # drops its comments
@@ -393,24 +547,16 @@ def _degenerate_lps(count=13):
         yield LPProblem(rng.normal(size=nv), a, b, np.zeros((0, nv)), np.zeros(0))
 
 
-def _against_loop_simplex(monkeypatch, problems):
-    """Solve each problem with both solvers; assert the same pivots and the
-    same bytes.  Returns the statuses and the reference's Bland iterations."""
-    pivots = []
-    pivot = lp._pivot
-
-    def recording_pivot(tableau, basis, row, col):
-        pivots.append((int(row), int(col)))
-        pivot(tableau, basis, row, col)
-
-    monkeypatch.setattr(lp, "_pivot", recording_pivot)
+def _against_loop_simplex(problems):
+    """Solve each problem with both reference solvers; assert the same pivots
+    and the same bytes.  Returns the statuses and the Bland iterations."""
     statuses, bland = [], 0
     for problem in problems:
-        pivots.clear()
-        sol = lp_solve(problem)
+        tableau = _PrimalTableau()
+        sol = tableau.lp_solve(problem)
         ref = _LoopSimplex()
         expected = ref.lp_solve(problem)
-        assert pivots == ref.pivots
+        assert tableau.pivots == ref.pivots
         assert sol.status == expected.status
         if expected.x is not None:
             assert sol.x.tobytes() == expected.x.tobytes()
@@ -420,8 +566,8 @@ def _against_loop_simplex(monkeypatch, problems):
     return statuses, bland
 
 
-def test_mixed_lps_pivot_like_loop_simplex(monkeypatch):
-    statuses, _ = _against_loop_simplex(monkeypatch, _mixed_lps())
+def test_mixed_lps_pivot_like_loop_simplex():
+    statuses, _ = _against_loop_simplex(_mixed_lps())
     assert statuses.count("optimal") >= 40 and "infeasible" in statuses
 
 
@@ -429,27 +575,27 @@ def test_redundant_equalities_pivot_like_loop_simplex(monkeypatch):
     # on entry, count the basic artificials whose row has a usable pivot and
     # those whose row is noise, so that both branches are known to run
     seen = {"pivoted": 0, "neutralized": 0}
-    drive_out = lp._drive_out_artificials
+    drive_out = _PrimalTableau._drive_out_artificials
 
-    def counting_drive_out(tableau, basis, n_core):
+    def counting_drive_out(self, tableau, basis, n_core):
         for i in np.flatnonzero(basis >= n_core):
             big = np.max(np.abs(tableau[i, :n_core])) > _PIVOT_TOL
             seen["pivoted" if big else "neutralized"] += 1
-        drive_out(tableau, basis, n_core)
+        drive_out(self, tableau, basis, n_core)
 
-    monkeypatch.setattr(lp, "_drive_out_artificials", counting_drive_out)
-    statuses, _ = _against_loop_simplex(monkeypatch, _redundant_lps())
+    monkeypatch.setattr(_PrimalTableau, "_drive_out_artificials", counting_drive_out)
+    statuses, _ = _against_loop_simplex(_redundant_lps())
     assert set(statuses) == {"optimal"}
     assert seen["pivoted"] > 0 and seen["neutralized"] > 0
 
 
-def test_infeasible_and_unbounded_like_loop_simplex(monkeypatch):
-    statuses, _ = _against_loop_simplex(monkeypatch, _status_lps())
+def test_infeasible_and_unbounded_like_loop_simplex():
+    statuses, _ = _against_loop_simplex(_status_lps())
     assert statuses.count("infeasible") == 10 and statuses.count("unbounded") == 10
 
 
-def test_degenerate_lps_reach_bland_like_loop_simplex(monkeypatch):
-    statuses, bland = _against_loop_simplex(monkeypatch, _degenerate_lps())
+def test_degenerate_lps_reach_bland_like_loop_simplex():
+    statuses, bland = _against_loop_simplex(_degenerate_lps())
     assert set(statuses) == {"optimal"}
     assert bland > 0
 
@@ -471,3 +617,69 @@ def test_objective_matches_highs():
         assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         if ref.status == 0:
             assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
+def _highs(problem):
+    """HiGHS on the same LP: (status, objective)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ref = optimize.linprog(
+        problem.objective,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        bounds=(None, None),
+        method="highs",
+    )
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
+
+
+def test_dual_engine_matches_primal_tableau_and_highs():
+    problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps()]
+    for problem in problems:
+        sol = lp_solve(problem)
+        ref = _PrimalTableau().lp_solve(problem)
+        status, fun = _highs(problem)
+        assert sol.status == ref.status == status
+        if status == "optimal":
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            assert sol.objective == pytest.approx(fun, rel=1e-9, abs=1e-9)
+
+
+def _two_bounds():
+    """min x + y subject to x >= 1, y >= 2, x + y <= 10: optimum 3 at (1, 2)."""
+    a_ub = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    return LPProblem(np.ones(2), a_ub, np.array([-1.0, -2.0, 10.0]), np.zeros((0, 2)), np.zeros(0))
+
+
+_INFEASIBLE = LPProblem(np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]), np.zeros((0, 1)), np.zeros(0))
+_UNBOUNDED = LPProblem(np.ones(1), np.array([[1.0]]), np.zeros(1), np.zeros((0, 1)), np.zeros(0))
+
+
+@pytest.mark.parametrize(
+    "check, problem, status, corrupt, message",
+    [
+        ("_check_optimal", _two_bounds(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x + 10.0, w), "primal feasibility"),
+        ("_check_optimal", _two_bounds(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x, -w), "dual feasibility"),
+        ("_check_optimal", _two_bounds(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x + 1.0, w), "duality gap"),
+        ("_check_farkas_ray", _INFEASIBLE, "infeasible",
+         lambda a, b, m_ub, w: (a, b, m_ub, -w), "not a Farkas ray"),
+        ("_check_farkas_ray", _INFEASIBLE, "infeasible",
+         lambda a, b, m_ub, w: (a, -b, m_ub, w), "does not separate"),
+        ("_check_primal_ray", _UNBOUNDED, "unbounded",
+         lambda c, a, m_ub, d: (c, a, m_ub, -d), "not a primal ray"),
+        ("_check_primal_ray", _UNBOUNDED, "unbounded",
+         lambda c, a, m_ub, d: (-c, a, m_ub, d), "does not improve"),
+        ("_check_primal_ray", _UNBOUNDED, "unbounded",
+         lambda c, a, m_ub, d: (c, a, m_ub, 0.0 * d), "zero certificate"),
+    ],
+)
+def test_corrupted_certificate_raises(monkeypatch, check, problem, status, corrupt, message):
+    assert lp_solve(problem).status == status
+    real = getattr(lp, check)
+    monkeypatch.setattr(lp, check, lambda *args: real(*corrupt(*args)))
+    with pytest.raises(ArithmeticError, match=message):
+        lp_solve(problem)

@@ -1,16 +1,17 @@
 """Selection LP, membership blocks, subset experiment, counterexample table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jetspace import selection
+from jetspace import lp, selection
 from jetspace.cubes import Cube, point_sub, uniform_norm
 from jetspace.jets import gauge
 from jetspace.lp import LPBuilder, lp_solve
 from jetspace.modulus import Modulus
-from jetspace.poly import Poly, multi_indices
+from jetspace.poly import Poly, mi_order, multi_indices
 from jetspace.selection import (
     ConvexSetSpec,
     SelectionInstance,
@@ -417,14 +418,36 @@ def _jet_instance_2d(rng, nodes):
     return SelectionInstance(n=2, k=1, m=2, modulus=mod, nodes=tuple(out))
 
 
+def _without_repeated_top_rows(problem, inst):
+    """The oracle's inequality rows without the second copy of each top-order
+    row: a pair's rows at x_j repeat its top-order rows at x_i, which this
+    asserts bit for bit before dropping them."""
+    degree = inst.top_degree
+    alphas = multi_indices(inst.n, degree)
+    pairs = len(inst.nodes) * (len(inst.nodes) - 1) // 2
+    block = 2 * len(alphas)  # a pair's rows at one center: each order, both signs
+    a, b = problem.a_ub, problem.b_ub
+    keep = np.ones(b.size, dtype=bool)
+    for pair in range(pairs):
+        at_i = b.size - (pairs - pair) * 2 * block
+        for idx, alpha in enumerate(alphas):
+            if mi_order(alpha) == degree:
+                for row in (at_i + 2 * idx, at_i + 2 * idx + 1):
+                    assert a[row + block].tobytes() == a[row].tobytes()
+                    assert b[row + block].tobytes() == b[row].tobytes()
+                    keep[row + block] = False
+    return a[keep], b[keep]
+
+
 @pytest.mark.parametrize("lam_fixed", [None, 0.7])
 def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
     rng = np.random.default_rng(61)
     for inst in (_select_1d_instance(rng, 8), _jet_instance_2d(rng, 5)):
         new = _selection_lp(inst, _pairwise_rows, lam_fixed)
         old = _selection_lp(inst, _oracle_pairwise_rows, lam_fixed)
-        assert new.a_ub.tobytes() == old.a_ub.tobytes()
-        assert new.b_ub.tobytes() == old.b_ub.tobytes()
+        a_ub, b_ub = _without_repeated_top_rows(old, inst)
+        assert new.a_ub.tobytes() == a_ub.tobytes()
+        assert new.b_ub.tobytes() == b_ub.tobytes()
         assert new.a_eq.tobytes() == old.a_eq.tobytes()
 
 
@@ -458,3 +481,81 @@ def test_selection_lp_objective_matches_highs(monkeypatch):
         )
         assert ref.status == 0 and sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+
+
+def _op_seed(workload_seed, index):
+    seq = np.random.SeedSequence(entropy=workload_seed, spawn_key=(index,))
+    return int(seq.generate_state(1)[0])
+
+
+def _select_workload_instance(seed, nodes):
+    """An input of the select benchmark workload: its generator's draws, in
+    its order, for op seed ``seed``."""
+    rng = np.random.default_rng(seed)
+    spec = []
+    for _ in range(nodes):
+        x, r, lo = rng.uniform(-6.0, 6.0), rng.uniform(0.2, 1.5), rng.uniform(-2.0, 2.0)
+        spec.append((interval_set(lo, lo + rng.uniform(0.05, 1.0)), Cube((x,), r)))
+    return SelectionInstance(n=1, k=0, m=2, modulus=Modulus.power(1, 2), nodes=tuple(spec))
+
+
+@pytest.mark.parametrize(
+    "op, nodes", [(42, 24), (121, 24), (0, 48)], ids=["op42", "op121", "48-nodes"]
+)
+def test_select_workload_lp_matches_highs(monkeypatch, op, nodes):
+    # two inputs the select benchmark runs (ops 42 and 121 of workload seed
+    # 1), and the generator at 48 nodes, whose LP has 7,201 rows
+    from test_lp import _highs
+
+    solved = []
+
+    def recording_lp_solve(problem):
+        solved.append((problem, lp_solve(problem)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    inst = _select_workload_instance(_op_seed(1, op), nodes)
+    res = best_selection(inst)
+    (problem, sol), = solved
+    status, fun = _highs(problem)
+    assert status == sol.status == res.status == "optimal"
+    assert sol.objective == pytest.approx(fun, rel=1e-9)
+    assert res.lam == pytest.approx(lo_seminorm(selection_field(inst, res.polys), inst.modulus).value, rel=1e-9)
+
+
+def test_selection_lp_memory_peak():
+    # the dual tableau has a row per variable; a tableau with a row per
+    # constraint (and an m x m slack block) peaks above 50 MiB here
+    inst = _select_workload_instance(_op_seed(1, 0), 24)
+    tracemalloc.start()
+    try:
+        best_selection(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+
+
+@pytest.mark.parametrize("lift", [lp._LIFT, 0.0, 0.5], ids=["lift", "zero-lift", "large-lift"])
+def test_degenerate_stalls_match_highs(monkeypatch, lift):
+    # the 32-node selection LPs stall on degenerate pivots.  The default lift
+    # breaks the stalls; a zero lift leaves them to Bland's rule; a lift of
+    # half the largest basic value reaches bases that are infeasible once it
+    # is undone, so those runs resume from where the lift started
+    from test_lp import _highs
+
+    monkeypatch.setattr(lp, "_LIFT", lift)
+    for op in range(4):
+        problem = None
+
+        def recording_lp_solve(lp_problem):
+            nonlocal problem
+            problem = lp_problem
+            return lp.lp_solve(lp_problem)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "lp_solve", recording_lp_solve)
+            res = best_selection(_select_workload_instance(_op_seed(1, op), 32))
+        status, fun = _highs(problem)
+        assert res.status == status == "optimal"
+        assert res.lam == pytest.approx(fun, rel=1e-9)

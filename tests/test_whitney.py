@@ -30,6 +30,7 @@ from jetspace.whitney import (
     seminorm_estimate,
     star_norm,
 )
+from test_lp import _PrimalTableau
 
 MOD = Modulus.power(1, 2)
 
@@ -433,8 +434,46 @@ def test_fits_match_basis_poly_oracle(monkeypatch):
                 assert a.shape == b.shape, name
                 tol = 1e-9 * max([1.0] + np.abs(b).ravel().tolist())
                 assert np.all(np.abs(a - b) <= tol), name
+        # the stage-1 eps and the stage-2 l1 mass equal the primal tableau's;
+        # the stage-2 vertex need not be unique, so values are compared
+        for problem in problems:
+            value = lp.lp_solve(problem).objective
+            assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
         cases += 1
     assert cases == (6 + 8) * 2 * 5
+
+
+@pytest.mark.parametrize("op", [2, 6])
+def test_check_sample_fits_match_primal_tableau(monkeypatch, op):
+    # inputs of the check benchmark workload (op seeds 2 and 6 of workload
+    # seed 1): 12 points, 48 cubes.  Some fitting LPs have more basis
+    # coefficients than the captured points determine, so the dual has
+    # redundant rows, whose artificials phase 1 can leave in any tableau row
+    seed = int(np.random.SeedSequence(entropy=1, spawn_key=(op,)).generate_state(1)[0])
+    pts = tuple(tuple(map(float, p)) for p in np.random.default_rng(seed).uniform(-1, 1, (12, 2)))
+    vals = tuple(math.sin(2.0 * x) * math.cos(y) + 0.5 * x * y for x, y in pts)
+    sample = SampleSet(n=2, points=pts, values=vals)
+    problems, redundant = [], []
+
+    def record(problem):
+        problems.append(problem)
+        return lp.lp_solve(problem)
+
+    def drive_out(*args):
+        redundant.append(drive_out_artificials(*args))
+        return redundant[-1]
+
+    drive_out_artificials = lp._drive_out_artificials
+    monkeypatch.setattr(whitney, "lp_solve", record)
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    fit_field(sample, cube_family(pts, dyadic_radii(pts, 3)), k=1, m=2, interpolate_center=True)
+    assert len(problems) == 2 * 48
+    # the redundant-row branch ran: some phase 1 left an artificial basic
+    # in a row no constraint column can pivot on
+    assert any(redundant)
+    for problem in problems:
+        value = lp.lp_solve(problem).objective
+        assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
 
 
 # -- condition sweeps ------------------------------------------------------------------
