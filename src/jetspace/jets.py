@@ -91,10 +91,10 @@ def gauge(mod: Modulus, top: int, alpha, t: float, v: float) -> float:
 def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     """The spatial scale t >= 0 at which the gauge reaches u.
 
-    Closed forms cover the pure-integral case (order == top) and the power
-    family with unit kernel (q == m); otherwise the strictly increasing gauge
-    is bracketed by doubling and bisected (absolute tolerance well under
-    1e-12 * (1 + t), at most 200 bisections).
+    Closed forms cover the power family with unit kernel (q == m); the
+    pure-integral case (order == top) is ``core_integral_inverse``.  Otherwise
+    the strictly increasing gauge is inverted by ``invert_increasing``
+    (safeguarded Newton with the exact slope, relative bracket width 1e-13).
     """
     a = _order_of(alpha)
     if a > top:
@@ -111,15 +111,21 @@ def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     if mod.family == "power" and mod.q == mod.m:
         # unit kernel: the gauge is t^(e+1)
         return u ** (1.0 / (e + 1))
-    return invert_increasing(lambda t: t**e * mod.integral_core(v, v + t), u)
+
+    def fdf(t: float) -> tuple[float, float]:
+        core = mod.integral_core(v, v + t)
+        return t**e * core, e * t ** (e - 1) * core + t**e * mod.core_kernel(v + t)
+
+    return invert_increasing(fdf, u)
 
 
 def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     """Distance contribution of a derivative discrepancy u, solved directly.
 
     Returns the value I with I * g(I)^(top - |alpha|) = u, where g is the
-    inverse of t -> core integral over [v, v+t].  Monotone root-finding on
-    that product; for order == top the map is the identity.
+    inverse of t -> core integral over [v, v+t].  The product is inverted by
+    ``invert_increasing`` with its exact slope g^e + I e g^(e-1) g'(I), where
+    g'(I) = (v+g)^m / w(v+g); for order == top the map is the identity.
     """
     a = _order_of(alpha)
     if a > top:
@@ -135,9 +141,15 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
         if math.isinf(mod.core_integral_inverse(u, v)):
             return mod.tail_mass(v)
         return u
-    return invert_increasing(
-        lambda s: s * mod.core_integral_inverse(s, v) ** e, u
-    )
+
+    def fdf(s: float) -> tuple[float, float]:
+        g = mod.core_integral_inverse(s, v)
+        kernel = mod.core_kernel(v + g) if math.isfinite(g) else 0.0
+        if kernel == 0.0:
+            return s * g**e, math.nan
+        return s * g**e, g**e + s * e * g ** (e - 1) / kernel
+
+    return invert_increasing(fdf, u)
 
 
 def _shared_context(t1: Jet, t2: Jet) -> tuple[int, int]:
@@ -163,18 +175,24 @@ def jet_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None) -
     radius.
 
     With ``at`` given, derivatives are evaluated at that point only; otherwise
-    at both cube centers.
+    at both cube centers.  The gauge depends on a multi-index only through
+    its order and its inverse increases with the discrepancy, so each order
+    is inverted once, at its largest discrepancy.
     """
     n, top = _shared_context(t1, t2)
     v = min(t1.cube.radius, t2.cube.radius)
     sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
     best = max(t1.cube.radius, t2.cube.radius) + sep
     diff = t1.poly - t2.poly
+    points = _eval_points(t1, t2, at)
+    peak = [0.0] * (top + 1)
     for alpha in multi_indices(n, top):
-        for y in _eval_points(t1, t2, at):
-            u = abs(diff.deriv_eval(alpha, y))
-            if u > 0.0:
-                best = max(best, gauge_inverse(mod, top, alpha, u, v))
+        a = mi_order(alpha)
+        for y in points:
+            peak[a] = max(peak[a], abs(diff.deriv_eval(alpha, y)))
+    for a, u in enumerate(peak):
+        if u > 0.0:
+            best = max(best, gauge_inverse(mod, top, a, u, v))
     return best
 
 
@@ -270,7 +288,12 @@ def _zygmund_gauge_inverse(u: float, j: int) -> float:
         return 0.0
     if j == 0:
         return u
-    return invert_increasing(lambda t: t * math.expm1(t) ** j, u)
+
+    def fdf(t: float) -> tuple[float, float]:
+        x = math.expm1(t)
+        return t * x**j, x**j + t * j * x ** (j - 1) * (x + 1.0)
+
+    return invert_increasing(fdf, u)
 
 
 def zygmund_distance(t1: Jet, t2: Jet, m: int) -> float:

@@ -130,6 +130,17 @@ class Modulus:
 
     __call__ = eval
 
+    def core_kernel(self, s: float) -> float:
+        """The integrand w(s)/s^m of ``integral_core`` at s > 0."""
+        if self.family == "power":
+            return s ** (self.q - self.m)
+        if self.family == "powerlog":
+            return s ** (self.q - self.m) * math.log1p(s)
+        if s > self.domain_max:
+            raise ValueError("argument beyond table range")
+        coef, slope, _ = self._segment(s)
+        return coef * s ** (slope - self.m)
+
     # -- integrals ---------------------------------------------------------
 
     def integral_core(self, a: float, b: float) -> float:
@@ -215,7 +226,9 @@ class Modulus:
             return max(base ** (1.0 / p) - v, 0.0)
         if self.family == "powerlog" and w >= self.tail_mass(v):
             return math.inf
-        return invert_increasing(lambda t: self.integral_core(v, v + t), w)
+        return invert_increasing(
+            lambda t: (self.integral_core(v, v + t), self.core_kernel(v + t)), w
+        )
 
     # -- quasipower estimate -----------------------------------------------
 

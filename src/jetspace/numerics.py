@@ -18,7 +18,8 @@ def adaptive_simpson(
 
     The error control is relative to the running whole-interval estimate,
     with an absolute floor so that zero integrals terminate.  An estimate
-    that is not finite raises OverflowError.
+    that is not finite raises OverflowError; a subinterval still unconverged
+    at ``max_depth`` bisections raises ArithmeticError.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -47,8 +48,10 @@ def adaptive_simpson(
         if not math.isfinite(err):  # would bisect 2^max_depth times otherwise
             raise OverflowError("quadrature estimate is not finite")
         tol = rel_tol * max(scale, abs(left + right))
-        if depth <= 0 or abs(err) <= 15.0 * tol:
+        if abs(err) <= 15.0 * tol:
             return left + right + err / 15.0
+        if depth <= 0:
+            raise ArithmeticError("quadrature did not converge within max_depth")
         return recurse(x0, x1, f0, f1, left, depth - 1) + recurse(
             x1, x2, f1, f2, right, depth - 1
         )
@@ -56,48 +59,81 @@ def adaptive_simpson(
     return recurse(a, b, fa, fb, whole, max_depth)
 
 
+_INVERT_REL_TOL = 1e-13
+_INVERT_MAX_ITER = 200
+
+
 def invert_increasing(
-    f: Callable[[float], float],
-    u: float,
-    hi0: float = 1.0,
-    rel_tol: float = 1e-13,
-    max_iter: int = 200,
+    fdf: Callable[[float], tuple[float, float]], u: float
 ) -> float:
     """Solve f(t) = u for a strictly increasing f with f(0) = 0 and u >= 0.
 
-    Brackets by doubling the upper endpoint until f exceeds u, then bisects.
-    Overflowing evaluations count as +inf, which keeps the bracket valid for
-    functions that blow up at a finite argument.
+    ``fdf(t)`` returns (f(t), f'(t)).  Newton steps are taken in log-log
+    coordinates, t <- t * exp(ln(u/f) / s) with the elasticity s = t f'/f,
+    which solve a power law in one step.  They are safeguarded inside a
+    bracket [lo, hi] (``rtsafe``; Press et al., Numerical Recipes, 9.4) that
+    starts at [0, +inf) and grows by doubling while no step is usable.  A
+    step that would leave the bracket, or is not under half the step before
+    last, becomes a bisection (geometric once lo > 0); a step under half the
+    tolerance is lengthened to it, so that it crosses the root.  When the
+    previous point lies on the same side of the root, s is capped by the
+    secant elasticity through it: where v + t rounds in an integral over
+    [v, v + t], the computed f is flatter than its exact slope, and uncapped
+    steps would creep toward the root by a constant fraction.
+
+    Returns the bracket midpoint once hi - lo <= 1e-13 * hi.  Overflowing
+    evaluations count as +inf, which keeps the bracket valid for functions
+    that blow up at a finite argument.  Raises ArithmeticError when the
+    bracket cannot be found or does not close within 200 steps.
     """
     if u < 0:
         raise ValueError("target must be non-negative")
     if u == 0.0:
         return 0.0
-
-    def safe(t: float) -> float:
-        try:
-            v = f(t)
-        except OverflowError:
-            return math.inf
-        return v
-
-    lo, hi = 0.0, hi0
-    grow = 0
-    while safe(hi) < u:
-        lo = hi
-        hi *= 2.0
-        grow += 1
-        if grow > 2200 or math.isinf(hi):
-            raise ArithmeticError("failed to bracket monotone inverse")
+    log_u = math.log(u)
+    lo, hi = 0.0, math.inf
+    t = 1.0
+    last = (math.nan, math.nan, None)  # (t, f, f < u) of the previous evaluation
+    step_old = step_prev = math.inf  # log-step lengths, once bracketed
     it = 0
-    while it < max_iter and (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if safe(mid) < u:
-            lo = mid
+    while True:
+        try:
+            f, df = fdf(t)
+        except OverflowError:
+            f, df = math.inf, math.nan
+        below = f < u
+        if below:
+            lo = t
         else:
-            hi = mid
+            hi = t
+        if hi - lo <= _INVERT_REL_TOL * hi and hi < math.inf:
+            return 0.5 * (lo + hi)
+        ds = math.nan
+        if 0.0 < f < math.inf and 0.0 < t * df < math.inf:
+            slope = t * df / f
+            last_t, last_f, last_below = last
+            if last_below == below and 0.0 < last_f < math.inf and last_t != t:
+                secant = (math.log(f) - math.log(last_f)) / math.log(t / last_t)
+                if 0.0 < secant < slope:
+                    slope = secant
+            ds = (log_u - math.log(f)) / slope
+        last = (t, f, below)
+        if abs(ds) <= 0.5 * _INVERT_REL_TOL:
+            ds = 0.5 * _INVERT_REL_TOL if below else -0.5 * _INVERT_REL_TOL
+        nxt = t * math.exp(ds) if abs(ds) < 700.0 else math.nan  # exp overflows at 710
+        if not lo < nxt < hi or abs(ds) > 0.5 * step_old:
+            if math.isinf(hi):
+                t = 2.0 * lo
+                if math.isinf(t):
+                    raise ArithmeticError("failed to bracket monotone inverse")
+                continue
+            nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+        if it >= _INVERT_MAX_ITER or nxt == 0.0:
+            raise ArithmeticError("monotone inverse did not converge")
+        if hi < math.inf:
+            step_old, step_prev = step_prev, abs(math.log(nxt / t))
+        t = nxt
         it += 1
-    return 0.5 * (lo + hi)
 
 
 def within_slack(lhs: float, rhs: float, rel_slack: float) -> bool:

@@ -8,6 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetspace.cli import main
+from jetspace.jets import jet_distance
+from jetspace.modulus import Modulus
+from jetspace.serialize import jet_from_dict, modulus_from_dict
+from test_numerics import bisection_engine, inverting_with
 
 
 def _write(tmp_path, name, payload):
@@ -304,6 +308,34 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", payload)
     assert main(["metric", "--input", path]) == 3
     assert _error(capsys)["type"] == "OverflowError"
+
+
+def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, monkeypatch):
+    # each inversion here used to double its bracket about 500 times, one
+    # adaptive quadrature per step: 37,094 quadratures for this input
+    payload = {
+        "omega": {"family": "powerlog", "q": 0.0, "m": 0},
+        "jets": [
+            {"poly": {"n": 1, "L": 1, "coef": {"[0]": 1e300, "[1]": -1e300}}, "cube": {"x": [0.0], "r": 0.5}},
+            {"poly": {"n": 1, "L": 1, "coef": {"[0]": -1e300, "[1]": 1e300}}, "cube": {"x": [1.0], "r": 1.0}},
+        ],
+    }
+    calls = [0]
+    integral_core = Modulus.integral_core
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return integral_core(self, a, b)
+
+    monkeypatch.setattr(Modulus, "integral_core", counted)
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    assert calls[0] < 1000
+    mod = modulus_from_dict(payload["omega"])
+    jets = [jet_from_dict(j) for j in payload["jets"]]
+    with inverting_with(bisection_engine):
+        oracle = jet_distance(mod, *jets)
+    assert json.loads(text)["jet_distance"] == pytest.approx(oracle, rel=1e-12)
 
 
 def _fuzz_floats(low, high):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from jetspace.cubes import Cube, weighted_cube_distance
+from jetspace.cubes import Cube, point_sub, uniform_norm, weighted_cube_distance
 from jetspace.jets import (
     Jet,
+    _eval_points,
+    _shared_context,
     gauge,
     gauge_inverse,
     jet_distance,
@@ -21,6 +23,7 @@ from jetspace.jets import (
 )
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
+from test_numerics import bisection_engine, inverting_with
 
 
 def _unit_jets():
@@ -108,6 +111,57 @@ def test_jet_gap_is_max_over_centers():
         at1 = jet_gap(MOD_LIN_2, t1, t2, at=t1.cube.center)
         at2 = jet_gap(MOD_LIN_2, t1, t2, at=t2.cube.center)
         assert whole == pytest.approx(max(at1, at2), rel=1e-12)
+
+
+def _jet_gap_per_pair(mod, t1, t2, at=None):
+    """``jet_gap`` as one gauge inversion per multi-index and evaluation point."""
+    n, top = _shared_context(t1, t2)
+    v = min(t1.cube.radius, t2.cube.radius)
+    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
+    best = max(t1.cube.radius, t2.cube.radius) + sep
+    diff = t1.poly - t2.poly
+    for alpha in multi_indices(n, top):
+        for y in _eval_points(t1, t2, at):
+            u = abs(diff.deriv_eval(alpha, y))
+            if u > 0.0:
+                best = max(best, gauge_inverse(mod, top, alpha, u, v))
+    return best
+
+
+def _random_jet(rng, n, degree):
+    coef = {a: float(rng.uniform(-3, 3)) for a in multi_indices(n, degree) if rng.uniform() < 0.8}
+    center = tuple(float(c) for c in rng.uniform(-1, 1, n))
+    return Jet(Poly(n, degree, coef), Cube(center, float(10 ** rng.uniform(-1.5, 0.5))))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:  # a table modulus has a bounded domain
+        return type(exc)
+
+
+def test_jet_gap_inverts_each_order_once():
+    rng = np.random.default_rng(12)
+    table = Modulus.table([(0.01, 2.5e-4), (1.0, 1.0), (1e4, 1e6)], 2)
+    compared = 0
+    for mod in (Modulus.power(1.5, 2), Modulus.power_log(1.0, 2), table):
+        for n in (1, 2):
+            for degree in range(4):
+                for trial in range(4):
+                    t1, t2 = _random_jet(rng, n, degree), _random_jet(rng, n, degree)
+                    at = None if trial < 2 else tuple(float(c) for c in rng.uniform(-1, 1, n))
+                    with inverting_with(bisection_engine):
+                        oracle = _outcome(_jet_gap_per_pair, mod, t1, t2, at=at)
+                        assert _outcome(jet_gap, mod, t1, t2, at=at) == oracle
+                    if oracle is ValueError:
+                        continue
+                    compared += 1
+                    assert jet_gap(mod, t1, t2, at=at) == pytest.approx(oracle, rel=1e-12)
+                    assert jet_gap(mod, t1, t2, at=at) == pytest.approx(
+                        _jet_gap_per_pair(mod, t1, t2, at=at), rel=1e-12
+                    )
+    assert compared >= 90
 
 
 def test_jet_distance_hand_value_three_routes():
