@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .numerics import adaptive_simpson, invert_increasing
 
@@ -119,27 +119,34 @@ class Modulus:
             raise ValueError("modulus argument must be non-negative")
         if t == 0.0:
             return 0.0
-        if self.family == "power":
-            return t**self.q
-        if self.family == "powerlog":
-            return t**self.q * math.log1p(t)
-        if t > self.domain_max:
-            raise ValueError("argument beyond table range")
-        coef, slope, _ = self._segment(t)
-        return coef * t**slope
+        return self._kernel(0.0)(t)
 
     __call__ = eval
 
-    def core_kernel(self, s: float) -> float:
-        """The integrand w(s)/s^m of ``integral_core`` at s > 0."""
+    def _kernel(self, weight: float) -> Callable[[float], float]:
+        """The function s -> w(s)/s^weight on 0 < s <= ``domain_max``."""
         if self.family == "power":
-            return s ** (self.q - self.m)
+            p = self.q - weight
+            return lambda s: s**p
         if self.family == "powerlog":
-            return s ** (self.q - self.m) * math.log1p(s)
-        if s > self.domain_max:
-            raise ValueError("argument beyond table range")
-        coef, slope, _ = self._segment(s)
-        return coef * s ** (slope - self.m)
+            p = self.q - weight
+            return lambda s: s**p * math.log1p(s)
+
+        def table(s: float) -> float:
+            if s > self.domain_max:
+                raise ValueError("argument beyond table range")
+            coef, slope, _ = self._segment(s)
+            return coef * s ** (slope - weight)
+
+        return table
+
+    def core_kernel(self, s: float) -> float:
+        """The integrand w(s)/s^m of ``integral_core`` at s > 0; +inf where
+        it overflows."""
+        try:
+            return self._kernel(self.m)(s)
+        except OverflowError:
+            return math.inf
 
     # -- integrals ---------------------------------------------------------
 
@@ -163,10 +170,7 @@ class Modulus:
         if self.family == "powerlog":
             if not math.isfinite(b):
                 raise ValueError("upper bound must be finite")
-            q = self.q
-            return adaptive_simpson(
-                lambda s: s ** (q - weight) * math.log1p(s), a, b, rel_tol=1e-10
-            )
+            return adaptive_simpson(self._kernel(weight), a, b, rel_tol=1e-10)
         if b > self.domain_max:
             raise ValueError("integration range beyond table range")
         total = 0.0
@@ -239,12 +243,12 @@ class Modulus:
                 return math.inf
             return t**self.q / self.q
         if self.family == "powerlog":
-            q = self.q
+            kernel = self._kernel(1.0)
 
             def integrand(s: float) -> float:
                 if s == 0.0:
-                    return 1.0 if q == 0 else 0.0
-                return s ** (q - 1.0) * math.log1p(s)
+                    return 1.0 if self.q == 0 else 0.0
+                return kernel(s)
 
             return adaptive_simpson(integrand, 0.0, t, rel_tol=1e-10)
         t0 = self.knots[0][0]

@@ -61,6 +61,7 @@ def adaptive_simpson(
 
 _INVERT_REL_TOL = 1e-13
 _INVERT_MAX_ITER = 200
+_INVERT_MAX_LOG_STEP = 700.0  # math.exp overflows just past 709
 
 
 def invert_increasing(
@@ -68,23 +69,22 @@ def invert_increasing(
 ) -> float:
     """Solve f(t) = u for a strictly increasing f with f(0) = 0 and u >= 0.
 
-    ``fdf(t)`` returns (f(t), f'(t)).  Newton steps are taken in log-log
-    coordinates, t <- t * exp(ln(u/f) / s) with the elasticity s = t f'/f,
-    which solve a power law in one step.  They are safeguarded inside a
-    bracket [lo, hi] (``rtsafe``; Press et al., Numerical Recipes, 9.4) that
-    starts at [0, +inf) and grows by doubling while no step is usable.  A
-    step that would leave the bracket, or is not under half the step before
-    last, becomes a bisection (geometric once lo > 0); a step under half the
-    tolerance is lengthened to it, so that it crosses the root.  When the
-    previous point lies on the same side of the root, s is capped by the
-    secant elasticity through it: where v + t rounds in an integral over
-    [v, v + t], the computed f is flatter than its exact slope, and uncapped
-    steps would creep toward the root by a constant fraction.
+    ``fdf(t)`` returns (f(t), f'(t)), with a NaN slope where the slope alone
+    overflows.  Newton steps are taken in log-log coordinates,
+    t <- t * exp(ln(u/f) / s) with the elasticity s = t f'/f, which solve a
+    power law in one step; a step is cut to 700 in ln t.  They are
+    safeguarded inside a bracket [lo, hi] (``rtsafe``; Press et al.,
+    Numerical Recipes, 9.4) that starts at [0, +inf) and grows by doubling
+    while no step is usable.  A step that would leave the bracket, is not
+    under half the step before last, or has no finite positive elasticity
+    becomes a bisection (geometric once lo > 0); a step under half the
+    tolerance is lengthened to it, so that it crosses the root.
 
-    Returns the bracket midpoint once hi - lo <= 1e-13 * hi.  Overflowing
-    evaluations count as +inf, which keeps the bracket valid for functions
-    that blow up at a finite argument.  Raises ArithmeticError when the
-    bracket cannot be found or does not close within 200 steps.
+    Returns the bracket midpoint once hi - lo <= 1e-13 * hi, or once no float
+    lies strictly inside the bracket (a root among the subnormals).
+    Overflowing evaluations count as +inf, which keeps the bracket valid for
+    functions that blow up at a finite argument.  Raises ArithmeticError when
+    the bracket cannot be found or does not close within 200 steps.
     """
     if u < 0:
         raise ValueError("target must be non-negative")
@@ -93,7 +93,6 @@ def invert_increasing(
     log_u = math.log(u)
     lo, hi = 0.0, math.inf
     t = 1.0
-    last = (math.nan, math.nan, None)  # (t, f, f < u) of the previous evaluation
     step_old = step_prev = math.inf  # log-step lengths, once bracketed
     it = 0
     while True:
@@ -110,17 +109,12 @@ def invert_increasing(
             return 0.5 * (lo + hi)
         ds = math.nan
         if 0.0 < f < math.inf and 0.0 < t * df < math.inf:
-            slope = t * df / f
-            last_t, last_f, last_below = last
-            if last_below == below and 0.0 < last_f < math.inf and last_t != t:
-                secant = (math.log(f) - math.log(last_f)) / math.log(t / last_t)
-                if 0.0 < secant < slope:
-                    slope = secant
-            ds = (log_u - math.log(f)) / slope
-        last = (t, f, below)
+            ds = (log_u - math.log(f)) / (t * df / f)
         if abs(ds) <= 0.5 * _INVERT_REL_TOL:
             ds = 0.5 * _INVERT_REL_TOL if below else -0.5 * _INVERT_REL_TOL
-        nxt = t * math.exp(ds) if abs(ds) < 700.0 else math.nan  # exp overflows at 710
+        elif abs(ds) > _INVERT_MAX_LOG_STEP:
+            ds = math.copysign(_INVERT_MAX_LOG_STEP, ds)
+        nxt = t * math.exp(ds)
         if not lo < nxt < hi or abs(ds) > 0.5 * step_old:
             if math.isinf(hi):
                 t = 2.0 * lo
@@ -128,7 +122,9 @@ def invert_increasing(
                     raise ArithmeticError("failed to bracket monotone inverse")
                 continue
             nxt = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
-        if it >= _INVERT_MAX_ITER or nxt == 0.0:
+            if not lo < nxt < hi:
+                return 0.5 * (lo + hi)
+        if it >= _INVERT_MAX_ITER:
             raise ArithmeticError("monotone inverse did not converge")
         if hi < math.inf:
             step_old, step_prev = step_prev, abs(math.log(nxt / t))

@@ -338,6 +338,26 @@ def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, 
     assert json.loads(text)["jet_distance"] == pytest.approx(oracle, rel=1e-12)
 
 
+def test_metric_tiny_radius_with_overflowing_kernel_slope(tmp_path):
+    # near the radius 1e-300 the kernel s^-1.5 overflows while the gauge does
+    # not, and the order-0 root lies below the rounding of v + t; the cube
+    # separation sets the gap, as with the bisection inverse
+    payload = {
+        "omega": {"family": "power", "q": 0.5, "m": 2},
+        "jets": [
+            {"poly": {"n": 1, "L": 1, "coef": {"[0]": 1e-300}}, "cube": {"x": [0.0], "r": 1e-300}},
+            {"poly": {"n": 1, "L": 1, "coef": {"[0]": 0.0}}, "cube": {"x": [1.0], "r": 1.0}},
+        ],
+    }
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    mod = modulus_from_dict(payload["omega"])
+    jets = [jet_from_dict(j) for j in payload["jets"]]
+    with inverting_with(bisection_engine):
+        oracle = jet_distance(mod, *jets)
+    assert json.loads(text)["jet_distance"] == oracle
+
+
 def _fuzz_floats(low, high):
     return st.one_of(st.floats(low, high), st.sampled_from([0.0, 1e300, -1e300, 1e-300, -1e-300]))
 
