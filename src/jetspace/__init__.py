@@ -37,7 +37,7 @@ from .jets import (
     value_gauge,
     zygmund_distance,
 )
-from .lp import LPBuilder, LPProblem, LPSolution, lp_solve
+from .lp import LPProblem, LPSolution, lp_solve
 from .modulus import (
     Modulus,
     OmegaMembershipReport,

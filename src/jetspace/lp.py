@@ -59,7 +59,10 @@ class LPSolution:
 
 @dataclass
 class LPBuilder:
-    """Incremental construction of an LPProblem over named free variables."""
+    """Incremental construction of an LPProblem over named free variables.
+
+    No library path builds through it; it is kept for the tests, which use
+    it as the row-by-row oracle, and for the benchmark tracer."""
 
     _names: dict[str, int] = field(default_factory=dict)
     _obj: dict[int, float] = field(default_factory=dict)
@@ -108,25 +111,28 @@ class LPBuilder:
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
-    """Solve the problem through its dual and check the answer's certificate."""
+    """Solve the problem through its dual and check the answer's certificate.
+
+    Raises ArithmeticError when an entry of the problem is not finite (an
+    overflowed coefficient, say), which no certificate could vouch for."""
     c = problem.objective
-    n = c.size
+    a = np.vstack([problem.a_ub, problem.a_eq])
+    b = np.concatenate([problem.b_ub, problem.b_eq])
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ArithmeticError("LP data has a non-finite entry")
     m_ub = problem.a_ub.shape[0]
-    if m_ub + problem.a_eq.shape[0] == 0:
+    if b.size == 0:
         # objective over free variables with no constraints
         if np.any(c != 0.0):
             return LPSolution(status="unbounded")
-        return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
+        return LPSolution(status="optimal", x=np.zeros(c.size), objective=0.0)
 
     # row equilibration: scale every constraint to unit max-norm so pivot
     # tolerances are meaningful across badly mixed data scales
-    a = np.vstack([problem.a_ub, problem.a_eq])
-    b = np.concatenate([problem.b_ub, problem.b_eq])
-    if a.size:
-        norms = np.max(np.abs(a), axis=1)
-        keep = norms > 0
-        a[keep] /= norms[keep, None]
-        b[keep] /= norms[keep]
+    norms = np.max(np.abs(a), axis=1)
+    keep = norms > 0
+    a[keep] /= norms[keep, None]
+    b[keep] /= norms[keep]
     return _solve_dual(c, a, b, m_ub)
 
 
@@ -220,21 +226,22 @@ def _amax(v: np.ndarray) -> float:
 
 
 def _excess(resid: np.ndarray, m_ub: int) -> float:
-    """How far resid[:m_ub] <= 0 and resid[m_ub:] = 0 are violated."""
-    return max(float(np.max(resid[:m_ub], initial=0.0)), _amax(resid[m_ub:]))
+    """How far resid[:m_ub] <= 0 and resid[m_ub:] = 0 are violated; NaN
+    when an entry is NaN."""
+    return _amax(np.append(np.maximum(resid[:m_ub], 0.0), resid[m_ub:]))
 
 
 def _check_optimal(c, a, b, m_ub, x, w) -> None:
     """x primal feasible, w dual feasible and c.x = -b.w, each within
     _CERT_TOL of the magnitude of the terms it is computed from (rows of a
-    are at most 1 in size)."""
-    if _excess(a @ x - b, m_ub) > _CERT_TOL * max(1.0, _amax(x)):
+    are at most 1 in size).  Every test is written so that NaN fails it."""
+    if not _excess(a @ x - b, m_ub) <= _CERT_TOL * max(1.0, _amax(x)):
         raise ArithmeticError("simplex lost primal feasibility")
     tol = _CERT_TOL * max(1.0, _amax(w), _amax(c))
-    if float(np.min(w[:m_ub], initial=0.0)) < -tol or _amax(a.T @ w + c) > tol:
+    if not (float(np.min(w[:m_ub], initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
         raise ArithmeticError("simplex lost dual feasibility")
     size = float(np.abs(c) @ np.abs(x) + np.abs(b) @ np.abs(w))
-    if abs(float(c @ x + b @ w)) > _CERT_TOL * max(1.0, size):
+    if not abs(float(c @ x + b @ w)) <= _CERT_TOL * max(1.0, size):
         raise ArithmeticError("simplex left a duality gap")
 
 
@@ -248,7 +255,7 @@ def _unit(ray: np.ndarray) -> np.ndarray:
 def _check_farkas_ray(a, b, m_ub, w) -> None:
     """w[:m_ub] >= 0, a^T w = 0 and b.w < 0: no x has a x <= b."""
     w = _unit(w)
-    if float(np.min(w[:m_ub], initial=0.0)) < -_CERT_TOL or _amax(a.T @ w) > _CERT_TOL:
+    if not (float(np.min(w[:m_ub], initial=0.0)) >= -_CERT_TOL and _amax(a.T @ w) <= _CERT_TOL):
         raise ArithmeticError("infeasibility certificate is not a Farkas ray")
     if not float(b @ w) < 0.0:
         raise ArithmeticError("infeasibility certificate does not separate")
@@ -258,7 +265,7 @@ def _check_primal_ray(c, a, m_ub, d) -> None:
     """a[:m_ub] d <= 0, a[m_ub:] d = 0 and c.d < 0: from any feasible
     point, c.x falls without bound along d."""
     d = _unit(d)
-    if _excess(a @ d, m_ub) > _CERT_TOL:
+    if not _excess(a @ d, m_ub) <= _CERT_TOL:
         raise ArithmeticError("unboundedness certificate is not a primal ray")
     if not float(c @ d) < 0.0:
         raise ArithmeticError("unboundedness certificate does not improve the objective")

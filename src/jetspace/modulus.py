@@ -212,7 +212,8 @@ class Modulus:
     def core_integral_inverse(self, w: float, v: float) -> float:
         """Inverse of t -> integral_core(v, v + t) at w >= 0, for fixed v > 0.
 
-        Returns +inf when w is not below the total remaining mass.
+        Returns +inf when w is not below the total remaining mass: the tail
+        mass, or for a table the mass up to its last knot.
         """
         if v <= 0:
             raise ValueError("base point must be positive")
@@ -230,9 +231,17 @@ class Modulus:
             return max(base ** (1.0 / p) - v, 0.0)
         if self.family == "powerlog" and w >= self.tail_mass(v):
             return math.inf
-        return invert_increasing(
-            lambda t: (self.integral_core(v, v + t), self.core_kernel(v + t)), w
-        )
+        top = self.domain_max
+        if self.family == "table" and w >= self.integral_core(v, top):
+            return math.inf
+
+        def fdf(t: float) -> tuple[float, float]:
+            if v + t > top:
+                # past the last knot: above every reachable target
+                return math.inf, math.nan
+            return self.integral_core(v, v + t), self.core_kernel(v + t)
+
+        return invert_increasing(fdf, w)
 
     # -- quasipower estimate -----------------------------------------------
 

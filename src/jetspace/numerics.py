@@ -78,7 +78,11 @@ def invert_increasing(
     while no step is usable.  A step that would leave the bracket, is not
     under half the step before last, or has no finite positive elasticity
     becomes a bisection (geometric once lo > 0); a step under half the
-    tolerance is lengthened to it, so that it crosses the root.
+    tolerance is lengthened to it, so that it crosses the root.  Step
+    lengths count only once the bracket is finite in ln t (lo > 0 and
+    hi < inf): before that, doubling and halving say nothing about how
+    Newton converges, and a halving from a region where f is +inf would
+    otherwise hold every later step to ln(2) / 2.
 
     Returns the bracket midpoint once hi - lo <= 1e-13 * hi, or once no float
     lies strictly inside the bracket (a root among the subnormals).
@@ -126,7 +130,7 @@ def invert_increasing(
                 return 0.5 * (lo + hi)
         if it >= _INVERT_MAX_ITER:
             raise ArithmeticError("monotone inverse did not converge")
-        if hi < math.inf:
+        if 0.0 < lo and hi < math.inf:
             step_old, step_prev = step_prev, abs(math.log(nxt / t))
         t = nxt
         it += 1

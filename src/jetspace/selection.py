@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .cubes import Cube, cube_distance
-from .lp import LPBuilder, lp_solve
+from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
-from .whitney import PolyField, pair_gauges
+from .whitney import PolyField, _interleave, pair_gauges
 
 COEF_BOX = 1e6
 SUBSET_BUDGET = 5000
@@ -105,66 +105,59 @@ class SelectionInstance:
 
 
 def membership_block(
-    builder: LPBuilder,
-    tag: str,
     spec: ConvexSetSpec,
     cube: Cube,
     mod: Modulus,
     k: int,
     degree: int,
     lam: float,
-) -> tuple[list[int], list[int]]:
-    """Install the constraints tying a node's polynomial to its convex set.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The constraints tying a node's polynomial to its convex set, as
+    (a_eq, b_eq, a_ub, b_ub) over the node's own columns: the polynomial's
+    coefficients in ``multi_indices(n, degree)`` order, then the set's affine
+    coordinates.
 
     With lam = 0 the degree-k Taylor part at the center must equal a set
-    member exactly (including vanishing of the member's content above order k);
-    with lam > 0 the center derivatives up to order k may deviate from a set
-    member by lam * r^(k-|a|) * w(r).  Returns the LP variable ids of the
-    polynomial coefficients and of the affine coordinates.
+    member exactly: an equality per order up to k, then one per order above k
+    at which the member has content, which must vanish for the Taylor part to
+    coincide with it as a polynomial.  With lam > 0 the center derivatives up
+    to order k may deviate from a set member by lam * r^(k-|a|) * w(r): a +row
+    and a -row per order.  The set's half-planes follow as inequality rows.
+    Raises ValueError unless lam is finite and non-negative.
     """
-    if lam < 0:
-        raise ValueError("relaxation scale must be non-negative")
-    n = spec.base.n
-    cvars = [builder.var(f"{tag}c{j}") for j in range(poly_space_dim(n, degree))]
-    tvars = [builder.var(f"{tag}t{j}") for j in range(spec.dim)]
-    x = cube.center
-    r = cube.radius
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("relaxation scale must be finite and non-negative")
+    n, x, r = spec.base.n, cube.center, cube.radius
     wr = mod.eval(r)
+    n_coef = poly_space_dim(n, degree)
     low_orders = multi_indices(n, k)
-    deriv = deriv_matrix(n, degree, low_orders, [x])[0].tolist()
 
-    for alpha, vals in zip(low_orders, deriv):
-        base_val = spec.base.deriv_eval(alpha, x)
-        coeffs = {cv: val for cv, val in zip(cvars, vals) if val != 0.0}
-        for tv, d in zip(tvars, spec.directions):
-            coeffs[tv] = coeffs.get(tv, 0.0) - d.deriv_eval(alpha, x)
-        if lam == 0.0:
-            builder.add_eq(coeffs, base_val)
-        else:
-            slack = lam * r ** (k - mi_order(alpha)) * wr
-            builder.add_le(coeffs, base_val + slack)
-            builder.add_le({j: -v for j, v in coeffs.items()}, slack - base_val)
-    if lam == 0.0:
-        # content of the chosen member above order k must vanish for the
-        # Taylor part to coincide with it as a polynomial
-        top_member = max(
-            [spec.base.degree, *(d.degree for d in spec.directions)], default=0
-        )
-        for alpha in multi_indices(n, top_member):
-            if mi_order(alpha) <= k:
-                continue
-            base_val = spec.base.deriv_eval(alpha, x)
-            coeffs = {}
-            for tv, d in zip(tvars, spec.directions):
-                dv = d.deriv_eval(alpha, x)
-                if dv != 0.0:
-                    coeffs[tv] = dv
-            if coeffs or base_val != 0.0:
-                builder.add_eq(coeffs, -base_val)
-    for a_row, b_val in spec.inequalities:
-        coeffs = {tv: av for tv, av in zip(tvars, a_row) if av != 0.0}
-        builder.add_le(coeffs, b_val)
-    return cvars, tvars
+    def on_coordinates(values: list) -> np.ndarray:
+        """Rows with these affine-coordinate entries and no coefficients."""
+        coords = np.array(values).reshape(len(values), spec.dim) + 0.0
+        return np.hstack([np.zeros((len(values), n_coef)), coords])
+
+    # a member's derivatives are base + directions . theta, so the directions
+    # enter negated; "+ 0.0" and "0.0 -" store +0.0 where an entry vanishes
+    rows = on_coordinates(
+        [[0.0 - d.deriv_eval(alpha, x) for d in spec.directions] for alpha in low_orders]
+    )
+    rows[:, :n_coef] = deriv_matrix(n, degree, low_orders, [x])[0] + 0.0
+    base = np.array([spec.base.deriv_eval(alpha, x) for alpha in low_orders])
+    halfplanes = on_coordinates([a_row for a_row, _ in spec.inequalities])
+    b_half = np.array([b_val for _, b_val in spec.inequalities])
+    if lam > 0.0:
+        slack = np.array([lam * r ** (k - mi_order(alpha)) * wr for alpha in low_orders])
+        negated = np.hstack([0.0 - rows[:, :n_coef], -rows[:, n_coef:]])
+        a_ub = np.vstack([_interleave(rows, negated), halfplanes])
+        b_ub = np.append(_interleave(base + slack, slack - base), b_half)
+        return np.zeros((0, rows.shape[1])), np.zeros(0), a_ub, b_ub
+    top_member = max([spec.base.degree, *(d.degree for d in spec.directions)])
+    above = [alpha for alpha in multi_indices(n, top_member) if mi_order(alpha) > k]
+    coords = on_coordinates([[d.deriv_eval(alpha, x) for d in spec.directions] for alpha in above])
+    base_above = np.array([spec.base.deriv_eval(alpha, x) for alpha in above])
+    live = np.any(coords != 0.0, axis=1) | (base_above != 0.0)
+    return np.vstack([rows, coords[live]]), np.append(base, -base_above[live]), halfplanes, b_half
 
 
 @dataclass(frozen=True)
@@ -175,73 +168,73 @@ class SelectionResult:
     box_active: bool
 
 
-def _pairwise_rows(
-    builder: LPBuilder,
-    inst: SelectionInstance,
-    node_cvars: list[list[int]],
-    lam_var: int | None,
-    lam_fixed: float | None,
-) -> None:
+def _selection_lp(inst: SelectionInstance, lam: float | None) -> tuple[LPProblem, list[int]]:
+    """The selection LP, and the first column of each node.
+
+    Columns: with lam None the scale, which the LP minimizes; then each
+    node's ``membership_block`` columns.  Rows, in order: the membership
+    blocks (exact with lam None, relaxed by lam otherwise); per cube pair
+    i < j, a +row and a -row bounding D^a(P_i - P_j) by the pair's gauge
+    times the scale (or lam) for every order a at x_i and every non-top order
+    at x_j (a top-order derivative is constant); with lam None, -scale <=
+    -0.0; a +row and a -row boxing each node column at COEF_BOX.  "+ 0.0"
+    and "0.0 -" store +0.0 wherever an entry vanishes.
+    """
+    blocks = [
+        membership_block(spec, cube, inst.modulus, inst.k, inst.top_degree, lam or 0.0)
+        for spec, cube in inst.nodes
+    ]
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
     cubes = [cube for _, cube in inst.nodes]
-    deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes]).tolist()
-    gauges = pair_gauges(inst.modulus, degree, alphas, cubes).tolist()
-    # a top-order derivative is constant, so its rows at x_j repeat those at x_i
-    top = [mi_order(alpha) == degree for alpha in alphas]
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            for at in (i, j):
-                for vals, w, is_top in zip(deriv[at], gauges[i][j], top):
-                    if is_top and at == j:
-                        continue
-                    row: dict[int, float] = {}
-                    for idx, val in enumerate(vals):
-                        if val != 0.0:
-                            row[node_cvars[i][idx]] = val
-                            row[node_cvars[j][idx]] = row.get(node_cvars[j][idx], 0.0) - val
-                    for sign in (1.0, -1.0):
-                        coeffs = {key: sign * val for key, val in row.items()}
-                        if lam_var is not None:
-                            coeffs[lam_var] = -w
-                            builder.add_le(coeffs, 0.0)
-                        else:
-                            builder.add_le(coeffs, lam_fixed * w)
+    scale = int(lam is None)
+    starts = scale + np.cumsum([0] + [blk[0].shape[1] for blk in blocks])
+    cols = int(starts[-1])
 
+    def diagonal(part: int) -> np.ndarray:
+        out = np.zeros((sum(len(blk[part]) for blk in blocks), cols))
+        row = 0
+        for start, blk in zip(starts, blocks):
+            out[row : row + len(blk[part]), start : start + blk[part].shape[1]] = blk[part]
+            row += len(blk[part])
+        return out
 
-def _selection_rows(
-    builder: LPBuilder, inst: SelectionInstance, lam_var: int | None, lam: float
-) -> tuple[list[list[int]], list[int]]:
-    """Membership blocks relaxed by lam, then pairwise rows bounded by lam_var
-    (or by lam without it); returns node coefficient variables, boxed ones."""
-    node_cvars: list[list[int]] = []
-    boxed: list[int] = []
-    for idx, (spec, cube) in enumerate(inst.nodes):
-        cvars, tvars = membership_block(
-            builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree, lam
-        )
-        node_cvars.append(cvars)
-        boxed.extend(cvars + tvars)
-    _pairwise_rows(builder, inst, node_cvars, lam_var, lam)
-    return node_cvars, boxed
-
-
-def _box_rows(builder: LPBuilder, var_ids: Sequence[int]) -> None:
-    for vid in var_ids:
-        builder.add_le({vid: 1.0}, COEF_BOX)
-        builder.add_le({vid: -1.0}, COEF_BOX)
+    low = np.array([mi_order(alpha) < degree for alpha in alphas])
+    i, j = np.triu_indices(len(cubes), 1)
+    deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
+    vals = np.concatenate([deriv[i], deriv[j][:, low]], axis=1) + 0.0
+    gauges = pair_gauges(inst.modulus, degree, alphas, cubes)[i, j]
+    gauges = np.concatenate([gauges, gauges[:, low]], axis=1)
+    pairs = np.zeros((*gauges.shape, 2, cols))  # [pair, order, sign, column]
+    pair, order = np.arange(len(i))[:, None, None], np.arange(gauges.shape[1])[:, None]
+    coef_i = starts[i][:, None, None] + np.arange(len(alphas))
+    coef_j = starts[j][:, None, None] + np.arange(len(alphas))
+    for sign, (on_i, on_j) in enumerate(((vals, 0.0 - vals), (0.0 - vals, vals))):
+        pairs[pair, order, sign, coef_i] = on_i
+        pairs[pair, order, sign, coef_j] = on_j
+    if lam is None:
+        pairs[..., 0] = -gauges[:, :, None]
+        b_pairs = np.zeros(2 * gauges.size)
+    else:
+        b_pairs = np.repeat(lam * gauges, 2)
+    eye = np.eye(cols)
+    box = _interleave(eye[scale:], 0.0 - eye[scale:])
+    a_ub = np.vstack([diagonal(2), pairs.reshape(-1, cols), 0.0 - eye[:scale], box])
+    b_box = np.full(len(box), COEF_BOX)
+    b_ub = np.concatenate([*(blk[3] for blk in blocks), b_pairs, np.full(scale, -0.0), b_box])
+    b_eq = np.concatenate([blk[1] for blk in blocks])
+    return LPProblem(scale * eye[0], a_ub, b_ub, diagonal(0), b_eq), starts[:-1].tolist()
 
 
 def _extract_polys(
-    inst: SelectionInstance, sol_x: np.ndarray, node_cvars: list[list[int]]
+    inst: SelectionInstance, sol_x: np.ndarray, starts: list[int]
 ) -> tuple[Poly, ...]:
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
-    polys = []
-    for cvars in node_cvars:
-        coefs = {alphas[j]: float(sol_x[cvars[j]]) for j in range(len(alphas))}
-        polys.append(Poly(n=inst.n, degree=degree, coef=coefs))
-    return tuple(polys)
+    return tuple(
+        Poly(inst.n, degree, dict(zip(alphas, sol_x[start : start + len(alphas)].tolist())))
+        for start in starts
+    )
 
 
 def best_selection(inst: SelectionInstance) -> SelectionResult:
@@ -253,36 +246,27 @@ def best_selection(inst: SelectionInstance) -> SelectionResult:
     the returned field.  Coefficient variables are boxed at +-1e6 as a safety
     net; an active box is flagged in the result.
     """
-    builder = LPBuilder()
-    lam_var = builder.var("lam")
-    node_cvars, boxed = _selection_rows(builder, inst, lam_var, 0.0)
-    builder.add_ge({lam_var: 1.0}, 0.0)
-    _box_rows(builder, boxed)
-    builder.minimize({lam_var: 1.0})
-    sol = lp_solve(builder.build())
+    problem, starts = _selection_lp(inst, None)
+    sol = lp_solve(problem)
     if sol.status != "optimal":
         return SelectionResult(polys=(), lam=math.nan, status=sol.status, box_active=False)
-    polys = _extract_polys(inst, sol.x, node_cvars)
-    box_active = bool(
-        boxed and max(abs(float(sol.x[v])) for v in boxed) >= COEF_BOX * (1 - 1e-6)
-    )
+    polys = _extract_polys(inst, sol.x, starts)
+    box_active = bool(np.max(np.abs(sol.x[1:])) >= COEF_BOX * (1 - 1e-6))
     return SelectionResult(
-        polys=polys, lam=float(sol.x[lam_var]), status="optimal", box_active=box_active
+        polys=polys, lam=float(sol.x[0]), status="optimal", box_active=box_active
     )
 
 
 def relaxed_feasible(inst: SelectionInstance, lam: float) -> SelectionResult:
     """Feasibility query at a fixed scale: is there one polynomial per node
     within the lam-relaxed set membership whose field satisfies the pairwise
-    seminorm bound lam?"""
-    builder = LPBuilder()
-    node_cvars, boxed = _selection_rows(builder, inst, None, lam)
-    _box_rows(builder, boxed)
-    builder.minimize({})
-    sol = lp_solve(builder.build())
+    seminorm bound lam?  Raises ValueError unless lam is finite and
+    non-negative."""
+    problem, starts = _selection_lp(inst, lam)
+    sol = lp_solve(problem)
     if sol.status != "optimal":
         return SelectionResult(polys=(), lam=lam, status=sol.status, box_active=False)
-    polys = _extract_polys(inst, sol.x, node_cvars)
+    polys = _extract_polys(inst, sol.x, starts)
     return SelectionResult(polys=polys, lam=lam, status="optimal", box_active=False)
 
 

@@ -321,6 +321,32 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert _error(capsys)["type"] == "OverflowError"
 
 
+def test_select_overflowing_gauge_exits_3(tmp_path, capsys):
+    # finite input whose order-0 gauge overflows to inf: the LP has a
+    # non-finite entry, which once came back as status "infeasible" with a
+    # NaN lambda_star and exit 0
+    def node(x, r, lo, hi):
+        return {
+            "cube": {"x": [x], "r": r},
+            "set": {
+                "base": {"n": 1, "L": 0, "coef": {}},
+                "dirs": [{"n": 1, "L": 0, "coef": {"[0]": 1.0}}],
+                "ineq": [{"a": [1.0], "b": hi}, {"a": [-1.0], "b": -lo}],
+            },
+        }
+
+    payload = {
+        "context": {"n": 1, "k": 0, "m": 2, "omega": {"family": "power", "q": 2.0, "m": 2}},
+        "nodes": [node(0.0, 1e-300, 0.0, 1.0), node(1e300, 1.0, 2.0, 3.0)],
+    }
+    path = _write(tmp_path, "in.json", payload)
+    code, text = _run(tmp_path, ["select", "--input", path])
+    assert code == 3 and not text
+    error = _error(capsys)
+    assert error["type"] == "ArithmeticError"
+    assert "non-finite" in error["message"]
+
+
 def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, monkeypatch):
     # each inversion here used to double its bracket about 500 times, one
     # adaptive quadrature per step: 37,094 quadratures for this input

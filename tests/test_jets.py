@@ -349,6 +349,28 @@ def test_value_gauge_log_kernel_is_exponential_form():
         assert direct == pytest.approx(_zygmund_gauge_inverse(u / v, 1), rel=1e-8)
 
 
+def test_value_gauge_table_modulus_stays_inside_the_table():
+    # the solution lies inside the table, but the inversion evaluates the
+    # inverse integral at targets beyond the mass up to the last knot, which
+    # must come back +inf instead of integrating past the knot
+    mod = Modulus.table([(0.01, 0.01), (1.0, 0.5), (100.0, 2.0), (1e4, 3.0)], m=2)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        v = 10.0 ** rng.uniform(-3, 3)
+        t = min(v * 10.0 ** rng.uniform(-3, 3), 0.5 * (mod.domain_max - v))
+        e = int(rng.integers(1, 3))
+        core = mod.integral_core(v, v + t)
+        got = value_gauge(mod, 2, (2 - e,), t**e * core, v)
+        assert got == pytest.approx(core, rel=1e-12)
+    # tiny targets: the search first halves down from the region beyond the
+    # table's mass, where the product is +inf, then Newton must take over
+    v = 73.482842278416
+    for e in (1, 2, 3):
+        for u in (1e-200, 4.025380507375673e-161, 1e-100, 1e-3):
+            s = value_gauge(mod, e, 0, u, v)
+            assert s * mod.core_integral_inverse(s, v) ** e == pytest.approx(u, rel=1e-6)
+
+
 def test_routes_agree_table_modulus_in_domain():
     # tabulated kernels are domain-capped: keep scales inside the knot range
     mod = Modulus.table([(0.25, 0.3), (1.0, 1.0), (4.0, 1.9), (64.0, 8.0)], m=2)

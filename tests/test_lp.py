@@ -656,6 +656,14 @@ _INFEASIBLE = LPProblem(np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, -
 _UNBOUNDED = LPProblem(np.ones(1), np.array([[1.0]]), np.zeros(1), np.zeros((0, 1)), np.zeros(0))
 
 
+def _bound_and_pin():
+    """min x subject to x >= 1 and y = 2: optimum 1 at (1, 2)."""
+    return LPProblem(
+        np.array([1.0, 0.0]), np.array([[-1.0, 0.0]]), np.array([-1.0]),
+        np.array([[0.0, 1.0]]), np.array([2.0]),
+    )
+
+
 @pytest.mark.parametrize(
     "check, problem, status, corrupt, message",
     [
@@ -675,6 +683,18 @@ _UNBOUNDED = LPProblem(np.ones(1), np.array([[1.0]]), np.zeros(1), np.zeros((0, 
          lambda c, a, m_ub, d: (-c, a, m_ub, d), "does not improve"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
          lambda c, a, m_ub, d: (c, a, m_ub, 0.0 * d), "zero certificate"),
+        # NaN compares false with everything, so each test must fail on it
+        ("_check_optimal", _two_bounds(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x * math.nan, w), "primal feasibility"),
+        ("_check_optimal", _bound_and_pin(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, np.vstack([a[:m_ub], a[m_ub:] * math.nan]), b, m_ub, x, w),
+         "primal feasibility"),
+        ("_check_optimal", _two_bounds(), "optimal",
+         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x, w * math.nan), "dual feasibility"),
+        ("_check_farkas_ray", _INFEASIBLE, "infeasible",
+         lambda a, b, m_ub, w: (a * math.nan, b, m_ub, w), "not a Farkas ray"),
+        ("_check_primal_ray", _UNBOUNDED, "unbounded",
+         lambda c, a, m_ub, d: (c, a * math.nan, m_ub, d), "not a primal ray"),
     ],
 )
 def test_corrupted_certificate_raises(monkeypatch, check, problem, status, corrupt, message):
@@ -682,4 +702,14 @@ def test_corrupted_certificate_raises(monkeypatch, check, problem, status, corru
     real = getattr(lp, check)
     monkeypatch.setattr(lp, check, lambda *args: real(*corrupt(*args)))
     with pytest.raises(ArithmeticError, match=message):
+        lp_solve(problem)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["objective", "a_ub", "b_ub", "a_eq", "b_eq"])
+def test_non_finite_data_raises(part, value):
+    problem = _bound_and_pin()
+    assert lp_solve(problem).status == "optimal"
+    getattr(problem, part).flat[0] = value
+    with pytest.raises(ArithmeticError, match="non-finite"):
         lp_solve(problem)

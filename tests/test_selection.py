@@ -9,9 +9,9 @@ import pytest
 from jetspace import lp, selection
 from jetspace.cubes import Cube, point_sub, uniform_norm
 from jetspace.jets import gauge
-from jetspace.lp import LPBuilder, lp_solve
+from jetspace.lp import LPBuilder, LPProblem, LPSolution, lp_solve
 from jetspace.modulus import Modulus
-from jetspace.poly import Poly, mi_order, multi_indices
+from jetspace.poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
 from jetspace.selection import (
     ConvexSetSpec,
     SelectionInstance,
@@ -21,9 +21,9 @@ from jetspace.selection import (
     membership_block,
     relaxed_feasible,
     selection_field,
-    _pairwise_rows,
+    _selection_lp,
 )
-from jetspace.whitney import lo_seminorm
+from jetspace.whitney import lo_seminorm, pair_gauges
 
 MOD1 = Modulus.power(1, 1)
 
@@ -221,15 +221,22 @@ def test_selection_lambda_equals_field_seminorm():
 # -- membership blocks --------------------------------------------------------------
 
 
+def _block_lp(block, extra_eq=()):
+    """The LP of one membership block alone, with zero objective and
+    optional extra equality rows (coefficients, right-hand side)."""
+    a_eq, b_eq, a_ub, b_ub = block
+    for coeffs, rhs in extra_eq:
+        a_eq = np.vstack([a_eq, coeffs])
+        b_eq = np.append(b_eq, rhs)
+    return LPProblem(np.zeros(a_eq.shape[1]), a_ub, b_ub, a_eq, b_eq)
+
+
 def test_membership_block_exact_singleton():
     spec = singleton(1, 0, {(0,): 2.0})
     cube = Cube((0.0,), 1.0)
-    b = LPBuilder()
-    cvars, _ = membership_block(b, "x", spec, cube, MOD1, 0, 0, 0.0)
-    b.minimize({})
-    sol = lp_solve(b.build())
+    sol = lp_solve(_block_lp(membership_block(spec, cube, MOD1, 0, 0, 0.0)))
     assert sol.status == "optimal"
-    assert sol.x[cvars[0]] == pytest.approx(2.0, abs=1e-10)
+    assert sol.x[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_membership_relaxation_nested():
@@ -237,21 +244,28 @@ def test_membership_relaxation_nested():
     spec = interval_set(0.0, 1.0)
     cube = Cube((0.0,), 1.0)
     for lam, feasible in ((0.1, False), (5.0, True)):
-        b = LPBuilder()
-        cvars, _ = membership_block(b, "x", spec, cube, MOD1, 0, 0, lam)
-        b.add_eq({cvars[0]: 1.0}, 3.0)  # force the polynomial value to 3
-        b.minimize({})
-        assert (lp_solve(b.build()).status == "optimal") == feasible
+        block = membership_block(spec, cube, MOD1, 0, 0, lam)
+        # force the polynomial value to 3
+        problem = _block_lp(block, extra_eq=[([1.0, 0.0], 3.0)])
+        assert (lp_solve(problem).status == "optimal") == feasible
 
 
 def test_membership_block_above_order_content():
     # a set living above the Taylor order forces infeasibility at lam = 0
     spec = singleton(1, 1, {(1,): 1.0})
     cube = Cube((0.0,), 1.0)
-    b = LPBuilder()
-    membership_block(b, "x", spec, cube, MOD1, 0, 1, 0.0)
-    b.minimize({})
-    assert lp_solve(b.build()).status == "infeasible"
+    problem = _block_lp(membership_block(spec, cube, MOD1, 0, 1, 0.0))
+    assert lp_solve(problem).status == "infeasible"
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_scale_is_rejected(lam):
+    inst = _interval_instance()
+    spec, cube = inst.nodes[0]
+    with pytest.raises(ValueError):
+        relaxed_feasible(inst, lam)
+    with pytest.raises(ValueError):
+        membership_block(spec, cube, MOD1, 0, 0, lam)
 
 
 def test_relaxed_feasible_threshold():
@@ -352,11 +366,85 @@ def test_counterexample_bounds():
     assert len(counterexample_family(30)) == 30
 
 
-# -- LP rows against the scalar loop they replaced ---------------------------------
+# -- the selection LP against the row-by-row builders it replaced -------------------
+
+
+def _oracle_membership_block(builder, tag, spec, cube, mod, k, degree, lam):
+    """A membership block added to an LPBuilder one dict row at a time;
+    returns the LP variable ids of the coefficients and affine coordinates."""
+    n = spec.base.n
+    cvars = [builder.var(f"{tag}c{j}") for j in range(poly_space_dim(n, degree))]
+    tvars = [builder.var(f"{tag}t{j}") for j in range(spec.dim)]
+    x = cube.center
+    r = cube.radius
+    wr = mod.eval(r)
+    low_orders = multi_indices(n, k)
+    deriv = deriv_matrix(n, degree, low_orders, [x])[0].tolist()
+
+    for alpha, vals in zip(low_orders, deriv):
+        base_val = spec.base.deriv_eval(alpha, x)
+        coeffs = {cv: val for cv, val in zip(cvars, vals) if val != 0.0}
+        for tv, d in zip(tvars, spec.directions):
+            coeffs[tv] = coeffs.get(tv, 0.0) - d.deriv_eval(alpha, x)
+        if lam == 0.0:
+            builder.add_eq(coeffs, base_val)
+        else:
+            slack = lam * r ** (k - mi_order(alpha)) * wr
+            builder.add_le(coeffs, base_val + slack)
+            builder.add_le({j: -v for j, v in coeffs.items()}, slack - base_val)
+    if lam == 0.0:
+        top_member = max(
+            [spec.base.degree, *(d.degree for d in spec.directions)], default=0
+        )
+        for alpha in multi_indices(n, top_member):
+            if mi_order(alpha) <= k:
+                continue
+            base_val = spec.base.deriv_eval(alpha, x)
+            coeffs = {}
+            for tv, d in zip(tvars, spec.directions):
+                dv = d.deriv_eval(alpha, x)
+                if dv != 0.0:
+                    coeffs[tv] = dv
+            if coeffs or base_val != 0.0:
+                builder.add_eq(coeffs, -base_val)
+    for a_row, b_val in spec.inequalities:
+        coeffs = {tv: av for tv, av in zip(tvars, a_row) if av != 0.0}
+        builder.add_le(coeffs, b_val)
+    return cvars, tvars
 
 
 def _oracle_pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed):
-    """The pairwise LP rows as built one Poly per coefficient."""
+    """The pairwise rows one dict per row, from the exact derivative matrix
+    and the pair gauges; the rows at x_j skip the top orders."""
+    degree = inst.top_degree
+    alphas = multi_indices(inst.n, degree)
+    cubes = [cube for _, cube in inst.nodes]
+    deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes]).tolist()
+    gauges = pair_gauges(inst.modulus, degree, alphas, cubes).tolist()
+    top = [mi_order(alpha) == degree for alpha in alphas]
+    for i in range(len(cubes)):
+        for j in range(i + 1, len(cubes)):
+            for at in (i, j):
+                for vals, w, is_top in zip(deriv[at], gauges[i][j], top):
+                    if is_top and at == j:
+                        continue
+                    row: dict[int, float] = {}
+                    for idx, val in enumerate(vals):
+                        if val != 0.0:
+                            row[node_cvars[i][idx]] = val
+                            row[node_cvars[j][idx]] = row.get(node_cvars[j][idx], 0.0) - val
+                    for sign in (1.0, -1.0):
+                        coeffs = {key: sign * val for key, val in row.items()}
+                        if lam_var is not None:
+                            coeffs[lam_var] = -w
+                            builder.add_le(coeffs, 0.0)
+                        else:
+                            builder.add_le(coeffs, lam_fixed * w)
+
+
+def _scalar_pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed):
+    """The pairwise LP rows as built one Poly per coefficient, every order at
+    both centers."""
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
     for i in range(len(inst.nodes)):
@@ -384,17 +472,28 @@ def _oracle_pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed):
                             builder.add_le(coeffs, lam_fixed * w)
 
 
-def _selection_lp(inst, pairwise_rows, lam_fixed):
+def _oracle_selection_lp(inst, lam, pairwise_rows=_oracle_pairwise_rows):
+    """The selection LP through LPBuilder: with lam None the scale variable,
+    exact membership, pairwise rows bounded by the scale, the scale's sign
+    row; otherwise membership relaxed by lam and pairwise rows bounded by
+    lam.  Then every node variable boxed."""
     builder = LPBuilder()
-    lam_var = builder.var("lam") if lam_fixed is None else None
-    node_cvars = []
+    lam_var = builder.var("lam") if lam is None else None
+    node_cvars, boxed = [], []
     for idx, (spec, cube) in enumerate(inst.nodes):
-        cvars, _ = membership_block(
+        cvars, tvars = _oracle_membership_block(
             builder, f"n{idx}_", spec, cube, inst.modulus, inst.k, inst.top_degree,
-            lam_fixed or 0.0,
+            lam or 0.0,
         )
         node_cvars.append(cvars)
-    pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed)
+        boxed.extend(cvars + tvars)
+    pairwise_rows(builder, inst, node_cvars, lam_var, lam)
+    if lam_var is not None:
+        builder.add_ge({lam_var: 1.0}, 0.0)
+    for vid in boxed:
+        builder.add_le({vid: 1.0}, selection.COEF_BOX)
+        builder.add_le({vid: -1.0}, selection.COEF_BOX)
+    builder.minimize({} if lam_var is None else {lam_var: 1.0})
     return builder.build()
 
 
@@ -418,18 +517,103 @@ def _jet_instance_2d(rng, nodes):
     return SelectionInstance(n=2, k=1, m=2, modulus=mod, nodes=tuple(out))
 
 
+def _slab_instance_2d(rng, nodes):
+    """2-D nodes whose sets are a base plus two directions cut by three
+    half-planes, some entries exactly +-0.0, and content up to the top degree."""
+    mod = Modulus.power(1.0, 2)
+    alphas = multi_indices(2, 2)
+
+    def poly():
+        return Poly(2, 2, {a: float(rng.choice([0.0, rng.uniform(-2, 2)])) for a in alphas})
+
+    out = []
+    for idx in range(nodes):
+        ineqs = tuple(
+            ((float(rng.uniform(-1, 1)), float(rng.choice([0.0, -0.0, 1.0]))), float(b))
+            for b in rng.uniform(-0.5, 2.0, size=3)
+        )
+        while True:
+            dirs = (poly(), poly())
+            try:
+                spec = ConvexSetSpec(base=poly(), directions=dirs, inequalities=ineqs)
+                break
+            except ValueError:
+                continue
+        center = (-0.0, 0.0) if idx == 0 else tuple(float(c) for c in rng.uniform(-3, 3, 2))
+        out.append((spec, Cube(center, float(rng.uniform(0.2, 1.5)))))
+    return SelectionInstance(n=2, k=1, m=2, modulus=mod, nodes=tuple(out))
+
+
+def _above_order_instance():
+    """Sets with content above order k = 0 (the top degree is 1), one cube
+    centred at -0.0."""
+    line = ConvexSetSpec(
+        base=Poly(1, 1, {(0,): 0.5, (1,): 1.0}),
+        directions=(Poly(1, 1, {(1,): 2.0}), Poly(1, 1, {(0,): 1.0})),
+        inequalities=(((1.0, -0.0), 1.0), ((-1.0, 0.0), -0.0)),
+    )
+    nodes = (
+        (line, Cube((-0.0,), 1.0)),
+        (interval_set(0.0, 0.5), Cube((2.0,), 0.5)),
+        (singleton(1, 1, {(1,): -1.0}), Cube((-3.0,), 2.0)),
+    )
+    return SelectionInstance(n=1, k=0, m=2, modulus=Modulus.power(1.0, 2), nodes=nodes)
+
+
+def _recorded_problems(monkeypatch, inst, lams):
+    """The LPs best_selection (lam None) and relaxed_feasible pass to
+    lp_solve, which is stubbed out."""
+    problems = []
+
+    def recording_lp_solve(problem):
+        problems.append(problem)
+        return LPSolution(status="infeasible")
+
+    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    for lam in lams:
+        best_selection(inst) if lam is None else relaxed_feasible(inst, lam)
+    return problems
+
+
+def _lp_bytes(problem):
+    return [
+        getattr(problem, name).tobytes()
+        for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq")
+    ]
+
+
+def test_selection_lp_bit_identical_to_builder_oracle(monkeypatch):
+    rng = np.random.default_rng(29)
+    instances = [
+        *(_select_workload_instance(_op_seed(1, op), 24) for op in (0, 42, 121)),
+        _select_1d_instance(rng, 8),
+        _jet_instance_2d(rng, 5),
+        _slab_instance_2d(rng, 4),
+        _above_order_instance(),
+        _interval_instance().subset([0]),
+    ]
+    lams = (None, 0.0, 0.7, 1e-3)
+    for inst in instances:
+        problems = _recorded_problems(monkeypatch, inst, lams)
+        for lam, problem in zip(lams, problems):
+            assert _lp_bytes(problem) == _lp_bytes(_oracle_selection_lp(inst, lam))
+
+
 def _without_repeated_top_rows(problem, inst):
-    """The oracle's inequality rows without the second copy of each top-order
-    row: a pair's rows at x_j repeat its top-order rows at x_i, which this
-    asserts bit for bit before dropping them."""
+    """The scalar oracle's inequality rows without the second copy of each
+    top-order pairwise row: a pair's rows at x_j repeat its top-order rows at
+    x_i, which this asserts bit for bit before dropping them.  The pairwise
+    rows end where the scale row (if any) and the box rows begin."""
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
     pairs = len(inst.nodes) * (len(inst.nodes) - 1) // 2
     block = 2 * len(alphas)  # a pair's rows at one center: each order, both signs
     a, b = problem.a_ub, problem.b_ub
+    boxed = sum(poly_space_dim(inst.n, degree) + spec.dim for spec, _ in inst.nodes)
+    end = b.size - 2 * boxed - (problem.objective.size - boxed)
     keep = np.ones(b.size, dtype=bool)
     for pair in range(pairs):
-        at_i = b.size - (pairs - pair) * 2 * block
+        at_i = end - (pairs - pair) * 2 * block
         for idx, alpha in enumerate(alphas):
             if mi_order(alpha) == degree:
                 for row in (at_i + 2 * idx, at_i + 2 * idx + 1):
@@ -443,8 +627,8 @@ def _without_repeated_top_rows(problem, inst):
 def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
     rng = np.random.default_rng(61)
     for inst in (_select_1d_instance(rng, 8), _jet_instance_2d(rng, 5)):
-        new = _selection_lp(inst, _pairwise_rows, lam_fixed)
-        old = _selection_lp(inst, _oracle_pairwise_rows, lam_fixed)
+        new, _ = _selection_lp(inst, lam_fixed)
+        old = _oracle_selection_lp(inst, lam_fixed, _scalar_pairwise_rows)
         a_ub, b_ub = _without_repeated_top_rows(old, inst)
         assert new.a_ub.tobytes() == a_ub.tobytes()
         assert new.b_ub.tobytes() == b_ub.tobytes()
@@ -481,6 +665,33 @@ def test_selection_lp_objective_matches_highs(monkeypatch):
         )
         assert ref.status == 0 and sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+
+
+def test_relaxed_feasible_status_matches_highs(monkeypatch):
+    # the select workload's shape, just below and just above the optimum,
+    # and at half of it, where the relaxed LP is often infeasible
+    from test_lp import _highs
+
+    rng = np.random.default_rng(1)
+    for nodes in (8, 12, 16, 24) * 2:
+        spec = []
+        for _ in range(nodes):
+            x, r, lo = rng.uniform(-6.0, 6.0), rng.uniform(0.2, 1.5), rng.uniform(-2.0, 2.0)
+            spec.append((interval_set(lo, lo + rng.uniform(0.05, 1.0)), Cube((x,), r)))
+        inst = SelectionInstance(n=1, k=0, m=2, modulus=Modulus.power(1, 2), nodes=tuple(spec))
+        lam = best_selection(inst).lam
+        for factor in (0.5, 0.95, 1.05):
+            solved = []
+
+            def recording_lp_solve(problem):
+                solved.append((problem, lp_solve(problem)))
+                return solved[-1][1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "lp_solve", recording_lp_solve)
+                res = relaxed_feasible(inst, lam * factor)
+            (problem, sol), = solved
+            assert res.status == sol.status == _highs(problem)[0]
 
 
 def _op_seed(workload_seed, index):
