@@ -138,9 +138,7 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     if e == 0:
         # the distance contribution of a top-order discrepancy is the
         # discrepancy itself, capped at the reachable integral mass
-        if math.isinf(mod.core_integral_inverse(u, v)):
-            return mod.tail_mass(v)
-        return u
+        return min(u, mod.tail_mass(v))
 
     def fdf(s: float) -> tuple[float, float]:
         g = mod.core_integral_inverse(s, v)
@@ -250,9 +248,7 @@ def jet_distance_componentwise(
             if u == 0.0:
                 continue
             if a == top:
-                cand = u
-                if math.isinf(mod.core_integral_inverse(u, v)):
-                    cand = mod.tail_mass(v)
+                cand = min(u, mod.tail_mass(v))
             else:
                 t = gauge_inverse(mod, top, alpha, u, v)
                 cand = mod.integral_core(v, v + t)

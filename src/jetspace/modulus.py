@@ -32,15 +32,12 @@ class Modulus:
     """A modulus of continuity of a given order.
 
     ``q`` parametrizes the power/powerlog families; ``knots`` holds the table.
-    ``c_omega`` optionally caches a quasipower-constant estimate; it is
-    informational only.
     """
 
     family: str
     m: int
     q: float | None = None
     knots: tuple[tuple[float, float], ...] | None = None
-    c_omega: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -183,10 +180,12 @@ class Modulus:
         return total
 
     def tail_mass(self, v: float) -> float:
-        """Integral of w(s)/s^m over [v, +inf); +inf when divergent.
+        """Integral of w(s)/s^m over [v, +inf); +inf when divergent.  For a
+        table, the integral up to its last knot.
 
-        Finite exactly when the kernel decays faster than 1/s; that bound is
-        the supremum any core integral from v can reach.
+        For power-type families it is finite exactly when the kernel decays
+        faster than 1/s.  Either way it is the supremum any core integral
+        from v can reach.
         """
         if v <= 0:
             raise ValueError("lower bound must be positive")
@@ -207,13 +206,12 @@ class Modulus:
                 tail += term_sign * cut ** (p - j) / (j * (j - p))
                 term_sign = -term_sign
             return head + tail
-        raise ValueError("table modulus has a bounded domain; no tail integral")
+        return self.integral_core(v, self.domain_max)
 
     def core_integral_inverse(self, w: float, v: float) -> float:
         """Inverse of t -> integral_core(v, v + t) at w >= 0, for fixed v > 0.
 
-        Returns +inf when w is not below the total remaining mass: the tail
-        mass, or for a table the mass up to its last knot.
+        Returns +inf when w is not below ``tail_mass(v)``.
         """
         if v <= 0:
             raise ValueError("base point must be positive")
@@ -229,11 +227,9 @@ class Modulus:
             if base <= 0.0:
                 return math.inf
             return max(base ** (1.0 / p) - v, 0.0)
-        if self.family == "powerlog" and w >= self.tail_mass(v):
+        if w >= self.tail_mass(v):
             return math.inf
         top = self.domain_max
-        if self.family == "table" and w >= self.integral_core(v, top):
-            return math.inf
 
         def fdf(t: float) -> tuple[float, float]:
             if v + t > top:

@@ -11,7 +11,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_floor: float = 1e-300,
     max_depth: int = 60,
 ) -> float:
     """Integrate a smooth function on [a, b] by adaptive Simpson bisection.
@@ -33,7 +32,7 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fm = f(m)
     whole = simpson(a, b, fa, fm, fb)
-    scale = max(abs(whole), abs_floor)
+    scale = max(abs(whole), 1e-300)
 
     def recurse(x0, x2, f0, f2, s, depth):
         x1 = 0.5 * (x0 + x2)

@@ -37,17 +37,17 @@ def _fmt_float(x: float) -> str:
     return s
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize nested dict/list structures with round-trip-exact floats."""
     out = io.StringIO()
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.write("\n")
     return out.getvalue()
 
 
-def _write(obj: Any, out: io.StringIO, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _write(obj: Any, out: io.StringIO, level: int) -> None:
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
@@ -57,7 +57,7 @@ def _write(obj: Any, out: io.StringIO, indent: int, level: int) -> None:
             out.write(pad)
             out.write(json.dumps(str(key)))
             out.write(": ")
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -68,7 +68,7 @@ def _write(obj: Any, out: io.StringIO, indent: int, level: int) -> None:
         out.write("[\n")
         for i, val in enumerate(seq):
             out.write(pad)
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.write(",\n" if i < len(seq) - 1 else "\n")
         out.write(closing + "]")
     elif isinstance(obj, bool):
@@ -82,7 +82,7 @@ def _write(obj: Any, out: io.StringIO, indent: int, level: int) -> None:
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
     elif dataclasses.is_dataclass(obj):
-        _write(dataclasses.asdict(obj), out, indent, level)
+        _write(dataclasses.asdict(obj), out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

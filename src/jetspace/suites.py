@@ -83,6 +83,37 @@ class SuiteResult:
         return self.failures == 0
 
 
+class _Tally:
+    """Per-suite bookkeeping: trial and failure counts, the worst margin in
+    the metric's direction ("min_slack" keeps the minimum, "max_rel_dev" the
+    maximum) and the witnesses of the first three failures."""
+
+    def __init__(self, metric: str) -> None:
+        self.metric = metric
+        self._pick = min if metric == "min_slack" else max
+        self.worst = math.inf if metric == "min_slack" else 0.0
+        self.trials = 0
+        self.failures = 0
+        self.witnesses: list[dict] = []
+
+    def add(self, ok: bool, *margins: float, witness: Callable[[], dict]) -> None:
+        """Count one trial; ``witness`` is called only for one of the first
+        three failures."""
+        for margin in margins:
+            self.worst = self._pick(self.worst, margin)
+        self.trials += 1
+        if not ok:
+            self.failures += 1
+            if len(self.witnesses) < 3:
+                self.witnesses.append(witness())
+
+    def result(self, name: str, detail: str) -> SuiteResult:
+        return SuiteResult(
+            name, self.trials, self.failures, self.metric, self.worst, detail,
+            tuple(self.witnesses),
+        )
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -108,6 +139,10 @@ def _random_jet(rng, n: int, degree: int, r_hi: float = 1.5, c_scale: float = 1.
     return Jet(poly=_random_poly(rng, n, degree), cube=_random_cube(rng, n, r_hi, c_scale))
 
 
+def _jets_witness(mod: Modulus, *jets: Jet, **extra) -> dict:
+    return {"modulus": modulus_to_dict(mod), "jets": [jet_to_dict(j) for j in jets], **extra}
+
+
 def _power_core_vec(q: float, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = q - m + 1.0
     if p == 0.0:
@@ -125,26 +160,17 @@ def suite_triangle_cube(
     """Triangle inequality, symmetry and identity for the logarithmic cube
     distance on random triples (dimension mixed over 1 and 2)."""
     rng = _rng_for(seed, 1)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         n = 1 + t % 2
         q = [_random_cube(rng, n, 4.0, 3.0) for _ in range(3)]
         d01 = cube_distance(q[0], q[1])
         d12 = cube_distance(q[1], q[2])
         d02 = cube_distance(q[0], q[2])
-        worst = min(worst, d01 + d12 - d02)
         ok = within_slack(d02, d01 + d12, slack)
         ok = ok and cube_distance(q[1], q[0]) == d01 and cube_distance(q[0], q[0]) == 0.0
-        if not ok:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append({"cubes": [cube_to_dict(c) for c in q]})
-    return SuiteResult(
-        "triangle_cube", trials, failures, "min_slack", worst,
-        "log cube distance is a metric on random triples", tuple(witnesses),
-    )
+        tally.add(ok, d01 + d12 - d02, witness=lambda: {"cubes": [cube_to_dict(c) for c in q]})
+    return tally.result("triangle_cube", "log cube distance is a metric on random triples")
 
 
 def suite_triangle_weighted(
@@ -156,7 +182,6 @@ def suite_triangle_weighted(
     failures = 0
     worst = math.inf
     witnesses = []
-    total = 0
     for idx, (name, mod, r_hi, c_scale) in enumerate(TRIANGLE_MATRIX):
         rng = _rng_for(seed, 100 + idx)
         n = 2
@@ -176,7 +201,6 @@ def suite_triangle_weighted(
             bad = (d02 - (d01 + d12)) > slack * scale_arr + 1e-300
             failures += int(np.count_nonzero(bad))
             worst = min(worst, float(np.min(margin)))
-            total += trials
             if np.any(bad) and len(witnesses) < 3:
                 i = int(np.flatnonzero(bad)[0])
                 witnesses.append(
@@ -187,8 +211,7 @@ def suite_triangle_weighted(
                     }
                 )
         else:
-            scalar_trials = trials
-            for _ in range(scalar_trials):
+            for _ in range(trials):
                 q = [_random_cube(rng, n, r_hi, c_scale) for _ in range(3)]
                 d01 = weighted_cube_distance(mod, q[0], q[1])
                 d12 = weighted_cube_distance(mod, q[1], q[2])
@@ -198,14 +221,10 @@ def suite_triangle_weighted(
                     failures += 1
                     if len(witnesses) < 3:
                         witnesses.append(
-                            {
-                                "modulus": modulus_to_dict(mod),
-                                "cubes": [cube_to_dict(c) for c in q],
-                            }
+                            {"modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(c) for c in q]}
                         )
-            total += scalar_trials
     return SuiteResult(
-        "triangle_weighted", total, failures, "min_slack", worst,
+        "triangle_weighted", trials * len(TRIANGLE_MATRIX), failures, "min_slack", worst,
         "weighted cube distance is a metric for every matrix modulus", tuple(witnesses),
     )
 
@@ -214,9 +233,7 @@ def suite_same_poly_identity(seed: int, trials: int = 10_000) -> SuiteResult:
     """Jets sharing one polynomial: jet distance equals the weighted cube
     distance to 1e-10."""
     rng = _rng_for(seed, 2)
-    failures = 0
-    worst = 0.0
-    witnesses = []
+    tally = _Tally("max_rel_dev")
     for t in range(trials):
         n = 1 + t % 2
         m = 1 + t % 2
@@ -229,16 +246,14 @@ def suite_same_poly_identity(seed: int, trials: int = 10_000) -> SuiteResult:
         lhs = jet_distance(mod, Jet(poly, q1), Jet(poly, q2))
         rhs = weighted_cube_distance(mod, q1, q2)
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300) if rhs else abs(lhs)
-        worst = max(worst, dev)
-        if dev > 1e-10:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(q1), cube_to_dict(q2)]}
-                )
-    return SuiteResult(
-        "same_poly_identity", trials, failures, "max_rel_dev", worst,
-        "fixed-polynomial jet distance collapses to the cube distance", tuple(witnesses),
+        tally.add(
+            dev <= 1e-10, dev,
+            witness=lambda: {
+                "modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(q1), cube_to_dict(q2)]
+            },
+        )
+    return tally.result(
+        "same_poly_identity", "fixed-polynomial jet distance collapses to the cube distance"
     )
 
 
@@ -248,10 +263,7 @@ def suite_zygmund_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     rng = _rng_for(seed, 3)
     combos = [(n, m) for n in (1, 2) for m in (2, 3)]
     per = trials // len(combos)
-    failures = 0
-    worst = 0.0
-    witnesses = []
-    total = 0
+    tally = _Tally("max_rel_dev")
     for n, m in combos:
         mod = Modulus.power(float(m - 1), m)
         degree = m - 1
@@ -261,18 +273,12 @@ def suite_zygmund_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
             a = jet_distance(mod, t1, t2)
             b = zygmund_distance(t1, t2, m)
             dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            worst = max(worst, dev)
-            total += 1
-            if dev > AGREE_TOL:
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append(
-                        {"n": n, "m": m, "jets": [jet_to_dict(t1), jet_to_dict(t2)]}
-                    )
-    return SuiteResult(
-        "zygmund_agreement", total, failures, "max_rel_dev", worst,
-        "pure-power modulus specializes to the exponential-gauge closed form",
-        tuple(witnesses),
+            tally.add(
+                dev <= AGREE_TOL, dev,
+                witness=lambda: {"n": n, "m": m, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
+            )
+    return tally.result(
+        "zygmund_agreement", "pure-power modulus specializes to the exponential-gauge closed form"
     )
 
 
@@ -283,10 +289,7 @@ def suite_sobolev_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     combos = [(n, k) for n in (1, 2) for k in (1, 2)]
     per = trials // len(combos)
     mod1 = Modulus.power(1.0, 1)
-    failures = 0
-    worst = 0.0
-    witnesses = []
-    total = 0
+    tally = _Tally("max_rel_dev")
     for n, k in combos:
         for _ in range(per):
             t1 = _random_jet(rng, n, k)
@@ -294,18 +297,12 @@ def suite_sobolev_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
             a = jet_distance(mod1, t1, t2)
             b = sobolev_distance(t1, t2, k)
             dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            worst = max(worst, dev)
-            total += 1
-            if dev > AGREE_TOL:
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append(
-                        {"n": n, "k": k, "jets": [jet_to_dict(t1), jet_to_dict(t2)]}
-                    )
-    return SuiteResult(
-        "sobolev_agreement", total, failures, "max_rel_dev", worst,
-        "unit-kernel modulus specializes to the root-exponent closed form",
-        tuple(witnesses),
+            tally.add(
+                dev <= AGREE_TOL, dev,
+                witness=lambda: {"n": n, "k": k, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
+            )
+    return tally.result(
+        "sobolev_agreement", "unit-kernel modulus specializes to the root-exponent closed form"
     )
 
 
@@ -315,10 +312,7 @@ def suite_value_gauge_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     rng = _rng_for(seed, 5)
     combos = [(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 1, 1), (2, 1, 1), (1, 0, 3)]
     per = trials // len(combos)
-    failures = 0
-    worst = 0.0
-    witnesses = []
-    total = 0
+    tally = _Tally("max_rel_dev")
     for n, k, m in combos:
         degree = k + m - 1
         for _ in range(per):
@@ -332,23 +326,13 @@ def suite_value_gauge_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
             c = jet_distance_via_value_gauge(mod, t1, t2, y)
             hi = max(a, b, c)
             lo = min(a, b, c)
-            dev = (hi - lo) / max(hi, 1e-300)
-            worst = max(worst, dev)
-            total += 1
-            if dev > AGREE_TOL:
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append(
-                        {
-                            "modulus": modulus_to_dict(mod),
-                            "jets": [jet_to_dict(t1), jet_to_dict(t2)],
-                            "at": list(y),
-                        }
-                    )
-    return SuiteResult(
-        "value_gauge_agreement", total, failures, "max_rel_dev", worst,
-        "three computation routes for the pointwise jet distance agree",
-        tuple(witnesses),
+            # max and min skip a NaN route, which must fail the trial
+            dev = (hi - lo) / max(hi, 1e-300) if not math.isnan(a + b + c) else math.nan
+            tally.add(
+                dev <= AGREE_TOL, dev, witness=lambda: _jets_witness(mod, t1, t2, at=list(y))
+            )
+    return tally.result(
+        "value_gauge_agreement", "three computation routes for the pointwise jet distance agree"
     )
 
 
@@ -359,10 +343,7 @@ def suite_chain_scaling(
     links, over the (n, k, m) matrix, chains of two to five jets."""
     rng = _rng_for(seed, 6)
     per = trials // len(CHAIN_MATRIX)
-    failures = 0
-    worst = math.inf
-    witnesses = []
-    total = 0
+    tally = _Tally("min_slack")
     for n, k, m in CHAIN_MATRIX:
         degree = k + m - 1
         for _ in range(per):
@@ -371,21 +352,8 @@ def suite_chain_scaling(
             length = int(rng.integers(2, 6))
             jets = tuple(_random_jet(rng, n, degree) for _ in range(length))
             res = verify_chain_bound(mod, Chain(jets), rel_slack=slack)
-            worst = min(worst, res.slack)
-            total += 1
-            if not res.ok:
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append(
-                        {
-                            "modulus": modulus_to_dict(mod),
-                            "jets": [jet_to_dict(j) for j in jets],
-                        }
-                    )
-    return SuiteResult(
-        "chain_scaling", total, failures, "min_slack", worst,
-        "scaled chain sums dominate the endpoint jet distance", tuple(witnesses),
-    )
+            tally.add(res.ok, res.slack, witness=lambda: _jets_witness(mod, *jets))
+    return tally.result("chain_scaling", "scaled chain sums dominate the endpoint jet distance")
 
 
 def suite_interval_chain(
@@ -394,9 +362,7 @@ def suite_interval_chain(
     """Interval splitting inequality on random scale/step tuples, including
     the pure triangle instance with zero extra steps."""
     rng = _rng_for(seed, 7)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         m = 1 + t % 3
         q = float(rng.uniform(0.2 * m, m))
@@ -412,17 +378,12 @@ def suite_interval_chain(
             a = rng.uniform(0.0, 3.0, size=len(b) - 1).tolist()
             c = rng.uniform(0.0, 3.0, size=len(b) - 1).tolist()
         res = interval_chain_inequality(mod, b, a, c, rel_slack=slack)
-        worst = min(worst, res.slack)
-        if not res.ok:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "b": b, "a": a, "c": c}
-                )
-    return SuiteResult(
-        "interval_chain", trials, failures, "min_slack", worst,
-        "weighted integral over a merged interval splits along the chain",
-        tuple(witnesses),
+        tally.add(
+            res.ok, res.slack,
+            witness=lambda: {"modulus": modulus_to_dict(mod), "b": b, "a": a, "c": c},
+        )
+    return tally.result(
+        "interval_chain", "weighted integral over a merged interval splits along the chain"
     )
 
 
@@ -432,9 +393,7 @@ def suite_derivative_chain(
     """Derivative of an end-to-end polynomial difference is bounded by e^n
     times the worst accumulated link discrepancy over step powers."""
     rng = _rng_for(seed, 8)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         n = 1 + t % 2
         degree = int(rng.integers(1, 4 if n == 1 else 3))
@@ -445,31 +404,27 @@ def suite_derivative_chain(
             uniform_norm(tuple(a - b for a, b in zip(xs[i], xs[i + 1])))
             for i in range(length)
         )
+        end_to_end = polys[0] - polys[-1]
+        links = [(polys[i] - polys[i + 1], xs[i]) for i in range(length)]
         ok_all = True
         slack_min = math.inf
         for alpha in multi_indices(n, degree):
-            lhs = abs((polys[0] - polys[-1]).deriv_eval(alpha, xs[0]))
+            lhs = abs(end_to_end.deriv_eval(alpha, xs[0]))
             rhs = 0.0
             for beta in multi_indices(n, degree - mi_order(alpha)):
                 gamma = tuple(a + b for a, b in zip(alpha, beta))
-                acc = sum(
-                    abs((polys[i] - polys[i + 1]).deriv_eval(gamma, xs[i]))
-                    for i in range(length)
-                )
+                acc = sum(abs(diff.deriv_eval(gamma, x)) for diff, x in links)
                 rhs = max(rhs, acc * step_sum ** mi_order(beta))
             rhs *= math.exp(n)
             slack_min = min(slack_min, rhs - lhs)
             if not within_slack(lhs, rhs, slack):
                 ok_all = False
-        worst = min(worst, slack_min)
-        if not ok_all:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append({"n": n, "degree": degree, "xs": [list(x) for x in xs]})
-    return SuiteResult(
-        "derivative_chain", trials, failures, "min_slack", worst,
-        "chain bound for derivative discrepancies of polynomial families",
-        tuple(witnesses),
+        tally.add(
+            ok_all, slack_min,
+            witness=lambda: {"n": n, "degree": degree, "xs": [list(x) for x in xs]},
+        )
+    return tally.result(
+        "derivative_chain", "chain bound for derivative discrepancies of polynomial families"
     )
 
 
@@ -480,9 +435,7 @@ def suite_gauge_shift(
     gauge-inverse costs at most the larger of the step integral and the
     higher-order gauge-inverse integral."""
     rng = _rng_for(seed, 9)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         m = 1 + t % 3
         q = float(rng.uniform(0.2 * m, m))
@@ -500,20 +453,15 @@ def suite_gauge_shift(
         rhs_t = gauge_inverse(mod, top, a_ord + b_ord, u, v)
         rhs2 = core_up_to(mod, v, rhs_t)
         rhs = max(rhs1, rhs2)
-        worst = min(worst, rhs - lhs)
-        if not within_slack(lhs, rhs, slack):
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {
-                        "modulus": modulus_to_dict(mod),
-                        "top": top, "a": a_ord, "b": b_ord, "v": v, "R": r, "u": u,
-                    }
-                )
-    return SuiteResult(
-        "gauge_shift", trials, failures, "min_slack", worst,
-        "step powers are absorbed by the max of step and shifted gauge terms",
-        tuple(witnesses),
+        tally.add(
+            within_slack(lhs, rhs, slack), rhs - lhs,
+            witness=lambda: {
+                "modulus": modulus_to_dict(mod),
+                "top": top, "a": a_ord, "b": b_ord, "v": v, "R": r, "u": u,
+            },
+        )
+    return tally.result(
+        "gauge_shift", "step powers are absorbed by the max of step and shifted gauge terms"
     )
 
 
@@ -522,9 +470,7 @@ def suite_gauge_chain(
 ) -> SuiteResult:
     """Chain splitting inequality for the integrated gauge inverse."""
     rng = _rng_for(seed, 10)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         m = 1 + t % 2
         q = float(rng.uniform(0.2 * m, m))
@@ -538,17 +484,14 @@ def suite_gauge_chain(
             for bi, bj in zip(b, b[1:])
         ]
         res = gauge_chain_inequality(mod, top, a_ord, b, u, rel_slack=slack)
-        worst = min(worst, res.slack)
-        if not res.ok:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "top": top, "a": a_ord, "b": b, "u": u}
-                )
-    return SuiteResult(
-        "gauge_chain", trials, failures, "min_slack", worst,
-        "integrated gauge inverse of summed discrepancies splits along links",
-        tuple(witnesses),
+        tally.add(
+            res.ok, res.slack,
+            witness=lambda: {
+                "modulus": modulus_to_dict(mod), "top": top, "a": a_ord, "b": b, "u": u
+            },
+        )
+    return tally.result(
+        "gauge_chain", "integrated gauge inverse of summed discrepancies splits along links"
     )
 
 
@@ -558,12 +501,9 @@ def suite_point_shift_scaling(
     """Moving the evaluation point of the pointwise jet distance is dominated
     by scaling the polynomials by max(1, e^n * step^L / span^L)."""
     rng = _rng_for(seed, 11)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     combos = [(1, 0, 2), (1, 1, 1), (2, 0, 2), (2, 1, 1)]
     per = trials // len(combos)
-    total = 0
     for n, k, m in combos:
         degree = k + m - 1
         for _ in range(per):
@@ -580,23 +520,12 @@ def suite_point_shift_scaling(
             gamma = math.exp(n) * max(1.0, step**degree / span**degree)
             lhs = jet_distance(mod, t1, t2, at=z)
             rhs = jet_distance(mod, scale(gamma, t1), scale(gamma, t2), at=y)
-            worst = min(worst, rhs - lhs)
-            total += 1
-            if not within_slack(lhs, rhs, slack):
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append(
-                        {
-                            "modulus": modulus_to_dict(mod),
-                            "jets": [jet_to_dict(t1), jet_to_dict(t2)],
-                            "y": list(y),
-                            "z": list(z),
-                        }
-                    )
-    return SuiteResult(
-        "point_shift_scaling", total, failures, "min_slack", worst,
-        "evaluation-point moves are dominated by explicit polynomial scaling",
-        tuple(witnesses),
+            tally.add(
+                within_slack(lhs, rhs, slack), rhs - lhs,
+                witness=lambda: _jets_witness(mod, t1, t2, y=list(y), z=list(z)),
+            )
+    return tally.result(
+        "point_shift_scaling", "evaluation-point moves are dominated by explicit polynomial scaling"
     )
 
 
@@ -705,9 +634,7 @@ def suite_scale_monotonicity(
     """Shrinking both polynomials by a growing factor never increases the jet
     distance, and the cube term is its floor."""
     rng = _rng_for(seed, 14)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         n = 1 + t % 2
         m = 1 + t % 2
@@ -719,22 +646,17 @@ def suite_scale_monotonicity(
         floor = weighted_cube_distance(mod, t1.cube, t2.cube)
         prev = math.inf
         ok = True
+        margins = []
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0, 16.0):
             val = jet_distance(mod, scale(1.0 / lam, t1), scale(1.0 / lam, t2))
             if val > prev * (1 + 1e-12) or not within_slack(floor, val, slack):
                 ok = False
-            worst = min(worst, prev - val if prev < math.inf else math.inf, val - floor)
+            margins += [prev - val if prev < math.inf else math.inf, val - floor]
             prev = val
-        if not ok:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "jets": [jet_to_dict(t1), jet_to_dict(t2)]}
-                )
-    return SuiteResult(
-        "scale_monotonicity", trials, failures, "min_slack", worst,
+        tally.add(ok, *margins, witness=lambda: _jets_witness(mod, t1, t2))
+    return tally.result(
+        "scale_monotonicity",
         "jet distance is non-increasing under polynomial shrinking with the cube floor",
-        tuple(witnesses),
     )
 
 
@@ -744,9 +666,7 @@ def suite_geodesic_sandwich(
     """d_lower <= d_upper <= direct jet distance, and adding candidates never
     increases d_upper."""
     rng = _rng_for(seed, 15)
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    tally = _Tally("min_slack")
     for t in range(trials):
         n = 1 + t % 2
         m = 1 + t % 2
@@ -765,17 +685,12 @@ def suite_geodesic_sandwich(
             and within_slack(up_full, direct, slack)
             and within_slack(up_full, up_small, slack)
         )
-        worst = min(worst, up_full - low, direct - up_full, up_small - up_full)
-        if not ok:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "jets": [jet_to_dict(t1), jet_to_dict(t2)]}
-                )
-    return SuiteResult(
-        "geodesic_sandwich", trials, failures, "min_slack", worst,
-        "bracket ordering and candidate antitonicity for the geodesic bounds",
-        tuple(witnesses),
+        tally.add(
+            ok, up_full - low, direct - up_full, up_small - up_full,
+            witness=lambda: _jets_witness(mod, t1, t2),
+        )
+    return tally.result(
+        "geodesic_sandwich", "bracket ordering and candidate antitonicity for the geodesic bounds"
     )
 
 

@@ -330,6 +330,32 @@ def test_tail_cap_consistent_across_routes():
     assert c == pytest.approx(cap, rel=1e-12)
 
 
+def test_top_order_discrepancy_beyond_table_mass_saturates_all_routes():
+    # a table's reachable mass ends at its last knot; a larger top-order
+    # discrepancy gives that mass through all three routes
+    mod = Modulus.table([(0.01, 0.01), (1.0, 0.5), (100.0, 2.0), (1e4, 3.0)], m=2)
+    t1 = Jet(Poly(1, 1, {(1,): 800.0}), Cube((0.0,), 1.0))
+    t2 = Jet(Poly.zero(1, 1), Cube((0.5,), 1.0))
+    cap = mod.tail_mass(1.0)
+    assert cap == mod.integral_core(1.0, 1e4) < 800.0
+    y = (0.0,)
+    assert jet_distance(mod, t1, t2, at=y) == cap
+    assert jet_distance_componentwise(mod, t1, t2, at=y) == cap
+    assert jet_distance_via_value_gauge(mod, t1, t2, y) == cap
+    assert value_gauge(mod, 1, (1,), 1.0, 73.48) == mod.integral_core(73.48, 1e4)
+
+
+def test_top_order_routes_need_no_discrepancy_scale():
+    # kernel 1/s: the top-order discrepancy 800 is the distance, though its
+    # discrepancy scale v * expm1(800) overflows
+    mod = Modulus.power(1.0, 2)
+    t1 = Jet(Poly(1, 1, {(1,): 800.0}), Cube((0.0,), 1.0))
+    t2 = Jet(Poly.zero(1, 1), Cube((0.5,), 1.0))
+    assert zygmund_distance(t1, t2, 2) == 800.0
+    assert jet_distance_componentwise(mod, t1, t2) == 800.0
+    assert jet_distance_via_value_gauge(mod, t1, t2, (0.0,)) == 800.0
+
+
 def test_value_gauge_basics():
     assert value_gauge(MOD_LIN_2, 1, 1, 0.0, 1.0) == 0.0
     assert value_gauge(MOD_LIN_2, 1, 1, 2.5, 1.0) == 2.5  # top order: identity

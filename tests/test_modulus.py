@@ -228,6 +228,22 @@ def test_tail_mass_powerlog_against_truncation():
     assert mod.tail_mass(v) >= head
 
 
+def test_tail_mass_table_is_the_mass_up_to_the_last_knot():
+    mod = Modulus.table([(0.01, 0.01), (1.0, 0.5), (100.0, 2.0), (1e4, 3.0)], m=2)
+    for v in (1e-3, 0.5, 73.48, 9999.0, 1e4):
+        assert mod.tail_mass(v) == mod.integral_core(v, 1e4)
+    with pytest.raises(ValueError):
+        mod.tail_mass(2e4)  # beyond the last knot
+    # every target at or above the mass is out of reach, every one below it
+    # is reached inside the table
+    v = 73.48
+    assert math.isinf(mod.core_integral_inverse(mod.tail_mass(v), v))
+    below = 0.999 * mod.tail_mass(v)
+    t = mod.core_integral_inverse(below, v)
+    assert v + t <= mod.domain_max
+    assert mod.integral_core(v, v + t) == pytest.approx(below, rel=1e-12)
+
+
 def test_core_integral_inverse_roundtrip():
     for mod in (Modulus.power(1.0, 2), Modulus.power(0.5, 2), Modulus.power_log(0.5, 2)):
         v = 0.7
