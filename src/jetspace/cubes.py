@@ -44,8 +44,10 @@ class Cube:
         object.__setattr__(self, "center", as_point(self.center))
         if not self.center:
             raise ValueError("cube center must have dimension >= 1")
-        if not (self.radius > 0):
-            raise ValueError("cube radius must be strictly positive")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("cube center must be finite")
+        if not (0 < self.radius < math.inf):
+            raise ValueError("cube radius must be strictly positive and finite")
 
     @property
     def dim(self) -> int:
@@ -85,6 +87,17 @@ def _check_same_dim(a, b) -> None:
         raise ValueError("dimension mismatch")
 
 
+def pair_scales(q1: Cube, q2: Cube) -> tuple[float, float, float]:
+    """The scales of a cube pair: the smaller radius min(r1, r2), the span
+    max(r1, r2) + ||x1 - x2|| and the reach r1 + r2 + ||x1 - x2||."""
+    sep = uniform_norm(point_sub(q1.center, q2.center))
+    return (
+        min(q1.radius, q2.radius),
+        max(q1.radius, q2.radius) + sep,
+        q1.radius + q2.radius + sep,
+    )
+
+
 def cube_distance(q1: Cube, q2: Cube) -> float:
     """Logarithmic cube distance ln(1 + (max(r1,r2) + ||x1-x2||) / min(r1,r2)).
 
@@ -94,8 +107,8 @@ def cube_distance(q1: Cube, q2: Cube) -> float:
     _check_same_dim(q1, q2)
     if q1 == q2:
         return 0.0
-    sep = uniform_norm(point_sub(q1.center, q2.center))
-    return math.log1p((max(q1.radius, q2.radius) + sep) / min(q1.radius, q2.radius))
+    v, span, _ = pair_scales(q1, q2)
+    return math.log1p(span / v)
 
 
 def weighted_cube_distance(mod: Modulus, q1: Cube, q2: Cube) -> float:
@@ -104,10 +117,8 @@ def weighted_cube_distance(mod: Modulus, q1: Cube, q2: Cube) -> float:
     _check_same_dim(q1, q2)
     if q1 == q2:
         return 0.0
-    sep = uniform_norm(point_sub(q1.center, q2.center))
-    lo = min(q1.radius, q2.radius)
-    hi = q1.radius + q2.radius + sep
-    return mod.integral_core(lo, hi)
+    v, _, reach = pair_scales(q1, q2)
+    return mod.integral_core(v, reach)
 
 
 def poincare_distance(z1: HalfSpacePoint, z2: HalfSpacePoint) -> float:
@@ -159,11 +170,8 @@ def dyadic_radii(points: Sequence[Sequence[float]], levels: int) -> list[float]:
     diameter of the point set (unit scale for a single point)."""
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    pts = [as_point(p) for p in points]
-    diam = 0.0
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            diam = max(diam, uniform_norm(point_sub(a, b)))
-    if diam == 0.0:
-        diam = 1.0
+    # the largest coordinate range: a - b rounds monotonically in a and b,
+    # so this is the largest pairwise uniform distance, bit for bit
+    coords = zip(*(as_point(p) for p in points), strict=True)
+    diam = max((max(c) - min(c) for c in coords), default=0.0) or 1.0
     return [diam * 2.0**-j for j in range(levels + 1)]

@@ -5,8 +5,9 @@ jets combines the cube geometry with the discrepancy of all derivatives of the
 two polynomials, each derivative order weighted through a gauge built from the
 modulus.  Three independent computation routes are provided:
 
-* ``jet_distance`` -- find the discrepancy scale (the largest admissible
-  spatial scale), then integrate the modulus kernel up to it;
+* ``jet_distance`` -- find the discrepancy scale of the orders below the
+  top (the largest admissible spatial scale), integrate the modulus kernel
+  up to it, and take the top-order discrepancy as a distance;
 * ``jet_distance_componentwise`` -- integrate each discrepancy component
   separately and take the maximum;
 * ``jet_distance_via_value_gauge`` -- solve directly for the distance value
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cubes import Cube, Point, point_sub, uniform_norm
+from .cubes import Cube, pair_scales
 from .modulus import Modulus
 from .numerics import invert_increasing, rel_close
 from .poly import Poly, mi_order, multi_indices
@@ -54,12 +55,20 @@ def scale(gamma: float, jet: Jet) -> Jet:
     return Jet(poly=jet.poly.scale(gamma), cube=jet.cube)
 
 
-def _order_of(alpha) -> int:
-    if isinstance(alpha, int):
-        if alpha < 0:
-            raise ValueError("derivative order must be non-negative")
-        return alpha
-    return mi_order(tuple(int(a) for a in alpha))
+def _excess(top: int, alpha, v: float, x: float, name: str) -> int:
+    """top - |alpha| for a derivative order or multi-index alpha, after
+    checking the order against top, the base scale v > 0 and the gauge
+    argument x (called ``name``) >= 0."""
+    a = alpha if isinstance(alpha, int) else mi_order(tuple(int(c) for c in alpha))
+    if a < 0:
+        raise ValueError("derivative order must be non-negative")
+    if a > top:
+        raise ValueError("derivative order exceeds the degree bound")
+    if v <= 0:
+        raise ValueError("base scale must be positive")
+    if x < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return top - a
 
 
 def core_up_to(mod: Modulus, v: float, t: float) -> float:
@@ -76,16 +85,10 @@ def gauge(mod: Modulus, top: int, alpha, t: float, v: float) -> float:
     Strictly increasing in t, with gauge(0) = 0.  Only the order of alpha
     matters.
     """
-    a = _order_of(alpha)
-    if a > top:
-        raise ValueError("derivative order exceeds the degree bound")
-    if v <= 0:
-        raise ValueError("base scale must be positive")
-    if t < 0:
-        raise ValueError("spatial scale must be non-negative")
+    e = _excess(top, alpha, v, t, "spatial scale")
     if t == 0.0:
         return 0.0
-    return t ** (top - a) * mod.integral_core(v, v + t)
+    return t**e * mod.integral_core(v, v + t)
 
 
 def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
@@ -96,16 +99,9 @@ def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     the strictly increasing gauge is inverted by ``invert_increasing``
     (safeguarded Newton with the exact slope, relative bracket width 1e-13).
     """
-    a = _order_of(alpha)
-    if a > top:
-        raise ValueError("derivative order exceeds the degree bound")
-    if v <= 0:
-        raise ValueError("base scale must be positive")
-    if u < 0:
-        raise ValueError("target must be non-negative")
+    e = _excess(top, alpha, v, u, "target")
     if u == 0.0:
         return 0.0
-    e = top - a
     if e == 0:
         return mod.core_integral_inverse(u, v)
     if mod.family == "power" and mod.q == mod.m:
@@ -127,14 +123,9 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     ``invert_increasing`` with its exact slope g^e + I e g^(e-1) g'(I), where
     g'(I) = (v+g)^m / w(v+g); for order == top the map is the identity.
     """
-    a = _order_of(alpha)
-    if a > top:
-        raise ValueError("derivative order exceeds the degree bound")
-    if u < 0:
-        raise ValueError("target must be non-negative")
+    e = _excess(top, alpha, v, u, "target")
     if u == 0.0:
         return 0.0
-    e = top - a
     if e == 0:
         # the distance contribution of a top-order discrepancy is the
         # discrepancy itself, capped at the reachable integral mass
@@ -150,20 +141,43 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     return invert_increasing(fdf, u)
 
 
-def _shared_context(t1: Jet, t2: Jet) -> tuple[int, int]:
+def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple[int, list]:
+    """The shared degree bound and, alpha-major over all multi-indices alpha
+    and evaluation points y (``at`` alone, else both cube centers), the pairs
+    (|alpha|, |D^alpha(P1 - P2)(y)|)."""
     if t1.n != t2.n:
         raise ValueError("jet dimensions differ")
     if t1.degree != t2.degree:
         raise ValueError("jet degree bounds differ")
-    return t1.n, t1.degree
-
-
-def _eval_points(t1: Jet, t2: Jet, at: Sequence[float] | None) -> list[Point]:
     if at is None:
-        return [t1.cube.center, t2.cube.center]
-    if len(at) != t1.n:
+        points = (t1.cube.center, t2.cube.center)
+    elif len(at) != t1.n:
         raise ValueError("evaluation point dimension mismatch")
-    return [tuple(float(c) for c in at)]
+    else:
+        points = (tuple(float(c) for c in at),)
+    diff = t1.poly - t2.poly
+    return t1.degree, [
+        (mi_order(alpha), abs(diff.deriv_eval(alpha, y)))
+        for alpha in multi_indices(t1.n, t1.degree)
+        for y in points
+    ]
+
+
+def _lower_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple:
+    """(gap, top peak, v, span, reach): the discrepancy scale of the orders
+    below the top, the largest top-order discrepancy, and ``pair_scales``.
+    The gauge-inverse grows with the discrepancy and sees only the order of
+    a multi-index, so each order is inverted once, at its largest one."""
+    top, disc = _discrepancies(t1, t2, at)
+    peak = [0.0] * (top + 1)
+    for a, u in disc:
+        peak[a] = max(peak[a], u)
+    v, span, reach = pair_scales(t1.cube, t2.cube)
+    gap = span
+    for a, u in enumerate(peak[:top]):
+        if u > 0.0:
+            gap = max(gap, gauge_inverse(mod, top, a, u, v))
+    return gap, peak[top], v, span, reach
 
 
 def jet_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None) -> float:
@@ -173,25 +187,12 @@ def jet_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None) -
     radius.
 
     With ``at`` given, derivatives are evaluated at that point only; otherwise
-    at both cube centers.  The gauge depends on a multi-index only through
-    its order and its inverse increases with the discrepancy, so each order
-    is inverted once, at its largest discrepancy.
+    at both cube centers.  +inf when a scale is beyond the float range.
     """
-    n, top = _shared_context(t1, t2)
-    v = min(t1.cube.radius, t2.cube.radius)
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    best = max(t1.cube.radius, t2.cube.radius) + sep
-    diff = t1.poly - t2.poly
-    points = _eval_points(t1, t2, at)
-    peak = [0.0] * (top + 1)
-    for alpha in multi_indices(n, top):
-        a = mi_order(alpha)
-        for y in points:
-            peak[a] = max(peak[a], abs(diff.deriv_eval(alpha, y)))
-    for a, u in enumerate(peak):
-        if u > 0.0:
-            best = max(best, gauge_inverse(mod, top, a, u, v))
-    return best
+    gap, top_peak, v, _, _ = _lower_gap(mod, t1, t2, at)
+    if top_peak > 0.0:
+        gap = max(gap, gauge_inverse(mod, t1.degree, t1.degree, top_peak, v))
+    return gap
 
 
 def jet_distance(
@@ -204,27 +205,24 @@ def jet_distance(
     """Quasi-distance between jets: the core integral of the modulus from the
     smaller radius up to the smaller radius plus the discrepancy scale.
 
-    Zero exactly when the jets are equal.  With ``cross_check`` the
-    componentwise route is evaluated too and must agree to relative 1e-8.
+    The orders below the top enter through the discrepancy scale; the
+    top-order term is carried as a distance, min(discrepancy, tail mass),
+    which is the integral up to its gauge-inverse.  Zero exactly when the
+    jets are equal.  With ``cross_check`` the componentwise route is
+    evaluated too and must agree to relative 1e-8.
     """
     if t1 == t2:
         return 0.0
-    v = min(t1.cube.radius, t2.cube.radius)
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    base = max(t1.cube.radius, t2.cube.radius) + sep
-    gap = jet_gap(mod, t1, t2, at=at)
-    if gap == base:
-        # cube-separation case: evaluate the upper limit exactly as the
-        # weighted cube distance does, so the two coincide bit for bit
-        out = mod.integral_core(v, t1.cube.radius + t2.cube.radius + sep)
-    else:
-        out = core_up_to(mod, v, gap)
+    gap, top_peak, v, span, reach = _lower_gap(mod, t1, t2, at)
+    # in the cube-separation case the upper limit is the weighted cube
+    # distance's, so that the two coincide bit for bit
+    out = mod.integral_core(v, reach) if gap == span else core_up_to(mod, v, gap)
+    if top_peak > 0.0:
+        out = max(out, min(top_peak, mod.tail_mass(v)))
     if cross_check:
         other = jet_distance_componentwise(mod, t1, t2, at=at)
         if not rel_close(out, other, 1e-8, abs_tol=1e-300):
-            raise AssertionError(
-                f"jet distance routes disagree: {out!r} vs {other!r}"
-            )
+            raise AssertionError(f"jet distance routes disagree: {out!r} vs {other!r}")
     return out
 
 
@@ -236,23 +234,17 @@ def jet_distance_componentwise(
     gauge-inverses of the lower-order discrepancies."""
     if t1 == t2:
         return 0.0
-    n, top = _shared_context(t1, t2)
-    v = min(t1.cube.radius, t2.cube.radius)
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    best = mod.integral_core(v, t1.cube.radius + t2.cube.radius + sep)
-    diff = t1.poly - t2.poly
-    for alpha in multi_indices(n, top):
-        a = mi_order(alpha)
-        for y in _eval_points(t1, t2, at):
-            u = abs(diff.deriv_eval(alpha, y))
-            if u == 0.0:
-                continue
-            if a == top:
-                cand = min(u, mod.tail_mass(v))
-            else:
-                t = gauge_inverse(mod, top, alpha, u, v)
-                cand = mod.integral_core(v, v + t)
-            best = max(best, cand)
+    top, disc = _discrepancies(t1, t2, at)
+    v, _, reach = pair_scales(t1.cube, t2.cube)
+    best = mod.integral_core(v, reach)
+    for a, u in disc:
+        if u == 0.0:
+            continue
+        if a == top:
+            cand = min(u, mod.tail_mass(v))
+        else:
+            cand = mod.integral_core(v, v + gauge_inverse(mod, top, a, u, v))
+        best = max(best, cand)
     return best
 
 
@@ -264,17 +256,12 @@ def jet_distance_via_value_gauge(
     contribution of the discrepancy at y."""
     if t1 == t2:
         return 0.0
-    n, top = _shared_context(t1, t2)
-    if len(y) != n:
-        raise ValueError("evaluation point dimension mismatch")
-    v = min(t1.cube.radius, t2.cube.radius)
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    best = mod.integral_core(v, t1.cube.radius + t2.cube.radius + sep)
-    diff = t1.poly - t2.poly
-    for alpha in multi_indices(n, top):
-        u = abs(diff.deriv_eval(alpha, tuple(float(c) for c in y)))
+    top, disc = _discrepancies(t1, t2, y)
+    v, _, reach = pair_scales(t1.cube, t2.cube)
+    best = mod.integral_core(v, reach)
+    for a, u in disc:
         if u > 0.0:
-            best = max(best, value_gauge(mod, top, alpha, u, v))
+            best = max(best, value_gauge(mod, top, a, u, v))
     return best
 
 
@@ -299,23 +286,16 @@ def zygmund_distance(t1: Jet, t2: Jet, m: int) -> float:
     discrepancies at both centers."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    n, top = _shared_context(t1, t2)
+    top, disc = _discrepancies(t1, t2, None)
     if top != m - 1:
         raise ValueError("degree bound must equal m - 1")
     if t1 == t2:
         return 0.0
-    v = min(t1.cube.radius, t2.cube.radius)
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    best = math.log1p((max(t1.cube.radius, t2.cube.radius) + sep) / v)
-    diff = t1.poly - t2.poly
-    for alpha in multi_indices(n, top):
-        a = mi_order(alpha)
-        for y in (t1.cube.center, t2.cube.center):
-            u = abs(diff.deriv_eval(alpha, y))
-            if u > 0.0:
-                best = max(
-                    best, _zygmund_gauge_inverse(u / v ** (m - 1 - a), m - 1 - a)
-                )
+    v, span, _ = pair_scales(t1.cube, t2.cube)
+    best = math.log1p(span / v)
+    for a, u in disc:
+        if u > 0.0:
+            best = max(best, _zygmund_gauge_inverse(u / v ** (m - 1 - a), m - 1 - a))
     return best
 
 
@@ -325,20 +305,15 @@ def sobolev_distance(t1: Jet, t2: Jet, k: int) -> float:
     discrepancies raised to 1/(k + 1 - |alpha|)."""
     if k < 0:
         raise ValueError("degree bound must be non-negative")
-    n, top = _shared_context(t1, t2)
+    top, disc = _discrepancies(t1, t2, None)
     if top != k:
         raise ValueError("degree bound mismatch")
     if t1 == t2:
         return 0.0
-    sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
-    best = max(t1.cube.radius, t2.cube.radius) + sep
-    diff = t1.poly - t2.poly
-    for alpha in multi_indices(n, top):
-        a = mi_order(alpha)
-        for y in (t1.cube.center, t2.cube.center):
-            u = abs(diff.deriv_eval(alpha, y))
-            if u > 0.0:
-                best = max(best, u ** (1.0 / (k + 1 - a)))
+    _, best, _ = pair_scales(t1.cube, t2.cube)
+    for a, u in disc:
+        if u > 0.0:
+            best = max(best, u ** (1.0 / (k + 1 - a)))
     return best
 
 

@@ -45,8 +45,8 @@ class Modulus:
         if self.m < 0 or self.m != int(self.m):
             raise ValueError("order m must be a non-negative integer")
         if self.family in ("power", "powerlog"):
-            if self.q is None or self.q < 0:
-                raise ValueError("power-type modulus needs exponent q >= 0")
+            if self.q is None or not (0 <= self.q < math.inf):
+                raise ValueError("power-type modulus needs a finite exponent q >= 0")
         else:
             if self.knots is None or len(self.knots) < 2:
                 raise ValueError("table modulus needs at least two knots")
@@ -55,6 +55,8 @@ class Modulus:
             )
             prev_t = 0.0
             for t, w in self.knots:
+                if not (math.isfinite(t) and math.isfinite(w)):
+                    raise ValueError("knots must be finite")
                 if t <= prev_t:
                     raise ValueError("knot abscissae must be strictly increasing and > 0")
                 if w <= 0:
@@ -221,12 +223,13 @@ class Modulus:
             return 0.0
         if self.family == "power":
             p = self.q - self.m + 1.0
-            if p == 0.0:
-                return v * math.expm1(w)
-            base = v**p + p * w
+            base = v**p + p * w  # 1 at p == 0
             if base <= 0.0:
                 return math.inf
-            return max(base ** (1.0 / p) - v, 0.0)
+            try:
+                return v * math.expm1(w) if p == 0.0 else max(base ** (1.0 / p) - v, 0.0)
+            except OverflowError:  # beyond the float range: +inf, as in invert_increasing
+                return math.inf
         if w >= self.tail_mass(v):
             return math.inf
         top = self.domain_max

@@ -136,8 +136,13 @@ def invert_increasing(
 
 
 def within_slack(lhs: float, rhs: float, rel_slack: float) -> bool:
-    """True when the inequality lhs <= rhs holds up to a relative slack."""
-    return (lhs - rhs) <= rel_slack * max(abs(lhs), abs(rhs)) + 1e-300
+    """True when the inequality lhs <= rhs holds up to a relative slack.
+
+    An infinite excess lhs - rhs fails, though the slack relative to an
+    infinite value is infinite too.
+    """
+    excess = lhs - rhs
+    return excess < math.inf and excess <= rel_slack * max(abs(lhs), abs(rhs)) + 1e-300
 
 
 def rel_close(a: float, b: float, rel_tol: float, abs_tol: float = 0.0) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cubes import Cube, cube_distance, uniform_norm, weighted_cube_distance
+from .cubes import Cube, cube_distance, pair_scales, uniform_norm, weighted_cube_distance
 from .geodesic import (
     Chain,
     d_lower,
@@ -513,9 +513,7 @@ def suite_point_shift_scaling(
             t2 = _random_jet(rng, n, degree)
             y = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
             z = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
-            span = max(t1.cube.radius, t2.cube.radius) + uniform_norm(
-                tuple(a - b for a, b in zip(t1.cube.center, t2.cube.center))
-            )
+            _, span, _ = pair_scales(t1.cube, t2.cube)
             step = uniform_norm(tuple(a - b for a, b in zip(y, z)))
             gamma = math.exp(n) * max(1.0, step**degree / span**degree)
             lhs = jet_distance(mod, t1, t2, at=z)

@@ -17,7 +17,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cubes import Cube, Point, as_point, point_sub, uniform_norm, weighted_cube_distance
+from .cubes import (
+    Cube,
+    Point,
+    as_point,
+    pair_scales,
+    point_sub,
+    uniform_norm,
+    weighted_cube_distance,
+)
 from .jets import Jet, gauge, jet_distance, scale
 from .lp import LPProblem, lp_solve
 from .modulus import Modulus
@@ -388,10 +396,7 @@ def pair_gauges(
     out = np.full((len(cubes), len(cubes), len(orders)), np.inf)
     for i, qi in enumerate(cubes):
         for j in range(i + 1, len(cubes)):
-            qj = cubes[j]
-            sep = uniform_norm(point_sub(qi.center, qj.center))
-            t = max(qi.radius, qj.radius) + sep
-            v = min(qi.radius, qj.radius)
+            v, t, _ = pair_scales(qi, cubes[j])
             core = gauge(mod, top, top, t, v)  # top order: the bare integral
             out[i, j] = out[j, i] = [t**e * core for e in powers]
     return out

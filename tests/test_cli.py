@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetspace.cli import main
-from jetspace.jets import jet_distance
+from jetspace.jets import jet_distance, zygmund_distance
 from jetspace.modulus import Modulus
+from jetspace.poly import multi_indices
 from jetspace.serialize import jet_from_dict, modulus_from_dict
 from test_numerics import bisection_engine, inverting_with
 
@@ -375,6 +376,22 @@ def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, 
     assert json.loads(text)["jet_distance"] == pytest.approx(oracle, rel=1e-12)
 
 
+def test_metric_top_order_discrepancy_beyond_its_discrepancy_scale(tmp_path):
+    # kernel 1/s: the top-order discrepancy 800 is the distance, while its
+    # discrepancy scale expm1(800) is beyond the float range
+    payload = {
+        "omega": {"family": "power", "q": 1.0, "m": 2},
+        "jets": [
+            {"poly": {"n": 1, "L": 1, "coef": {"[1]": 800.0}}, "cube": {"x": [0.0], "r": 1.0}},
+            {"poly": {"n": 1, "L": 1, "coef": {}}, "cube": {"x": [0.5], "r": 1.0}},
+        ],
+    }
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    jets = [jet_from_dict(j) for j in payload["jets"]]
+    assert json.loads(text)["jet_distance"] == 800.0 == zygmund_distance(*jets, 2)
+
+
 def test_metric_tiny_radius_with_overflowing_kernel_slope(tmp_path):
     # near the radius 1e-300 the kernel s^-1.5 overflows while the gauge does
     # not, and the order-0 root lies below the rounding of v + t; the cube
@@ -426,10 +443,13 @@ def _fuzz_cube(n):
 
 
 def _fuzz_jet(n):
-    keys = ["[0]", "[1]"] if n == 1 else ["[0,0]", "[1,0]", "[0,1]"]
+    return st.fixed_dictionaries({"poly": _fuzz_poly(n, 1), "cube": _fuzz_cube(n)})
+
+
+def _fuzz_poly(n, degree):
+    keys = [json.dumps(list(a), separators=(",", ":")) for a in multi_indices(n, degree)]
     coef = st.dictionaries(st.sampled_from(keys), _fuzz_floats(-4.0, 4.0))
-    poly = st.fixed_dictionaries({"n": st.just(n), "L": st.just(1), "coef": coef})
-    return st.fixed_dictionaries({"poly": poly, "cube": _fuzz_cube(n)})
+    return st.fixed_dictionaries({"n": st.just(n), "L": st.just(degree), "coef": coef})
 
 
 _FUZZ_METRIC = st.integers(1, 2).flatmap(
@@ -444,6 +464,63 @@ _FUZZ_METRIC = st.integers(1, 2).flatmap(
                 "candidates": st.lists(_fuzz_jet(n), max_size=2),
             }
         ),
+    )
+)
+
+
+def _fuzz_context(n, k, m):
+    omega = _FUZZ_OMEGA.map(lambda d: {**d, "m": m})
+    return {"n": st.just(n), "k": st.just(k), "m": st.just(m), "omega": omega}
+
+
+def _fuzz_sample(n, k, m):
+    data = st.one_of(
+        st.fixed_dictionaries({"f": _fuzz_floats(-4.0, 4.0)}),
+        st.fixed_dictionaries({"jet": _fuzz_poly(n, max(k, 0))}),
+    )
+    point = st.tuples(st.lists(_fuzz_floats(-2.0, 2.0), min_size=n, max_size=n), data).map(
+        lambda xd: {"x": xd[0], **xd[1]}
+    )
+    return st.fixed_dictionaries(
+        {**_fuzz_context(n, k, m), "points": st.lists(point, min_size=1, max_size=3)},
+        optional={
+            "radii": st.lists(_fuzz_floats(0.01, 2.0), min_size=1, max_size=3),
+            "radii_levels": st.integers(0, 2),
+            "interpolate_center": st.booleans(),
+        },
+    )
+
+
+_FUZZ_CHECK = st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 2)).flatmap(
+    lambda nkm: _fuzz_sample(*nkm)
+)
+
+
+def _fuzz_node(n, k):
+    ineq = st.fixed_dictionaries(
+        {"a": st.lists(_fuzz_floats(-2.0, 2.0), max_size=2), "b": _fuzz_floats(-2.0, 2.0)}
+    )
+    spec = st.fixed_dictionaries(
+        {"base": _fuzz_poly(n, k)},
+        optional={
+            "dirs": st.lists(_fuzz_poly(n, k), max_size=2),
+            "ineq": st.lists(ineq, max_size=2),
+        },
+    )
+    return st.fixed_dictionaries({"cube": _fuzz_cube(n), "set": spec})
+
+
+_FUZZ_SELECT = st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(1, 2)).flatmap(
+    lambda nkm: st.fixed_dictionaries(
+        {
+            "context": st.fixed_dictionaries(_fuzz_context(*nkm)),
+            "nodes": st.lists(_fuzz_node(nkm[0], nkm[1]), min_size=1, max_size=3),
+        },
+        optional={
+            "experiment": st.fixed_dictionaries(
+                {}, optional={"ell": st.integers(1, 2), "budget": st.integers(1, 20)}
+            )
+        },
     )
 )
 
@@ -474,16 +551,59 @@ def test_metric_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal
     if literal is not None:  # json writes NaN/Infinity literals for these
         first = payload.get("cubes", payload.get("jets"))[0]
         first.get("cube", first)["x"][0] = literal
-    if wrong is not None:  # one value, or the whole payload, of another JSON type
+    _assert_exit_contract(tmp_path, capsys, "metric", _mutate(payload, None, wrong))
+
+
+def _assert_exit_contract(tmp_path, capsys, command, payload):
+    path = _write(tmp_path, "fuzz.json", payload)
+    code = main([command, "--input", path, "--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "type" in json.loads(err)["error"]
+
+
+def _mutate(payload, literal, wrong):
+    """Put a NaN/Infinity literal in place of one number, or a value of
+    another JSON type in place of one value or of the whole payload."""
+    if literal is not None:
+        numbers = [(c, k) for c, k in _slots(payload) if type(c[k]) is float]
+        if numbers:
+            container, key = numbers[literal[0] % len(numbers)]
+            container[key] = literal[1]
+    if wrong is not None:
         slots = [(None, None), *_slots(payload)]
         container, key = slots[wrong[0] % len(slots)]
         if container is None:
-            payload = wrong[1]
-        else:
-            container[key] = wrong[1]
-    path = _write(tmp_path, "fuzz.json", payload)
-    code = main(["metric", "--input", path, "--output", str(tmp_path / "out.json")])
-    assert code in (0, 2, 3)
-    err = capsys.readouterr().err
-    if code:
-        assert "type" in json.loads(err)["error"]
+            return wrong[1]
+        container[key] = wrong[1]
+    return payload
+
+
+_FUZZ_LITERAL = st.none() | st.tuples(
+    st.integers(0, 10**6), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+_FUZZ_WRONG = st.none() | st.tuples(st.integers(0, 10**6), _WRONG_TYPES)
+
+
+@settings(
+    max_examples=75,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_FUZZ_CHECK, literal=_FUZZ_LITERAL, wrong=_FUZZ_WRONG)
+def test_check_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal, wrong):
+    _assert_exit_contract(tmp_path, capsys, "check", _mutate(payload, literal, wrong))
+
+
+@settings(
+    max_examples=75,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=_FUZZ_SELECT, literal=_FUZZ_LITERAL, wrong=_FUZZ_WRONG)
+def test_select_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal, wrong):
+    _assert_exit_contract(tmp_path, capsys, "select", _mutate(payload, literal, wrong))

@@ -16,7 +16,9 @@ from jetspace.cubes import (
     dyadic_radii,
     equivalence_ratio,
     halfspace_to_cube,
+    pair_scales,
     poincare_distance,
+    point_sub,
     uniform_norm,
     weighted_cube_distance,
 )
@@ -34,6 +36,11 @@ def test_cube_validation():
         Cube(center=(0.0,), radius=0.0)
     with pytest.raises(ValueError):
         Cube(center=(), radius=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Cube(center=(0.0, bad), radius=1.0)
+        with pytest.raises(ValueError):
+            Cube(center=(0.0,), radius=bad)
     with pytest.raises(ValueError):
         HalfSpacePoint(base=(0.0,), height=-1.0)
 
@@ -167,6 +174,48 @@ def test_dyadic_radii():
     pts = [(0.0,), (4.0,)]
     assert dyadic_radii(pts, 2) == [4.0, 2.0, 1.0]
     assert dyadic_radii([(7.0,)], 1) == [1.0, 0.5]
+
+
+def _pairwise_diameter(points):
+    diam = 0.0
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            diam = max(diam, uniform_norm(point_sub(a, b)))
+    return diam if diam != 0.0 else 1.0
+
+
+def test_dyadic_radii_matches_pairwise_diameter_bit_for_bit():
+    rng = np.random.default_rng(23)
+    sets = [[(7.0, -1.0)], [(0.3, 0.3)] * 4, [(1.0,), (1.0,), (-2.5,), (-2.5,)]]
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-6, 6, size=n)
+        draws = rng.uniform(-1, 1, (int(rng.integers(1, 9)), n)) * scale
+        pts = [tuple(map(float, x)) for x in draws]
+        sets.append(pts + pts[: int(rng.integers(0, 3))])  # some duplicates
+    for pts in sets:
+        assert dyadic_radii(pts, 2) == [_pairwise_diameter(pts) * 2.0**-j for j in range(3)]
+    with pytest.raises(ValueError):
+        dyadic_radii([(0.0,), (1.0, 2.0)], 1)
+
+
+def test_pair_scales_bit_identical_to_inline_expressions():
+    rng = np.random.default_rng(29)
+    mod = Modulus.power(1.5, 2)
+    for _ in range(500):
+        n = int(rng.integers(1, 4))
+        scales = 10.0 ** rng.uniform(-8, 8, size=(2, 2))  # center and radius scale per cube
+        q1, q2 = [Cube(rng.uniform(-3, 3, n) * c, float(r)) for c, r in scales]
+        sep = uniform_norm(point_sub(q1.center, q2.center))
+        assert sep == uniform_norm(tuple(a - b for a, b in zip(q1.center, q2.center)))
+        expected = (
+            min(q1.radius, q2.radius),
+            max(q1.radius, q2.radius) + sep,
+            q1.radius + q2.radius + sep,
+        )
+        assert pair_scales(q1, q2) == expected
+        assert cube_distance(q1, q2) == math.log1p(expected[1] / expected[0])
+        assert weighted_cube_distance(mod, q1, q2) == mod.integral_core(expected[0], expected[2])
 
 
 def test_triangle_small_random():

@@ -8,8 +8,6 @@ import pytest
 from jetspace.cubes import Cube, point_sub, uniform_norm, weighted_cube_distance
 from jetspace.jets import (
     Jet,
-    _eval_points,
-    _shared_context,
     gauge,
     gauge_inverse,
     jet_distance,
@@ -78,6 +76,11 @@ def test_gauge_inverse_validation():
         gauge_inverse(MOD_LIN_2, 1, 0, -1.0, 1.0)
     with pytest.raises(ValueError):
         gauge(MOD_LIN_2, 1, 0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        gauge(MOD_LIN_2, 1, (-1,), 1.0, 1.0)
+    for u in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            value_gauge(MOD_LIN_2, 1, 0, u, 0.0)
     assert gauge_inverse(MOD_LIN_2, 1, 0, 0.0, 1.0) == 0.0
 
 
@@ -115,13 +118,23 @@ def test_jet_gap_is_max_over_centers():
 
 def _jet_gap_per_pair(mod, t1, t2, at=None):
     """``jet_gap`` as one gauge inversion per multi-index and evaluation point."""
-    n, top = _shared_context(t1, t2)
+    if t1.n != t2.n:
+        raise ValueError("jet dimensions differ")
+    if t1.degree != t2.degree:
+        raise ValueError("jet degree bounds differ")
+    n, top = t1.n, t1.degree
+    if at is None:
+        points = [t1.cube.center, t2.cube.center]
+    elif len(at) != n:
+        raise ValueError("evaluation point dimension mismatch")
+    else:
+        points = [tuple(float(c) for c in at)]
     v = min(t1.cube.radius, t2.cube.radius)
     sep = uniform_norm(point_sub(t1.cube.center, t2.cube.center))
     best = max(t1.cube.radius, t2.cube.radius) + sep
     diff = t1.poly - t2.poly
     for alpha in multi_indices(n, top):
-        for y in _eval_points(t1, t2, at):
+        for y in points:
             u = abs(diff.deriv_eval(alpha, y))
             if u > 0.0:
                 best = max(best, gauge_inverse(mod, top, alpha, u, v))
@@ -352,8 +365,53 @@ def test_top_order_routes_need_no_discrepancy_scale():
     t1 = Jet(Poly(1, 1, {(1,): 800.0}), Cube((0.0,), 1.0))
     t2 = Jet(Poly.zero(1, 1), Cube((0.5,), 1.0))
     assert zygmund_distance(t1, t2, 2) == 800.0
+    assert jet_distance(mod, t1, t2) == 800.0
+    assert jet_distance(mod, t1, t2, cross_check=True) == 800.0
     assert jet_distance_componentwise(mod, t1, t2) == 800.0
     assert jet_distance_via_value_gauge(mod, t1, t2, (0.0,)) == 800.0
+    assert jet_gap(mod, t1, t2) == math.inf
+
+
+def _closed_zygmund(m):
+    return lambda t1, t2: zygmund_distance(t1, t2, m)
+
+
+def _closed_sobolev(k):
+    return lambda t1, t2: sobolev_distance(t1, t2, k)
+
+
+def test_routes_agree_on_large_top_order_discrepancies():
+    # top-order discrepancies up to ~1e6: at p = q - m + 1 == 0 their
+    # discrepancy scale v * expm1(u) is beyond the float range, the distance
+    # is not; w(t) = t^2 at m = 2 is a table with kernel 1
+    table = Modulus.table([(0.01, 1e-4), (1.0, 1.0), (1e4, 1e8)], 2)
+    cases = [
+        (Modulus.power(1.0, 2), 1, _closed_zygmund(2)),  # p == 0
+        (Modulus.power(2.0, 3), 2, _closed_zygmund(3)),  # p == 0
+        (Modulus.power(1.0, 1), 2, _closed_sobolev(2)),  # p == 1
+        (Modulus.power(1.5, 2), 1, None),  # p == 0.5
+        (Modulus.power(0.5, 2), 2, None),  # p == -0.5: finite tail mass
+        (table, 1, None),
+    ]
+    rng = np.random.default_rng(47)
+    for mod, degree, closed in cases:
+        for n in (1, 2):
+            tops = [b for b in multi_indices(n, degree) if sum(b) == degree]
+            for _ in range(12):
+                y = tuple(float(c) for c in rng.uniform(-1, 1, n))
+                t1 = _random_jet(rng, n, degree)
+                beta = tops[int(rng.integers(len(tops)))]
+                coef = dict(t1.poly.coef)  # a top-order jump of s * beta!
+                jump = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 6))
+                coef[beta] = coef.get(beta, 0.0) + jump
+                t2 = Jet(Poly(n, degree, coef), _random_jet(rng, n, degree).cube)
+                a = jet_distance(mod, t1, t2, at=y)
+                assert jet_distance_componentwise(mod, t1, t2, at=y) == pytest.approx(a, rel=1e-12)
+                assert jet_distance_via_value_gauge(mod, t1, t2, y) == pytest.approx(a, rel=1e-8)
+                both = jet_distance(mod, t1, t2, cross_check=True)
+                assert jet_distance_componentwise(mod, t1, t2) == pytest.approx(both, rel=1e-12)
+                if closed is not None:
+                    assert closed(t1, t2) == pytest.approx(both, rel=1e-8)
 
 
 def test_value_gauge_basics():

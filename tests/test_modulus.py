@@ -50,6 +50,13 @@ def test_construction_validation():
         Modulus.table([(1.0, 1.0), (2.0, -1.0)], m=1)
     with pytest.raises(ValueError):
         Modulus(family="exotic", m=1, q=1.0)
+    for bad in (math.nan, math.inf):
+        for make in (Modulus.power, Modulus.power_log):
+            with pytest.raises(ValueError, match="finite"):
+                make(bad, 2)
+        for knots in ([(1.0, 1.0), (bad, 2.0)], [(bad, 1.0), (2.0, 2.0)], [(1.0, 1.0), (2.0, bad)]):
+            with pytest.raises(ValueError, match="finite"):
+                Modulus.table(knots, 2)
 
 
 # -- order-m membership ------------------------------------------------------
@@ -256,3 +263,18 @@ def test_core_integral_inverse_beyond_mass_is_inf():
     mod = Modulus.power(0.2, 2)
     v = 1.0
     assert math.isinf(mod.core_integral_inverse(mod.tail_mass(v) * 1.5, v))
+
+
+def test_core_integral_inverse_beyond_float_range_is_inf():
+    # p = q - m + 1 == 0: v * expm1(w) overflows past w = 709.78
+    assert Modulus.power(1.0, 2).core_integral_inverse(800.0, 1.0) == math.inf
+    # p > 0: base ** (1 / p) overflows for a large 1 / p
+    assert Modulus.power(1.001, 2).core_integral_inverse(1e6, 1.0) == math.inf
+    # p < 0: base ** (1 / p) overflows as base = v^p + p w nears 0, just
+    # below the tail mass 1 / 0.01
+    mod = Modulus.power(0.99, 2)
+    assert 99.99 < mod.tail_mass(1.0)
+    assert mod.core_integral_inverse(99.99, 1.0) == math.inf
+    # below the overflow the closed forms are unchanged
+    assert mod.core_integral_inverse(50.0, 1.0) == pytest.approx(0.5 ** -100 - 1.0, rel=1e-12)
+    assert Modulus.power(1.0, 2).core_integral_inverse(700.0, 1.0) == math.expm1(700.0)

@@ -10,7 +10,7 @@ import pytest
 from jetspace import jets, modulus
 from jetspace.jets import _zygmund_gauge_inverse, gauge_inverse, value_gauge
 from jetspace.modulus import Modulus
-from jetspace.numerics import adaptive_simpson, invert_increasing
+from jetspace.numerics import adaptive_simpson, invert_increasing, within_slack
 
 
 def _bisect_oracle(
@@ -315,3 +315,14 @@ def test_quadrature_depth_cap_raises():
     assert adaptive_simpson(math.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-9)
     with pytest.raises(ArithmeticError, match="max_depth"):
         adaptive_simpson(math.sqrt, 0.0, 1.0, rel_tol=1e-15, max_depth=3)
+
+
+def test_within_slack_fails_an_infinite_excess():
+    assert within_slack(1.0, 1.0 + 1e-12, 1e-9)
+    assert within_slack(1.0 + 1e-12, 1.0, 1e-9)
+    assert not within_slack(1.0 + 1e-6, 1.0, 1e-9)
+    assert within_slack(1.0, math.inf, 1e-9)
+    # the slack relative to inf is inf, but inf is not within it of 800
+    assert not within_slack(math.inf, 800.0, 1e-9)
+    assert not within_slack(1.0, -math.inf, 1e-9)
+    assert not within_slack(math.nan, 1.0, 1e-9)
