@@ -108,7 +108,8 @@ def cube_distance(q1: Cube, q2: Cube) -> float:
     if q1 == q2:
         return 0.0
     v, span, _ = pair_scales(q1, q2)
-    return math.log1p(span / v)
+    ratio = span / v
+    return math.log1p(ratio) if ratio < math.inf else math.log(span) - math.log(v)
 
 
 def weighted_cube_distance(mod: Modulus, q1: Cube, q2: Cube) -> float:
@@ -130,11 +131,12 @@ def poincare_distance(z1: HalfSpacePoint, z2: HalfSpacePoint) -> float:
     _check_same_dim(z1, z2)
     if z1 == z2:
         return 0.0
-    d2 = sum((a - b) ** 2 for a, b in zip(z1.base, z2.base))
-    b = math.sqrt(d2 + (z1.height - z2.height) ** 2)
-    a = math.sqrt(d2 + (z1.height + z2.height) ** 2)
-    # A - B cancels badly for far pairs; use A^2 - B^2 = 4*h1*h2 instead.
-    return math.log((a + b) ** 2 / (4.0 * z1.height * z2.height))
+    diff = [a - b for a, b in zip(z1.base, z2.base)]
+    b = math.hypot(*diff, z1.height - z2.height)
+    a = math.hypot(*diff, z1.height + z2.height)
+    # A - B cancels badly for far pairs; use A^2 - B^2 = 4*h1*h2 instead, one
+    # factor (a + b) / (2 h) >= 1 at a time so that neither overflows
+    return math.log((a + b) / (2.0 * z1.height)) + math.log((a + b) / (2.0 * z2.height))
 
 
 def equivalence_ratio(z1: HalfSpacePoint, z2: HalfSpacePoint) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cubes import Cube
-from .jets import Jet, core_up_to, gauge_inverse, jet_distance, scale
+from .jets import Jet, gauge_integral, jet_distance, scale
 from .modulus import Modulus
 from .numerics import within_slack
 
@@ -144,17 +144,11 @@ def interval_chain_inequality(
     if any(x < 0 for x in a) or any(x < 0 for x in c):
         raise ValueError("steps must be non-negative")
     v = min(b[0], b[-1])
-    lhs = max(
-        mod.integral_core(v, b[0] + b[-1] + sum(a)),
-        mod.integral_core(v, v + sum(c)),
-    )
+    lhs = max(mod.integral_core(v, b[0] + b[-1] + sum(a)), mod._increment(v, sum(c))[0])
     rhs = 0.0
     for bi, bj, ai, ci in zip(b, b[1:], a, c):
         w = min(bi, bj)
-        rhs += max(
-            mod.integral_core(w, bi + bj + ai),
-            mod.integral_core(w, w + ci),
-        )
+        rhs += max(mod.integral_core(w, bi + bj + ai), mod._increment(w, ci)[0])
     return _check(lhs, rhs, rel_slack)
 
 
@@ -170,7 +164,8 @@ def gauge_chain_inequality(
 
     The integral up to the gauge-inverse of the summed discrepancies (taken at
     the end-to-end scale) is at most the sum over links of the maximum of the
-    plain link integral and the link's own integrated gauge-inverse.
+    plain link integral and the link's own integrated gauge-inverse
+    (``gauge_integral``, which takes the top order as a distance).
     """
     if len(b) < 2 or len(u) != len(b) - 1:
         raise ValueError("need l+1 scales and l discrepancies")
@@ -178,17 +173,11 @@ def gauge_chain_inequality(
         raise ValueError("scales must be positive")
     if any(x < 0 for x in u):
         raise ValueError("discrepancies must be non-negative")
-    v = min(b[0], b[-1])
-    t = gauge_inverse(mod, top, alpha, sum(u), v)
-    lhs = core_up_to(mod, v, t)
+    lhs = gauge_integral(mod, top, alpha, sum(u), min(b[0], b[-1]))
     rhs = 0.0
     for bi, bj, ui in zip(b, b[1:], u):
         w = min(bi, bj)
-        ti = gauge_inverse(mod, top, alpha, ui, w)
-        rhs += max(
-            mod.integral_core(w, bi + bj),
-            core_up_to(mod, w, ti),
-        )
+        rhs += max(mod.integral_core(w, bi + bj), gauge_integral(mod, top, alpha, ui, w))
     return _check(lhs, rhs, rel_slack)
 
 

@@ -71,13 +71,6 @@ def _excess(top: int, alpha, v: float, x: float, name: str) -> int:
     return top - a
 
 
-def core_up_to(mod: Modulus, v: float, t: float) -> float:
-    """Core integral over [v, v + t], capped at the tail mass for t = +inf."""
-    if math.isinf(t):
-        return mod.tail_mass(v)
-    return mod.integral_core(v, v + t)
-
-
 def gauge(mod: Modulus, top: int, alpha, t: float, v: float) -> float:
     """Admissible derivative discrepancy at spatial scale t and base scale v:
     t^(top - |alpha|) times the core integral of the modulus over [v, v+t].
@@ -88,7 +81,7 @@ def gauge(mod: Modulus, top: int, alpha, t: float, v: float) -> float:
     e = _excess(top, alpha, v, t, "spatial scale")
     if t == 0.0:
         return 0.0
-    return t**e * mod.integral_core(v, v + t)
+    return t**e * mod._increment(v, t)[0]
 
 
 def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
@@ -109,10 +102,19 @@ def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
         return u ** (1.0 / (e + 1))
 
     def fdf(t: float) -> tuple[float, float]:
-        core = mod.integral_core(v, v + t)
-        return t**e * core, e * t ** (e - 1) * core + t**e * mod.core_kernel(v + t)
+        core, slope = mod._increment(v, t)
+        return t**e * core, e * t ** (e - 1) * core + t**e * slope
 
     return invert_increasing(fdf, u)
+
+
+def gauge_integral(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
+    """Core integral over [v, v + gauge_inverse(u)]; at the top order that is
+    min(u, tail mass), taken as such rather than through a scale that may be
+    beyond the float range."""
+    if _excess(top, alpha, v, u, "target") == 0:
+        return min(u, mod.tail_mass(v))
+    return mod._increment(v, gauge_inverse(mod, top, alpha, u, v))[0]
 
 
 def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
@@ -126,9 +128,7 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     e = _excess(top, alpha, v, u, "target")
     if u == 0.0:
         return 0.0
-    if e == 0:
-        # the distance contribution of a top-order discrepancy is the
-        # discrepancy itself, capped at the reachable integral mass
+    if e == 0:  # the discrepancy itself, capped at the reachable mass
         return min(u, mod.tail_mass(v))
 
     def fdf(s: float) -> tuple[float, float]:
@@ -216,7 +216,7 @@ def jet_distance(
     gap, top_peak, v, span, reach = _lower_gap(mod, t1, t2, at)
     # in the cube-separation case the upper limit is the weighted cube
     # distance's, so that the two coincide bit for bit
-    out = mod.integral_core(v, reach) if gap == span else core_up_to(mod, v, gap)
+    out = mod.integral_core(v, reach) if gap == span else mod._increment(v, gap)[0]
     if top_peak > 0.0:
         out = max(out, min(top_peak, mod.tail_mass(v)))
     if cross_check:
@@ -238,13 +238,8 @@ def jet_distance_componentwise(
     v, _, reach = pair_scales(t1.cube, t2.cube)
     best = mod.integral_core(v, reach)
     for a, u in disc:
-        if u == 0.0:
-            continue
-        if a == top:
-            cand = min(u, mod.tail_mass(v))
-        else:
-            cand = mod.integral_core(v, v + gauge_inverse(mod, top, a, u, v))
-        best = max(best, cand)
+        if u > 0.0:
+            best = max(best, gauge_integral(mod, top, a, u, v))
     return best
 
 

@@ -1,4 +1,5 @@
-"""Shared scalar numerics: adaptive quadrature, monotone inversion, slack checks."""
+"""Shared scalar numerics: monotone inversion, slack checks, and adaptive
+quadrature, which no library path calls (kept as a test oracle and bench target)."""
 
 from __future__ import annotations
 

@@ -26,9 +26,8 @@ from .geodesic import (
 )
 from .jets import (
     Jet,
-    core_up_to,
     gauge,
-    gauge_inverse,
+    gauge_integral,
     jet_distance,
     jet_distance_componentwise,
     jet_distance_via_value_gauge,
@@ -447,12 +446,8 @@ def suite_gauge_shift(
         r = float(rng.uniform(0.01, 3.0))
         # draw the discrepancy inside the gauge's range
         u = gauge(mod, top, a_ord + b_ord, float(rng.uniform(0.0, 4.0)), v)
-        lhs_t = gauge_inverse(mod, top, a_ord, r**b_ord * u, v)
-        lhs = core_up_to(mod, v, lhs_t)
-        rhs1 = mod.integral_core(v, v + r)
-        rhs_t = gauge_inverse(mod, top, a_ord + b_ord, u, v)
-        rhs2 = core_up_to(mod, v, rhs_t)
-        rhs = max(rhs1, rhs2)
+        lhs = gauge_integral(mod, top, a_ord, r**b_ord * u, v)
+        rhs = max(mod.integral_core(v, v + r), gauge_integral(mod, top, a_ord + b_ord, u, v))
         tally.add(
             within_slack(lhs, rhs, slack), rhs - lhs,
             witness=lambda: {

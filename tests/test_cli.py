@@ -8,10 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetspace.cli import main
+from jetspace.cubes import pair_scales
 from jetspace.jets import jet_distance, zygmund_distance
 from jetspace.modulus import Modulus
 from jetspace.poly import multi_indices
-from jetspace.serialize import jet_from_dict, modulus_from_dict
+from jetspace.serialize import cube_from_dict, jet_from_dict, modulus_from_dict
+from test_modulus import POWERLOG_GRID, powerlog_exact, table_exact
 from test_numerics import bisection_engine, inverting_with
 
 
@@ -313,13 +315,36 @@ def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):
+    # the integral of ln(1+s)/s over [1e-300, 1e300] is finite: it once
+    # exited 3 only because adaptive quadrature overflowed on it
     payload = {
         "omega": {"family": "powerlog", "q": 1.0, "m": 2},
         "cubes": [{"x": [1e300], "r": 1e-300}, {"x": [0.0], "r": 1.0}],
     }
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    # -Li2(-1e300) + Li2(-1e-300), mpmath at 40 digits
+    assert json.loads(text)["weighted_cube_distance"] == pytest.approx(
+        238587.05990559476, rel=1e-12
+    )
+    # s ln(1+s) over the same span integrates to about 1e600 ln(1e300) / 2
+    payload["omega"] = {"family": "powerlog", "q": 2.0, "m": 1}
     path = _write(tmp_path, "in.json", payload)
     assert main(["metric", "--input", path]) == 3
     assert _error(capsys)["type"] == "OverflowError"
+
+
+def test_metric_powerlog_wide_span_is_exact(tmp_path):
+    # adaptive quadrature printed 11624445625.1 here with exit 0
+    payload = {
+        "omega": {"family": "powerlog", "q": 1.0, "m": 2},
+        "cubes": [{"x": [0.0], "r": 0.53}, {"x": [1e20], "r": 1.0}],
+    }
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    got = json.loads(text)["weighted_cube_distance"]
+    assert got == pytest.approx(powerlog_exact(1.0, 2, 0.53, 1e20 + 1.53), rel=1e-12)
+    assert got == pytest.approx(1061.55, abs=0.01)
 
 
 def test_select_overflowing_gauge_exits_3(tmp_path, capsys):
@@ -350,7 +375,8 @@ def test_select_overflowing_gauge_exits_3(tmp_path, capsys):
 
 def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, monkeypatch):
     # each inversion here used to double its bracket about 500 times, one
-    # adaptive quadrature per step: 37,094 quadratures for this input
+    # adaptive quadrature per step: 37,094 quadratures for this input.  Every
+    # integral and every inversion step is one call of the core primitive.
     payload = {
         "omega": {"family": "powerlog", "q": 0.0, "m": 0},
         "jets": [
@@ -359,16 +385,16 @@ def test_metric_powerlog_huge_coefficients_inverts_in_few_quadratures(tmp_path, 
         ],
     }
     calls = [0]
-    integral_core = Modulus.integral_core
+    increment = Modulus._increment
 
-    def counted(self, a, b):
+    def counted(self, *args):
         calls[0] += 1
-        return integral_core(self, a, b)
+        return increment(self, *args)
 
-    monkeypatch.setattr(Modulus, "integral_core", counted)
+    monkeypatch.setattr(Modulus, "_increment", counted)
     code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
     assert code == 0
-    assert calls[0] < 1000
+    assert 0 < calls[0] < 1000
     mod = modulus_from_dict(payload["omega"])
     jets = [jet_from_dict(j) for j in payload["jets"]]
     with inverting_with(bisection_engine):
@@ -607,3 +633,83 @@ def test_check_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal,
 @given(payload=_FUZZ_SELECT, literal=_FUZZ_LITERAL, wrong=_FUZZ_WRONG)
 def test_select_fuzz_keeps_exit_code_contract(tmp_path, capsys, payload, literal, wrong):
     _assert_exit_contract(tmp_path, capsys, "select", _mutate(payload, literal, wrong))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _wide_table_metric(draw):
+    """A table modulus whose knots span up to 24 decades, and two cubes
+    inside its range, down to 1e-8 of its last knot."""
+    m = draw(st.integers(1, 2))
+    t = draw(_log_uniform(-6.0, 0.0))
+    knots = [(t, t * draw(_log_uniform(-1.0, 1.0)))]
+    for _ in range(draw(st.integers(1, 3))):
+        ratio = draw(_log_uniform(0.1, 6.0))
+        knots.append((knots[-1][0] * ratio, knots[-1][1] * ratio ** draw(st.floats(0.0, m))))
+    top = knots[-1][0]
+    cube = st.fixed_dictionaries(
+        {
+            "x": st.lists(st.floats(-1.0, 1.0).map(lambda c: c * top / 5.0), min_size=1, max_size=1),
+            "r": _log_uniform(-8.0, -0.7).map(lambda c: c * top),
+        }
+    )
+    omega = {"family": "table", "m": m, "knots": [list(k) for k in knots]}
+    return {"omega": omega, "cubes": draw(st.lists(cube, min_size=2, max_size=2))}
+
+
+_WIDE_POWERLOG_METRIC = st.fixed_dictionaries(
+    {
+        "omega": st.sampled_from(POWERLOG_GRID).map(
+            lambda qm: {"family": "powerlog", "q": qm[0], "m": qm[1]}
+        ),
+        "cubes": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "x": st.lists(
+                        st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(-300.0, 300.0)).map(
+                            lambda sx: sx[0] * sx[1]
+                        ),
+                        min_size=1,
+                        max_size=1,
+                    ),
+                    "r": _log_uniform(-300.0, 300.0),
+                }
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    }
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(payload=st.one_of(_WIDE_POWERLOG_METRIC, _wide_table_metric()))
+def test_metric_fuzz_wide_range_matches_exact_integrals(tmp_path, capsys, payload):
+    """weighted_cube_distance on powerlog and table moduli over spans up to
+    1e600 in scale, against integrals from exact antiderivatives; exit 3
+    exactly where the integral is beyond the float range."""
+    mod = modulus_from_dict(payload["omega"])
+    q1, q2 = (cube_from_dict(c) for c in payload["cubes"])
+    v, _, reach = pair_scales(q1, q2)
+    if q1 == q2:
+        exact = 0.0
+    elif mod.family == "table":
+        exact = table_exact(mod, v, reach)
+    else:
+        exact = powerlog_exact(mod.q, mod.m, v, reach)
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    capsys.readouterr()
+    if math.isinf(exact):
+        assert code == 3
+    else:
+        assert code == 0
+        got = json.loads(text)["weighted_cube_distance"]
+        assert got == pytest.approx(exact, rel=1e-12)

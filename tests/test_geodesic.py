@@ -238,6 +238,15 @@ def test_gauge_chain_random():
         assert gauge_chain_inequality(MOD, top, a_ord, b, u).ok
 
 
+def test_gauge_chain_top_order_is_carried_as_a_distance():
+    # kernel 1/s: the summed top-order discrepancy 800 has its discrepancy
+    # scale expm1(800) beyond the float range, while the integral up to that
+    # scale is 800 itself; this once gave lhs = inf and ok = False
+    res = gauge_chain_inequality(Modulus.power(1.0, 2), 1, 1, [1.0, 1.0, 1.0], [400.0, 400.0])
+    assert res.ok
+    assert res.lhs == 800.0 and res.rhs == 800.0
+
+
 def test_gauge_chain_validation():
     with pytest.raises(ValueError):
         gauge_chain_inequality(MOD, 1, 0, [1.0, 1.0], [0.0, 0.0])

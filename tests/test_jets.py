@@ -520,3 +520,12 @@ def test_cross_check_both_centers_random():
                  Cube(tuple(rng.uniform(-1, 1, size=n)), float(rng.uniform(0.1, 1.5))))
         # raises if the two routes drift beyond relative 1e-8
         jet_distance(mod, t1, t2, cross_check=True)
+
+
+def test_value_gauge_table_target_far_below_the_base_scale():
+    # the inner core inverse once crept along the one-ulp staircase of
+    # integral_core(v, v + t) at t / v near 6e-9 and raised ArithmeticError
+    mod = Modulus.table([(0.01, 1e-4), (1.0, 1.0), (1e4, 1e8)], 2)
+    v, u = 0.8629514739235359, 1e-17
+    s = value_gauge(mod, 1, 0, u, v)
+    assert s * mod.core_integral_inverse(s, v) == pytest.approx(u, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,13 +227,16 @@ def test_tail_mass_power_closed_form():
 
 
 def test_tail_mass_powerlog_against_truncation():
+    mp = pytest.importorskip("mpmath")
     mod = Modulus.power_log(0.2, 2)  # kernel s^(-1.8) ln(1+s)
     v = 0.5
-    big = 1e5
-    head = mod.integral_core(v, big)
-    # remainder beyond the cutoff is tiny for this decay
-    assert mod.tail_mass(v) == pytest.approx(head, rel=1e-3)
-    assert mod.tail_mass(v) >= head
+    head = mod.integral_core(v, 1e5)
+    # the oracle integrates e^(-0.8 y) ln(1 + e^y) over [ln v, inf), s = e^y
+    with mp.workdps(30):
+        lv = mp.log(v)
+        exact = mp.quad(lambda y: mp.exp(-0.8 * y) * mp.log1p(mp.exp(y)), [lv, 0, 5, 20, 60, mp.inf])
+    assert mod.tail_mass(v) == pytest.approx(float(exact), rel=1e-12)
+    assert mod.tail_mass(v) > head
 
 
 def test_tail_mass_table_is_the_mass_up_to_the_last_knot():
@@ -278,3 +282,155 @@ def test_core_integral_inverse_beyond_float_range_is_inf():
     # below the overflow the closed forms are unchanged
     assert mod.core_integral_inverse(50.0, 1.0) == pytest.approx(0.5 ** -100 - 1.0, rel=1e-12)
     assert Modulus.power(1.0, 2).core_integral_inverse(700.0, 1.0) == math.expm1(700.0)
+
+
+# -- exact oracles -----------------------------------------------------------
+
+# exponents k of the kernel s^k ln(1+s) = s^(q-m) ln(1+s) with an exact
+# antiderivative below
+POWERLOG_GRID = [(q, m) for q in (0.5, 1.0, 1.5, 2.0) for m in (1, 2)]
+
+
+def _powerlog_antiderivative(mp, k, s):
+    """An antiderivative of s^k ln(1+s), for k in {-1.5, -1, -0.5, 0, 0.5, 1}."""
+    log, root = mp.log1p(s), mp.sqrt(s)
+    forms = {
+        -1.5: lambda: -2 * log / root + 4 * mp.atan(root),
+        -1.0: lambda: -mp.polylog(2, -s),
+        -0.5: lambda: 2 * root * log - 4 * root + 4 * mp.atan(root),
+        0.0: lambda: (1 + s) * log - s,
+        0.5: lambda: (2 * root**3 * log - 4 * (root**3 / 3 - root + mp.atan(root))) / 3,
+        1.0: lambda: (s * s - 1) / 2 * log - s * s / 4 + s / 2,
+    }
+    return forms[k]()
+
+
+def powerlog_exact(q: float, m: int, a: float, b: float) -> float:
+    """Integral of s^(q-m) ln(1+s) over [a, b] from exact antiderivatives at
+    80 digits, rounded once; +inf beyond the float range."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        a, b = mp.mpf(a), mp.mpf(b)
+        k = q - m
+        exact = _powerlog_antiderivative(mp, k, b) - _powerlog_antiderivative(mp, k, a)
+        return float(exact) if exact < mp.mpf(2) ** 1024 else math.inf
+
+
+@pytest.mark.parametrize("k", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0])
+def test_powerlog_antiderivatives_against_mpmath_quad(k):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for a, b in ((1e-3, 0.4), (0.3, 1.7), (0.9, 40.0)):
+            quad = mp.quad(lambda s: s**k * mp.log1p(s), [a, b])
+            exact = _powerlog_antiderivative(mp, k, mp.mpf(b)) - _powerlog_antiderivative(
+                mp, k, mp.mpf(a)
+            )
+            assert abs(exact - quad) <= mp.mpf(1e-25) * abs(quad)
+
+
+@pytest.mark.parametrize("q, m", POWERLOG_GRID)
+def test_powerlog_integral_matches_exact_antiderivative(q, m):
+    """Relative 1e-12 over a in [1e-6, 1e3] and b / a up to 1e300, at steps
+    far below a too; a value beyond the float range raises OverflowError."""
+    mod = Modulus.power_log(q, m)
+    rng = np.random.default_rng(int(10 * q + m))
+    cases = [
+        (a, a * r)
+        for a in (1e-6, 1e-3, 0.3, 0.5, 0.53, 1.0, 1.7, 2.0, 3.0, 1e3)
+        for r in (1 + 1e-15, 1 + 1e-12, 1 + 1e-6, 1.3, 2.5, 10.0, 1e3, 1e10, 1e30, 1e100, 1e300)
+    ]
+    for _ in range(60):
+        a = float(10 ** rng.uniform(-6, 3))
+        cases.append((a, a + a * float(10 ** rng.uniform(-16, 300))))
+    for a, b in cases:
+        exact = powerlog_exact(q, m, a, b)
+        if math.isinf(exact):
+            with pytest.raises(OverflowError):
+                mod.integral_core(a, b)
+        else:
+            assert mod.integral_core(a, b) == pytest.approx(exact, rel=1e-12), (a, b)
+
+
+def test_powerlog_dilogarithm_against_spence():
+    # the kernel ln(1+s)/s integrates to -Li2(-s), and Li2(z) = spence(1 - z)
+    special = pytest.importorskip("scipy.special")
+    mod = Modulus.power_log(1.0, 2)
+    for a in (1e-6, 0.01, 0.53, 1.0, 4.0, 1e3):
+        for r in (1.3, 10.0, 1e4, 1e12):
+            expect = special.spence(1.0 + a) - special.spence(1.0 + a * r)
+            assert mod.integral_core(a, a * r) == pytest.approx(expect, rel=1e-12)
+
+
+def test_powerlog_integral_far_beyond_the_old_quadrature_range():
+    # adaptive Simpson returned 2.2e50 here, and 1.16e10 at b = 1e20
+    mod = Modulus.power_log(1.0, 2)
+    got = mod.integral_core(0.53, 1.9e60)
+    assert got == pytest.approx(powerlog_exact(1.0, 2, 0.53, 1.9e60), rel=1e-12)
+    assert got == pytest.approx(9633.47, abs=0.01)
+    assert mod.integral_core(0.53, 1e20) == pytest.approx(1061.55, abs=0.01)
+
+
+def test_powerlog_tail_mass_against_exact_value():
+    # kernel s^-1.5 ln(1+s): the antiderivative tends to 2 pi at infinity
+    mp = pytest.importorskip("mpmath")
+    mod = Modulus.power_log(0.5, 2)
+    for v in (1e-6, 0.3, 1.0, 2.0, 7.0, 1e8):
+        with mp.workdps(50):
+            exact = 2 * mp.pi - _powerlog_antiderivative(mp, -1.5, mp.mpf(v))
+        assert mod.tail_mass(v) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_powerlog_mass_below_against_exact_value():
+    # quasipower at one grid point t: the integral of t^-0.5 ln(1+t) over
+    # (0, t], whose antiderivative above vanishes at 0, over w(t)
+    mp = pytest.importorskip("mpmath")
+    mod = Modulus.power_log(0.5, 2)
+    for t in (1e-3, 0.4, 0.7, 1.5, 30.0, 1e10):
+        with mp.workdps(50):
+            exact = _powerlog_antiderivative(mp, -0.5, mp.mpf(t)) / (mp.sqrt(t) * mp.log1p(t))
+        assert quasipower_constant(mod, [t]).value == pytest.approx(float(exact), rel=1e-12)
+
+
+def table_exact(mod: Modulus, a: float, b: float, weight: float | None = None) -> float:
+    """Integral of w(s)/s^weight (by default m) over [a, b] for a table
+    modulus, segment by segment at 60 digits, rounded once."""
+    mp = pytest.importorskip("mpmath")
+    weight = mod.m if weight is None else weight
+    with mp.workdps(60):
+        knots = [(mp.mpf(t), mp.mpf(w)) for t, w in mod.knots]
+        total, lo = mp.mpf(0), mp.mpf(a)
+        for i, ((t0, w0), (t1, w1)) in enumerate(zip(knots, knots[1:])):
+            hi = min(mp.mpf(b), t1)
+            if hi <= lo:
+                continue
+            slope = mp.log(w1 / w0) / mp.log(t1 / t0)
+            e = slope - weight + 1
+            total += w0 / t0**slope * (mp.log(hi / lo) if e == 0 else (hi**e - lo**e) / e)
+            lo = hi
+        return float(total)
+
+
+def test_table_integral_matches_exact_segments():
+    rng = np.random.default_rng(31)
+    mods = [
+        Modulus.table([(0.01, 1e-4), (1.0, 1.0), (1e4, 1e8)], 2),
+        Modulus.table([(0.01, 0.01), (1.0, 0.5), (100.0, 2.0), (1e4, 3.0)], 2),
+        Modulus.table([(1e-5, 1e-5), (1e5, 1e3)], 1),
+    ]
+    for mod in mods:
+        for _ in range(40):
+            a = float(10 ** rng.uniform(-6, math.log10(mod.domain_max)))
+            b = a + (mod.domain_max - a) * float(10 ** rng.uniform(-16, 0))
+            assert mod.integral_core(a, b) == pytest.approx(table_exact(mod, a, b), rel=1e-12)
+
+
+def test_powerlog_core_inverse_beyond_the_float_range_is_inf():
+    # ln(1+s)/s has no finite tail mass, but its integral up to the largest
+    # float is about 709.78^2 / 2; the Newton bracket once doubled past it
+    mod = Modulus.power_log(1.0, 2)
+    reach = mod.integral_core(1.0, 1.7976931348623157e308)
+    assert 2.5e5 < reach < 2.6e5
+    assert mod.core_integral_inverse(reach, 1.0) == math.inf
+    assert mod.core_integral_inverse(3e5, 1.0) == math.inf
+    t = mod.core_integral_inverse(0.5 * reach, 1.0)
+    assert mod.integral_core(1.0, 1.0 + t) == pytest.approx(0.5 * reach, rel=1e-12)

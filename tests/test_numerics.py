@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jetspace import jets, modulus
-from jetspace.jets import _zygmund_gauge_inverse, gauge_inverse, value_gauge
+from jetspace.jets import _zygmund_gauge_inverse, gauge, gauge_inverse, value_gauge
 from jetspace.modulus import Modulus
 from jetspace.numerics import adaptive_simpson, invert_increasing, within_slack
 
@@ -111,10 +111,9 @@ ORACLE_FLOOR = 1e-40
 
 def _targets(mod, rng, count):
     """(v, u) pairs: v log-uniform in [1e-3, 1e3], u log-uniform in
-    [1e-200, 1e200].  Powerlog targets stop at 1e6: above that the adaptive
-    Simpson integrals over [v, v + t] no longer resolve the kernel.  Table
-    targets are drawn below the mass reachable inside the table."""
-    top = 200.0 if mod.family == "power" else 6.0
+    [1e-200, 1e200].  Table targets are drawn below the mass reachable
+    inside the table."""
+    top = 6.0 if mod.family == "table" else 200.0
     out = []
     for _ in range(count):
         v = float(10 ** rng.uniform(-3, 3))
@@ -224,6 +223,25 @@ def test_mean_evaluations_per_inversion():
     assert sum(evals) / len(evals) <= 12
 
 
+def test_mean_evaluations_for_roots_far_below_the_base_scale():
+    """Roots at t in [1e-15 v, 1e-4 v], where a gauge computed through the
+    rounded v + t was a staircase in t and Newton crept (mean 29
+    evaluations); the increment-form integral resolves t there."""
+    rng = np.random.default_rng(22)
+    moduli = [Modulus.power(1.5, 2), Modulus.power(0.5, 1), TABLE]
+    rec = Recorder()
+    with inverting_with(rec):
+        for i in range(90):
+            mod, e = moduli[i % 3], 1 + (i // 3) % 3
+            v = float(10 ** rng.uniform(-3, 3))
+            t = v * float(10 ** rng.uniform(-15, -4))
+            u = gauge(mod, e, 0, t, v)
+            assert gauge_inverse(mod, e, 0, u, v) == pytest.approx(t, rel=1e-12)
+    evals = [len(points) for _, _, points in rec.runs]
+    assert len(evals) == 90
+    assert sum(evals) / len(evals) <= 8
+
+
 def test_slopes_match_central_differences():
     checked = []
 
@@ -269,13 +287,15 @@ def test_power_law_is_solved_in_a_few_steps():
 
 def test_overflowing_slope_falls_back_to_bisection():
     # the kernel s^-1.5 overflows at s near v = 1e-300 while the gauge stays
-    # finite, and the root lies where v + t rounds to v: the bracket closes
-    # on two adjacent subnormals instead of running into the step cap
+    # finite, and the root (about 1e-320) lies where v + t rounds to v: the
+    # bracket closes on two adjacent subnormals instead of running into the
+    # step cap.  (The target 1e-300 has its root near 1e-375, below every
+    # subnormal, now that the gauge resolves t far below v.)
     mod = Modulus.power(0.5, 2)
     assert mod.core_kernel(1e-300) == math.inf
     rec = Recorder()
     with inverting_with(rec):
-        t = gauge_inverse(mod, 1, 0, 1e-300, 1e-300)
+        t = gauge_inverse(mod, 1, 0, 1e-190, 1e-300)
     [(u, result, points)] = rec.runs
     lo = max(p for p, f in points if f < u)
     hi = min(p for p, f in points if not f < u)
