@@ -55,7 +55,6 @@ class Modulus:
             raise ValueError(f"unknown modulus family {self.family!r}")
         if self.m < 0 or self.m != int(self.m):
             raise ValueError("order m must be a non-negative integer")
-        object.__setattr__(self, "_pieces_by_weight", {})
         if self.family in ("power", "powerlog"):
             if self.q is None or not (0 <= self.q < math.inf):
                 raise ValueError("power-type modulus needs a finite exponent q >= 0")
@@ -81,6 +80,7 @@ class Modulus:
             object.__setattr__(self, "_laws", laws)
         # the largest t at which the modulus can be evaluated
         object.__setattr__(self, "domain_max", self.knots[-1][0] if self.knots else math.inf)
+        object.__setattr__(self, "_core", self._pieces(self.m))  # of w(s)/s^m
 
     # -- constructors ------------------------------------------------------
 
@@ -104,21 +104,15 @@ class Modulus:
         """The kernel w(s)/s^weight piece by piece, bottom up, as (upper end,
         coef, k): coef * s^k, or s^k ln(1+s) where coef is None.  The first
         piece reaches down to 0."""
-        pieces = self._pieces_by_weight.get(weight)
-        if pieces is None:
-            if self.family == "power":
-                pieces = ((math.inf, 1.0, self.q - weight),)
-            elif self.family == "powerlog":
-                k = self.q - weight
-                pieces = tuple((upper, None, k) for upper in (0.5, 1.0, 2.0, math.inf))
-            else:
-                pieces = tuple((t1, coef, s - weight) for t1, coef, s in self._laws)
-            self._pieces_by_weight[weight] = pieces
-        return pieces
+        if self.family == "power":
+            return ((math.inf, 1.0, self.q - weight),)
+        if self.family == "powerlog":
+            return tuple((upper, None, self.q - weight) for upper in (0.5, 1.0, 2.0, math.inf))
+        return tuple((t1, coef, s - weight) for t1, coef, s in self._laws)
 
-    def _kernel(self, s: float, weight: float) -> float:
-        """w(s)/s^weight at 0 < s <= ``domain_max``."""
-        for upper, coef, k in self._pieces(weight):
+    def _kernel(self, s: float, pieces) -> float:
+        """The kernel of ``pieces`` at 0 < s <= ``domain_max``."""
+        for upper, coef, k in pieces:
             if s <= upper:
                 return s**k * math.log1p(s) if coef is None else coef * s**k
         raise ValueError("argument beyond table range")
@@ -129,7 +123,7 @@ class Modulus:
             raise ValueError("modulus argument must be non-negative")
         if t == 0.0:
             return 0.0
-        return self._kernel(t, 0.0)
+        return self._kernel(t, self._pieces(0.0))
 
     __call__ = eval
 
@@ -137,7 +131,7 @@ class Modulus:
         """The integrand w(s)/s^m of ``integral_core`` at s > 0; +inf where
         it overflows."""
         try:
-            return self._kernel(s, self.m)
+            return self._kernel(s, self._core)
         except OverflowError:
             return math.inf
 
@@ -157,11 +151,12 @@ class Modulus:
             raise ValueError("integration range beyond table range")
         rest = math.inf if t >= room else t
         total, c, end = 0.0, v, v
-        for upper, coef, k in self._pieces(self.m if weight is None else weight):
+        for upper, coef, k in self._core if weight is None else self._pieces(weight):
             if c >= upper:
                 continue
             step, end = (rest, c + rest) if rest < upper - c else (upper - c, upper)
-            x = math.log1p(step / c)
+            x = step / c  # ln(1 + step/c), also where step/c overflows
+            x = math.log1p(x) if x < math.inf else math.log(step) - math.log(c)
             if coef is None:
                 total += _log_mass(k + 1.0, c, x, end)
             else:
@@ -179,17 +174,20 @@ class Modulus:
         except OverflowError:
             return total, math.inf
 
-    def integral_core(self, a: float, b: float, weight: float | None = None) -> float:
-        """Integral of w(s)/s^m (or w(s)/s^weight) over [a, b] with 0 < a <= b."""
+    def integral_core(self, a: float, b: float) -> float:
+        """Integral of w(s)/s^m over [a, b] with 0 < a <= b."""
+        return self._integral(a, b, None)
+
+    def integral_weighted(self, a: float, b: float, p: int) -> float:
+        """Integral of w(t) * t^(-p-1) over [a, b] with 0 < a <= b."""
+        return self._integral(a, b, p + 1)
+
+    def _integral(self, a: float, b: float, weight: float | None) -> float:
         if a <= 0:
             raise ValueError("lower integration bound must be positive")
         if b < a:
             raise ValueError("integration bounds out of order")
         return self._increment(a, b - a, weight)[0]
-
-    def integral_weighted(self, a: float, b: float, p: int) -> float:
-        """Integral of w(t) * t^(-p-1) over [a, b] with 0 < a <= b."""
-        return self.integral_core(a, b, p + 1)
 
     def tail_mass(self, v: float) -> float:
         """Integral of w(s)/s^m over [v, +inf); +inf when divergent.  For a
@@ -216,7 +214,7 @@ class Modulus:
             raise ValueError("target must be non-negative")
         if w == 0.0:
             return 0.0
-        (upper, coef, k), *_ = self._pieces(self.m)
+        (upper, coef, k), *_ = self._core
         if upper == math.inf and coef is not None:
             return _power_inverse(k + 1.0, v, w / coef)
         room = min(self.domain_max - v, 1.7976931348623157e308)  # the largest float
@@ -264,14 +262,20 @@ def quasipower_constant(mod: Modulus, t_grid: Sequence[float]) -> QuasipowerEsti
     if not t_grid:
         raise ValueError("empty grid")
     worst = 0.0
+    bounded = True
     for t in t_grid:
         if t <= 0:
             raise ValueError("grid points must be positive")
         wt = mod.eval(t)
         if wt == 0.0:
             raise ValueError("modulus vanishes at a positive grid point")
-        worst = max(worst, mod._mass_below(t) / wt)
-    return QuasipowerEstimate(value=worst, bounded=worst < math.inf)
+        mass = mod._mass_below(t)
+        if math.isinf(mass):
+            bounded = False
+            worst = math.inf
+            continue
+        worst = max(worst, mass / wt)
+    return QuasipowerEstimate(value=worst, bounded=bounded)
 
 
 @dataclass(frozen=True)
@@ -305,13 +309,22 @@ def check_omega_m(mod: Modulus, grid: Sequence[float]) -> OmegaMembershipReport:
 
     vals = [mod.eval(t) for t in grid]
     ratios = [w / t**mod.m for t, w in zip(grid, vals)]
-    # signed relative violations: a fall of w, a rise of w(t)/t^m
-    falls = [(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(vals, vals[1:])]
-    rises = [(b - a) / max(abs(a), abs(b), 1e-300) for a, b in zip(ratios, ratios[1:])]
+
+    worst = -math.inf
+    mono_ok = True
+    for a, b in zip(vals, vals[1:]):
+        viol = (a - b) / max(abs(a), abs(b), 1e-300)
+        worst = max(worst, viol)
+        if viol > _MEMBERSHIP_SLACK:
+            mono_ok = False
+    ratio_ok = True
+    for a, b in zip(ratios, ratios[1:]):
+        viol = (b - a) / max(abs(a), abs(b), 1e-300)
+        worst = max(worst, viol)
+        if viol > _MEMBERSHIP_SLACK:
+            ratio_ok = False
     return OmegaMembershipReport(
-        nondecreasing=not any(x > _MEMBERSHIP_SLACK for x in falls),
-        ratio_nonincreasing=not any(x > _MEMBERSHIP_SLACK for x in rises),
-        worst_violation=max([-math.inf, *falls, *rises]),
+        nondecreasing=mono_ok, ratio_nonincreasing=ratio_ok, worst_violation=worst
     )
 
 

@@ -327,6 +327,13 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert json.loads(text)["weighted_cube_distance"] == pytest.approx(
         238587.05990559476, rel=1e-12
     )
+    # so does 1/s: ln(1e300 / 1e-300), though the ratio itself overflows
+    payload["omega"] = {"family": "power", "q": 1.0, "m": 2}
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    assert json.loads(text)["weighted_cube_distance"] == pytest.approx(
+        600 * math.log(10), rel=1e-12
+    )
     # s ln(1+s) over the same span integrates to about 1e600 ln(1e300) / 2
     payload["omega"] = {"family": "powerlog", "q": 2.0, "m": 1}
     path = _write(tmp_path, "in.json", payload)

@@ -284,6 +284,15 @@ def test_core_integral_inverse_beyond_float_range_is_inf():
     assert Modulus.power(1.0, 2).core_integral_inverse(700.0, 1.0) == math.expm1(700.0)
 
 
+def test_core_integral_inverse_past_expm1_overflow():
+    # p = 0: the increment v (e^w - 1) is finite for v < 1 past w = 709.78,
+    # where expm1(w) alone overflows
+    mp = pytest.importorskip("mpmath")
+    t = Modulus.power(1.0, 2).core_integral_inverse(710.0, 0.01)
+    assert t == pytest.approx(float(mp.mpf(0.01) * mp.expm1(710)), rel=1e-12)
+    assert 2.2e306 < t < 2.3e306
+
+
 # -- exact oracles -----------------------------------------------------------
 
 # exponents k of the kernel s^k ln(1+s) = s^(q-m) ln(1+s) with an exact
@@ -422,6 +431,20 @@ def test_table_integral_matches_exact_segments():
             a = float(10 ** rng.uniform(-6, math.log10(mod.domain_max)))
             b = a + (mod.domain_max - a) * float(10 ** rng.uniform(-16, 0))
             assert mod.integral_core(a, b) == pytest.approx(table_exact(mod, a, b), rel=1e-12)
+
+
+def test_log_kernel_over_a_span_whose_ratio_overflows():
+    # 1e300 / 1e-300 is beyond the float range, but ln of it is about 1381.55
+    # on a power law and on a table segment with kernel 1/s alike
+    for mod in (
+        Modulus.power(1.0, 2),
+        Modulus.table([(1e-300, 1e-300), (1.0, 1.0), (1e300, 1e300)], 2),
+    ):
+        assert mod.integral_core(1e-300, 1e300) == pytest.approx(600 * math.log(10), rel=1e-14)
+        assert mod.integral_core(5e-324, 1e300) == pytest.approx(
+            300 * math.log(10) - math.log(5e-324), rel=1e-14
+        )
+    assert Modulus.power(0.5, 2).integral_core(1e-300, 1e300) == pytest.approx(2e150, rel=1e-14)
 
 
 def test_powerlog_core_inverse_beyond_the_float_range_is_inf():
