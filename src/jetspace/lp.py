@@ -2,10 +2,10 @@
 
 Variables are free reals; constraints are linear inequalities (<=) and
 equalities.  Every LP here is tall and thin, with far more constraints than
-variables, so ``lp_solve`` solves the dual: its dense tableau has a row per
-variable and a column per constraint, and two-phase simplex with Bland's
-anti-cycling rule runs on it.  The primal solution is read off the final
-dual basis as its simplex multipliers.  Before a status is returned its
+variables, so ``lp_solve`` solves the dual (a row per variable, a column per
+constraint) by two-phase revised simplex with Bland's anti-cycling rule,
+keeping only the basis inverse and the basic values.  The primal solution is
+the final dual basis's simplex multipliers.  Before a status is returned its
 certificate is checked: primal and dual feasibility and the duality gap for
 "optimal", a Farkas ray for "infeasible", a feasible point and an improving
 ray for "unbounded".  A failed check raises ArithmeticError.  Exact vertex
@@ -23,7 +23,7 @@ _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _CERT_TOL = 1e-6
-# pivots between rebuilds of the tableau from the original columns
+# pivots between rebuilds of the basis inverse from the original columns
 _REINVERT = 50
 # relative size of the lift that breaks a degenerate stall
 _LIFT = 1e-7
@@ -55,6 +55,8 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
+    pivots: tuple[int, int] = (0, 0)  # in phase 1 (artificials driven out too), phase 2
+    reinversions: int = 0  # rebuilds of the basis inverse; both counts repeat exactly
 
 
 @dataclass
@@ -133,17 +135,20 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     keep = norms > 0
     a[keep] /= norms[keep, None]
     b[keep] /= norms[keep]
-    return _solve_dual(c, a, b, m_ub)
+    work = [0, 0, 0]  # phase-1 pivots, phase-2 pivots, rebuilds
+    solution = _solve_dual(c, a, b, m_ub, work)
+    solution.pivots, solution.reinversions = (work[0], work[1]), work[2]
+    return solution
 
 
-def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int) -> LPSolution:
+def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int, work: list[int]) -> LPSolution:
     """min c.x over free x subject to a[:m_ub] x <= b[:m_ub] and
     a[m_ub:] x = b[m_ub:], solved as its dual: min b.w subject to
     a^T w = -c with w[:m_ub] >= 0.
 
-    The dual tableau has a row per variable of x and a column per dual
-    variable: w on the inequalities, w+ and w- (w = w+ - w-) on the
-    equalities, then one artificial per row.
+    The dual has a row per variable of x and a column per dual variable: w
+    on the inequalities, w+ and w- (w = w+ - w-) on the equalities, then one
+    artificial per row.  The re-solve without objective adds to ``work``.
     """
     n, m = c.size, b.size
     n_core = 2 * m - m_ub
@@ -156,8 +161,8 @@ def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int) -> LPSol
     original[:, :n_core] *= sign[:, None]
     original[np.arange(n), n_core + np.arange(n)] = 1.0
     original[:, -1] = np.abs(c)
-    tableau = original.copy()
     basis = n_core + np.arange(n)
+    inverse = np.hstack([np.eye(n), original[:, -1:]])
     rows = np.arange(n)  # the variables of x whose rows are kept
 
     # phase 1 ends as soon as the artificials sum to zero within tolerance,
@@ -165,57 +170,49 @@ def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int) -> LPSol
     phase1_cost = np.zeros(n_core + n)
     phase1_cost[n_core:] = 1.0
     floor = _FEAS_TOL * max(1.0, _amax(c))
-    if _simplex(tableau, basis, phase1_cost, n_core + n, original, floor)[0] != "optimal":
+    if _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
         raise ArithmeticError("phase-1 simplex failed to terminate")
-    if float(phase1_cost[basis] @ tableau[:, -1]) > floor:
+    if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
         # no dual feasible point: the primal is unbounded or infeasible.  The
         # phase-1 multipliers are a ray d with a d <= 0 along which c.x falls;
         # the same LP without objective tells whether the primal is feasible
-        ray = sign * _multipliers(tableau, basis, phase1_cost, n_core, rows)
-        if _solve_dual(np.zeros(n), a, b, m_ub).status == "infeasible":
+        ray = sign * (phase1_cost[basis] @ inverse[:, :-1])
+        if _solve_dual(np.zeros(n), a, b, m_ub, work).status == "infeasible":
             return LPSolution(status="infeasible")
         _check_primal_ray(c, a, m_ub, ray)
         return LPSolution(status="unbounded")
-    # a tableau row whose artificial cannot leave the basis is redundant:
-    # drop it, and drop the original row that artificial belongs to, which
-    # depends on the others (its variable of x gets multiplier 0)
-    redundant = _drive_out_artificials(tableau, basis, n_core)
+    # a basis row whose artificial cannot leave is redundant: drop it and the
+    # original row it belongs to, which depends on the others (multiplier 0);
+    # B holds that unit column, so B^-1 loses just that row and column
+    redundant = _drive_out_artificials(inverse, basis, original, n_core, work)
     dependent = basis[redundant] - n_core
-    tableau, basis = np.delete(tableau, redundant, axis=0), np.delete(basis, redundant)
+    inverse = np.delete(np.delete(inverse, redundant, axis=0), dependent, axis=1)
+    basis = np.delete(basis, redundant)
     original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
 
     cost = np.zeros(n_core + n)
     cost[:m] = b
     cost[m:n_core] = -b[m_ub:]
-    status, entering = _simplex(tableau, basis, cost, n_core, original)
+    status, entering = _simplex(inverse, basis, cost, n_core, original, work, 1)
     if status == "unbounded":
         # b.w falls without bound along the entering column's ray, which is
         # a Farkas certificate that the primal has no feasible point
         ray = np.zeros(n_core + n)
         ray[entering] = 1.0
-        ray[basis] = -tableau[:, entering]
+        ray[basis] = -(inverse[:, :-1] @ original[:, entering])
         _check_farkas_ray(a, b, m_ub, _fold(ray, m, m_ub))
         return LPSolution(status="infeasible")
 
     w = np.zeros(n_core + n)
-    w[basis] = tableau[:, -1]
-    x = sign * _multipliers(tableau, basis, cost, n_core, rows)
+    w[basis] = inverse[:, -1]
+    x = np.zeros(n)  # a variable whose row was dropped gets multiplier 0
+    x[rows] = sign[rows] * (cost[basis] @ inverse[:, :-1])
     _check_optimal(c, a, b, m_ub, x, _fold(w, m, m_ub))
     return LPSolution(status="optimal", x=x, objective=float(c @ x))
 
 
-def _multipliers(
-    tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, n_core: int, rows: np.ndarray
-) -> np.ndarray:
-    """Simplex multipliers cost_B B^-1, one per variable of x; the artificial
-    columns hold B^-1.  A row dropped as redundant gets multiplier 0."""
-    y = np.zeros(tableau.shape[1] - 1 - n_core)
-    y[rows] = cost[basis] @ tableau[:, n_core + rows]
-    return y
-
-
 def _fold(v: np.ndarray, m: int, m_ub: int) -> np.ndarray:
-    """Dual variables per constraint from a vector over the tableau columns."""
+    """Dual variables per constraint from a vector over the dual's columns."""
     w = v[:m].copy()
     w[m_ub:] -= v[m : 2 * m - m_ub]
     return w
@@ -272,21 +269,24 @@ def _check_primal_ray(c, a, m_ub, d) -> None:
 
 
 def _simplex(
-    tableau: np.ndarray,
+    inverse: np.ndarray,
     basis: np.ndarray,
     cost: np.ndarray,
     limit: int,
     original: np.ndarray,
+    work: list[int],
+    phase: int,
     floor: float = -math.inf,
 ) -> tuple[str, int]:
-    """Run primal simplex to optimality on a tableau in canonical form.
+    """Run revised primal simplex to optimality from a feasible basis.
 
-    Only columns < ``limit`` may enter (phase 2 keeps the artificial columns
-    out).  Ordinarily the entering column is the most negative reduced cost
-    and ratio-test ties are broken on the largest pivot (numerical
-    stability).  A pivot entry must exceed _PIVOT_TOL and 1e-9 of its
-    column's largest entry.  An objective at or below ``floor``, a known
-    lower bound, counts as optimal.
+    ``inverse`` = [B^-1 | basic values], B the basic columns of ``original``,
+    is updated in place.  Columns < ``limit`` are priced as cost - (cost_B
+    B^-1) original (phase 2 keeps the artificials out).  Ordinarily the
+    entering column is the most negative reduced cost and ratio-test ties
+    are broken on the largest pivot (numerical stability).  A pivot entry
+    must exceed _PIVOT_TOL and 1e-9 of its column's largest entry.  An
+    objective at or below ``floor``, a known lower bound, counts as optimal.
 
     When the objective first stalls on degenerate pivots, every basic value
     is lifted by a random 1 to 2 times _LIFT of the largest one (seeded, so
@@ -296,14 +296,14 @@ def _simplex(
     at.  When the objective stalls again, the rule switches to Bland's
     smallest-index selection, whose termination guarantee breaks the cycle.
 
-    Every _REINVERT pivots, and before a status is returned, the tableau is
+    Every _REINVERT pivots, and before a status is returned, ``inverse`` is
     rebuilt from ``original`` and the basis, so that rounding does not
-    accumulate; a status counts only when read off a freshly rebuilt
-    tableau.  Returns the status and the entering column (the unbounded one
-    when the status is "unbounded").
+    accumulate; a status counts only when read off a fresh rebuild.  Returns
+    the status and the entering column (the unbounded one when the status is
+    "unbounded").
     """
-    m = tableau.shape[0]
-    max_iter = 20000 + 200 * (m + tableau.shape[1] - 1)
+    binv, rhs = inverse[:, :-1], inverse[:, -1]  # views, kept current in place
+    max_iter = 20000 + 200 * (basis.size + original.shape[1] - 1)
     stall = 0
     last_obj = math.inf
     fresh, since = False, 0
@@ -312,21 +312,21 @@ def _simplex(
     for _ in range(max_iter):
         if stall > 40 and may_lift:
             exact, start, may_lift = original[:, -1].copy(), basis.copy(), False
-            size = _LIFT * max(1.0, _amax(tableau[:, -1]))
-            lift = np.random.default_rng(0).uniform(size, 2.0 * size, m)
+            size = _LIFT * max(1.0, _amax(rhs))
+            lift = np.random.default_rng(0).uniform(size, 2.0 * size, basis.size)
             original[:, -1] += original[:, basis] @ lift
-            tableau[:, -1] += lift
+            rhs += lift
             stall = 0
-        reduced = cost[:limit] - cost[basis] @ tableau[:, :limit]
+        reduced = cost[:limit] - (cost[basis] @ binv) @ original[:, :limit]
         reduced[basis[basis < limit]] = 0.0
         bland = stall > 40
         # Bland: the first improving column; otherwise the most negative
         entering = int(np.argmax(reduced < -_COST_TOL) if bland else np.argmin(reduced))
         status = ""
-        if not reduced[entering] < -_COST_TOL or float(cost[basis] @ tableau[:, -1]) <= floor:
+        if not reduced[entering] < -_COST_TOL or float(cost[basis] @ rhs) <= floor:
             status = "optimal"
         else:
-            col = tableau[:, entering]
+            col = binv @ original[:, entering]
             rows = np.flatnonzero(col > max(_PIVOT_TOL, 1e-9 * _amax(col)))
             if not rows.size:
                 status = "unbounded"
@@ -335,26 +335,25 @@ def _simplex(
                 return status, entering
             original[:, -1] = exact
             exact = None
-            _reinvert(tableau, basis, original)
-            rhs = tableau[:, -1]
+            _reinvert(inverse, basis, original, work)
             if float(np.min(rhs, initial=0.0)) < -1e-9 * max(1.0, _amax(rhs)):
                 # the basis reached is infeasible without the lift
                 basis[:] = start
-                _reinvert(tableau, basis, original)
+                _reinvert(inverse, basis, original, work)
             since = 0
             continue
         if status or since == _REINVERT:
-            _reinvert(tableau, basis, original)
+            _reinvert(inverse, basis, original, work)
             fresh, since = True, 0
             continue
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        ratios = np.maximum(rhs[rows], 0.0) / col[rows]
         best_ratio = float(ratios.min())
         tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
         # first tied row with the largest pivot, or the smallest basic index
         leaving = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
-        _pivot(tableau, basis, leaving, entering)
-        fresh, since = False, since + 1
-        obj = float(cost[basis] @ tableau[:, -1])
+        _pivot(inverse, basis, leaving, entering, col)
+        fresh, since, work[phase] = False, since + 1, work[phase] + 1
+        obj = float(cost[basis] @ rhs)
         if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
             stall = 0
         else:
@@ -363,41 +362,42 @@ def _simplex(
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
-def _reinvert(tableau: np.ndarray, basis: np.ndarray, original: np.ndarray) -> None:
-    """Rebuild the tableau as B^-1 original, B the basic columns of original
-    (the explicit inverse: a matrix product over the wide tableau is several
-    times faster than a solve with that many right-hand sides)."""
+def _reinvert(inverse: np.ndarray, basis: np.ndarray, original: np.ndarray, work: list[int]) -> None:
+    """Rebuild [B^-1 | basic values] from the basic columns B of original."""
+    work[2] += 1
     try:
-        tableau[:] = np.linalg.inv(original[:, basis]) @ original
+        inverse[:, :-1] = np.linalg.inv(original[:, basis])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("simplex basis became singular") from exc
-    tableau[:, basis] = np.eye(basis.size)
-    rhs = tableau[:, -1]
+    inverse[:, -1] = inverse[:, :-1] @ original[:, -1]
+    rhs = inverse[:, -1]
     rhs[np.abs(rhs) < 1e-13] = 0.0
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    # one rank-1 update: the tableau is short and wide, so a whole-array
-    # outer product beats a loop over its rows
-    tableau[row] /= tableau[row, col]
-    factor = tableau[:, col].copy()
+def _pivot(inverse: np.ndarray, basis: np.ndarray, row: int, col: int, column: np.ndarray) -> None:
+    # one rank-1 update of [B^-1 | basic values]; column = B^-1 original[:, col]
+    inverse[row] /= column[row]
+    factor = column.copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
+    inverse -= np.outer(factor, inverse[row])
     basis[row] = col
-    rhs = tableau[:, -1]
+    rhs = inverse[:, -1]
     rhs[np.abs(rhs) < 1e-13] = 0.0
 
 
-def _drive_out_artificials(tableau: np.ndarray, basis: np.ndarray, n_core: int) -> list[int]:
-    """Pivot degenerate artificials out of the basis; returns the tableau
-    rows where none can leave, whose entries are noise (every constraint
-    column has unit max-norm): those rows are redundant."""
+def _drive_out_artificials(
+    inverse: np.ndarray, basis: np.ndarray, original: np.ndarray, n_core: int, work: list[int]
+) -> list[int]:
+    """Pivot degenerate artificials out of the basis; returns the basis rows
+    where none can leave, whose entries of B^-1 original are noise (every
+    constraint column has unit max-norm): those rows are redundant."""
     redundant = []
     for i in np.flatnonzero(basis >= n_core):
-        row = tableau[i, :n_core]
+        row = inverse[i, :-1] @ original[:, :n_core]
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > _PIVOT_TOL:
-            _pivot(tableau, basis, i, j)
+            _pivot(inverse, basis, i, j, inverse[:, :-1] @ original[:, j])
+            work[0] += 1
         else:
             redundant.append(int(i))
     return redundant

@@ -646,6 +646,20 @@ def test_dual_engine_matches_primal_tableau_and_highs():
             assert sol.objective == pytest.approx(fun, rel=1e-9, abs=1e-9)
 
 
+def test_solver_counts_repeat():
+    # the counts are deterministic: the lift is seeded and nothing else
+    # draws; the degenerate LPs take the lift, the redundant ones drive
+    # artificials out, the status LPs re-solve without objective
+    problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps(4)]
+    for problem in problems:
+        first, second = lp_solve(problem), lp_solve(problem)
+        assert first.pivots == second.pivots and first.reinversions == second.reinversions
+        assert first.status == second.status
+        # a status is read off a rebuild of the basis inverse
+        assert first.reinversions >= 1 and min(first.pivots) >= 0
+    assert all(lp_solve(p).pivots[1] > 0 for p in _degenerate_lps(4))
+
+
 def _two_bounds():
     """min x + y subject to x >= 1, y >= 2, x + y <= 10: optimum 3 at (1, 2)."""
     a_ub = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])

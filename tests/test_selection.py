@@ -711,11 +711,14 @@ def _select_workload_instance(seed, nodes):
 
 
 @pytest.mark.parametrize(
-    "op, nodes", [(42, 24), (121, 24), (0, 48)], ids=["op42", "op121", "48-nodes"]
+    "op, nodes",
+    [(42, 24), (121, 24), (0, 48), (0, 64)],
+    ids=["op42", "op121", "48-nodes", "64-nodes"],
 )
 def test_select_workload_lp_matches_highs(monkeypatch, op, nodes):
     # two inputs the select benchmark runs (ops 42 and 121 of workload seed
-    # 1), and the generator at 48 nodes, whose LP has 7,201 rows
+    # 1), and the generator at 48 and 64 nodes, whose LPs have 7,201 and
+    # 12,673 rows
     from test_lp import _highs
 
     solved = []
@@ -735,8 +738,9 @@ def test_select_workload_lp_matches_highs(monkeypatch, op, nodes):
 
 
 def test_selection_lp_memory_peak():
-    # the dual tableau has a row per variable; a tableau with a row per
-    # constraint (and an m x m slack block) peaks above 50 MiB here
+    # the revised dual engine holds the dual's original columns (a row per
+    # variable) and the n x n basis inverse, no tableau; a primal tableau with
+    # a row per constraint (and an m x m slack block) peaks above 50 MiB here
     inst = _select_workload_instance(_op_seed(1, 0), 24)
     tracemalloc.start()
     try:
