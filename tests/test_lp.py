@@ -648,15 +648,15 @@ def test_dual_engine_matches_primal_tableau_and_highs():
 
 def test_solver_counts_repeat():
     # the counts are deterministic: the lift is seeded and nothing else
-    # draws; the degenerate LPs take the lift, the redundant ones drive
-    # artificials out, the status LPs re-solve without objective
+    # draws.  The degenerate LPs take the lift, the redundant ones drive
+    # artificials out, and some status LPs re-solve without objective
     problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps(4)]
     for problem in problems:
         first, second = lp_solve(problem), lp_solve(problem)
         assert first.pivots == second.pivots and first.reinversions == second.reinversions
         assert first.status == second.status
         # a status is read off a rebuild of the basis inverse
-        assert first.reinversions >= 1 and min(first.pivots) >= 0
+        assert first.reinversions >= 1
     assert all(lp_solve(p).pivots[1] > 0 for p in _degenerate_lps(4))
 
 
