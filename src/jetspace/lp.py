@@ -4,8 +4,11 @@ Variables are free reals; constraints are linear inequalities (<=) and
 equalities.  Every LP here is tall and thin, with far more constraints than
 variables, so ``lp_solve`` solves the dual (a row per variable, a column per
 constraint) by two-phase revised simplex with Bland's anti-cycling rule,
-keeping only the basis inverse and the basic values.  The primal solution is
-the final dual basis's simplex multipliers.  Before a status is returned its
+keeping only the basis inverse and the basic values.  The start basis takes
+the unit columns that the problem's bound rows (x_j <= u, x_j >= l, x_j = v)
+supply to the dual, and an artificial only for a dual row without one; when
+every row has one, phase 1 is skipped.  The primal solution is the final
+dual basis's simplex multipliers.  Before a status is returned its
 certificate is checked: primal and dual feasibility and the duality gap for
 "optimal", a Farkas ray for "infeasible", a feasible point and an improving
 ray for "unbounded".  A failed check raises ArithmeticError.  Exact vertex
@@ -56,7 +59,10 @@ class LPSolution:
     x: np.ndarray | None = None
     objective: float | None = None
     pivots: tuple[int, int] = (0, 0)  # in phase 1 (artificials driven out too), phase 2
-    reinversions: int = 0  # rebuilds of the basis inverse; both counts repeat exactly
+    reinversions: int = 0  # rebuilds of the basis inverse
+    lifts: int = 0  # degenerate stalls broken by the seeded lift
+    restarts: int = 0  # runs resumed from the pre-lift basis
+    bland_pivots: int = 0  # pivots chosen by Bland's rule; every count repeats exactly
 
 
 @dataclass
@@ -117,78 +123,102 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     Raises ArithmeticError when an entry of the problem is not finite (an
     overflowed coefficient, say), which no certificate could vouch for."""
-    c = problem.objective
-    a = np.vstack([problem.a_ub, problem.a_eq])
+    c, a_ub, a_eq = problem.objective, problem.a_ub, problem.a_eq
+    n, m_ub, m_eq = c.size, a_ub.shape[0], a_eq.shape[0]
+    m = m_ub + m_eq
+    # row equilibration: scale every constraint to unit max-norm so pivot
+    # tolerances are meaningful across badly mixed data scales.  A norm is
+    # NaN or infinite exactly when its row has such an entry
+    norms = np.concatenate(
+        [np.maximum(part.max(axis=1, initial=0.0), -part.min(axis=1, initial=0.0)) for part in (a_ub, a_eq)]
+    )
     b = np.concatenate([problem.b_ub, problem.b_eq])
-    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(c).all() and np.isfinite(norms).all() and np.isfinite(b).all()):
         raise ArithmeticError("LP data has a non-finite entry")
-    m_ub = problem.a_ub.shape[0]
-    if b.size == 0:
+    if m == 0:
         # objective over free variables with no constraints
         if np.any(c != 0.0):
             return LPSolution(status="unbounded")
-        return LPSolution(status="optimal", x=np.zeros(c.size), objective=0.0)
+        return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
 
-    # row equilibration: scale every constraint to unit max-norm so pivot
-    # tolerances are meaningful across badly mixed data scales
-    norms = np.max(np.abs(a), axis=1)
-    keep = norms > 0
-    a[keep] /= norms[keep, None]
-    b[keep] /= norms[keep]
-    work = [0, 0, 0]  # phase-1 pivots, phase-2 pivots, rebuilds
-    solution = _solve_dual(c, a, b, m_ub, work)
-    solution.pivots, solution.reinversions = (work[0], work[1]), work[2]
+    norms[norms == 0.0] = 1.0
+    b /= norms
+    # the dual's columns, written straight from the rows: the equilibrated
+    # constraints, the negated equalities, then room for the artificials
+    # and the right-hand side, which _solve_dual fills in
+    original = np.empty((n, 2 * m - m_ub + n + 1))
+    np.divide(a_ub.T, norms[:m_ub], out=original[:, :m_ub])
+    np.divide(a_eq.T, norms[m_ub:], out=original[:, m_ub:m])
+    np.negative(original[:, m_ub:m], out=original[:, m : 2 * m - m_ub])
+    work = [0] * 6  # phase-1 pivots, phase-2 pivots, rebuilds, lifts, restarts, Bland pivots
+    solution = _solve_dual(c, original, b, m_ub, work)
+    solution.pivots = (work[0], work[1])
+    solution.reinversions, solution.lifts, solution.restarts, solution.bland_pivots = work[2:]
     return solution
 
 
-def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int, work: list[int]) -> LPSolution:
+def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, work: list[int]) -> LPSolution:
     """min c.x over free x subject to a[:m_ub] x <= b[:m_ub] and
-    a[m_ub:] x = b[m_ub:], solved as its dual: min b.w subject to
-    a^T w = -c with w[:m_ub] >= 0.
+    a[m_ub:] x = b[m_ub:], a = original[:, :b.size].T, solved as its dual:
+    min b.w subject to a^T w = -c with w[:m_ub] >= 0.
 
-    The dual has a row per variable of x and a column per dual variable: w
-    on the inequalities, w+ and w- (w = w+ - w-) on the equalities, then one
-    artificial per row.  The re-solve without objective adds to ``work``.
+    The dual has a row per variable of x and a column per dual variable of
+    ``original``: w on the inequalities, w+ and w- (w = w+ - w-) on the
+    equalities, then one artificial per row, then the right-hand side -c.
+    Row j's artificial is sign_j e_j, sign_j = -1 where c_j > 0, so that it
+    starts the basis at |c_j| >= 0.  A constraint column equal to sign_j e_j,
+    which a bound on x_j such as x_j >= l (c_j > 0) or x_j <= u (c_j <= 0)
+    supplies, starts in row j's place instead (the first one, where several
+    do): B stays diag(sign) and the basic values stay |c|.  Phase 1 prices
+    out only the artificials still basic, and is skipped when none is.  The
+    re-solve without objective reuses ``original`` and adds to ``work``.
     """
     n, m = c.size, b.size
     n_core = 2 * m - m_ub
-    # rows with right-hand side -c_j < 0 are negated, so the artificials
-    # start the basis at |c_j|
+    a = original[:, :m].T  # the certificate checks read the full rows
     sign = np.where(c > 0, -1.0, 1.0)
-    original = np.zeros((n, n_core + n + 1))
-    original[:, :m] = a.T
-    np.negative(original[:, m_ub:m], out=original[:, m:n_core])
-    original[:, :n_core] *= sign[:, None]
-    original[np.arange(n), n_core + np.arange(n)] = 1.0
-    original[:, -1] = np.abs(c)
+    original[:, n_core:-1] = 0.0
+    original[np.arange(n), n_core + np.arange(n)] = sign
+    original[:, -1] = -c
     basis = n_core + np.arange(n)
-    inverse = np.hstack([np.eye(n), original[:, -1:]])
+    # the columns with a single nonzero, its row, and those equal to sign_j e_j
+    core = original[:, :n_core]
+    units = (np.count_nonzero(core, axis=0) == 1).nonzero()[0]
+    at = (core[:, units] != 0.0).argmax(axis=0)
+    fits = core[at, units] == sign[at]
+    at, first = np.unique(at[fits], return_index=True)
+    basis[at] = units[fits][first]
+    inverse = np.hstack([np.diag(sign), np.abs(c)[:, None]])
     rows = np.arange(n)  # the variables of x whose rows are kept
 
-    # phase 1 ends as soon as the artificials sum to zero within tolerance,
-    # its lower bound: further pivots there are degenerate
-    phase1_cost = np.zeros(n_core + n)
-    phase1_cost[n_core:] = 1.0
-    floor = _FEAS_TOL * max(1.0, _amax(c))
-    if _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
-        raise ArithmeticError("phase-1 simplex failed to terminate")
-    if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
-        # no dual feasible point: the primal is unbounded or infeasible.  The
-        # phase-1 multipliers are a ray d with a d <= 0 along which c.x falls;
-        # the same LP without objective tells whether the primal is feasible
-        ray = sign * (phase1_cost[basis] @ inverse[:, :-1])
-        if _solve_dual(np.zeros(n), a, b, m_ub, work).status == "infeasible":
-            return LPSolution(status="infeasible")
-        _check_primal_ray(c, a, m_ub, ray)
-        return LPSolution(status="unbounded")
-    # a basis row whose artificial cannot leave is redundant: drop it and the
-    # original row it belongs to, which depends on the others (multiplier 0);
-    # B holds that unit column, so B^-1 loses just that row and column
-    redundant = _drive_out_artificials(inverse, basis, original, n_core, work)
-    dependent = basis[redundant] - n_core
-    inverse = np.delete(np.delete(inverse, redundant, axis=0), dependent, axis=1)
-    basis = np.delete(basis, redundant)
-    original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
+    if (basis >= n_core).any():
+        # phase 1 ends as soon as the artificials sum to zero within
+        # tolerance, its lower bound: further pivots there are degenerate
+        phase1_cost = np.zeros(n_core + n)
+        phase1_cost[n_core:] = 1.0
+        floor = _FEAS_TOL * max(1.0, _amax(c))
+        if _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
+            raise ArithmeticError("phase-1 simplex failed to terminate")
+        if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
+            # no dual feasible point: the primal is unbounded or infeasible.
+            # The phase-1 multipliers are a ray d with a d <= 0 along which
+            # c.x falls; the same LP without objective tells whether the
+            # primal is feasible
+            ray = phase1_cost[basis] @ inverse[:, :-1]
+            if _solve_dual(np.zeros(n), original, b, m_ub, work).status == "infeasible":
+                return LPSolution(status="infeasible")
+            _check_primal_ray(c, a, m_ub, ray)
+            return LPSolution(status="unbounded")
+        # a basis row whose artificial cannot leave is redundant: drop it and
+        # the original row it belongs to, which depends on the others
+        # (multiplier 0); B holds that artificial's column sign_j e_j, so
+        # B^-1 loses just that row and column
+        redundant = _drive_out_artificials(inverse, basis, original, n_core, work)
+        if redundant:
+            dependent = basis[redundant] - n_core
+            inverse = np.delete(np.delete(inverse, redundant, axis=0), dependent, axis=1)
+            basis = np.delete(basis, redundant)
+            original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
 
     cost = np.zeros(n_core + n)
     cost[:m] = b
@@ -206,7 +236,7 @@ def _solve_dual(c: np.ndarray, a: np.ndarray, b: np.ndarray, m_ub: int, work: li
     w = np.zeros(n_core + n)
     w[basis] = inverse[:, -1]
     x = np.zeros(n)  # a variable whose row was dropped gets multiplier 0
-    x[rows] = sign[rows] * (cost[basis] @ inverse[:, :-1])
+    x[rows] = cost[basis] @ inverse[:, :-1]
     _check_optimal(c, a, b, m_ub, x, _fold(w, m, m_ub))
     return LPSolution(status="optimal", x=x, objective=float(c @ x))
 
@@ -219,7 +249,7 @@ def _fold(v: np.ndarray, m: int, m_ub: int) -> np.ndarray:
 
 
 def _amax(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v), initial=0.0))
+    return float(np.abs(v).max(initial=0.0))
 
 
 def _excess(resid: np.ndarray, m_ub: int) -> float:
@@ -300,7 +330,8 @@ def _simplex(
     rebuilt from ``original`` and the basis, so that rounding does not
     accumulate; a status counts only when read off a fresh rebuild.  Returns
     the status and the entering column (the unbounded one when the status is
-    "unbounded").
+    "unbounded").  ``work`` counts the pivots of ``phase``, the rebuilds, the
+    lifts, the restarts from the pre-lift basis and the Bland pivots.
     """
     binv, rhs = inverse[:, :-1], inverse[:, -1]  # views, kept current in place
     max_iter = 20000 + 200 * (basis.size + original.shape[1] - 1)
@@ -316,18 +347,18 @@ def _simplex(
             lift = np.random.default_rng(0).uniform(size, 2.0 * size, basis.size)
             original[:, -1] += original[:, basis] @ lift
             rhs += lift
-            stall = 0
+            stall, work[3] = 0, work[3] + 1
         reduced = cost[:limit] - (cost[basis] @ binv) @ original[:, :limit]
         reduced[basis[basis < limit]] = 0.0
         bland = stall > 40
         # Bland: the first improving column; otherwise the most negative
-        entering = int(np.argmax(reduced < -_COST_TOL) if bland else np.argmin(reduced))
+        entering = int((reduced < -_COST_TOL).argmax() if bland else reduced.argmin())
         status = ""
         if not reduced[entering] < -_COST_TOL or float(cost[basis] @ rhs) <= floor:
             status = "optimal"
         else:
             col = binv @ original[:, entering]
-            rows = np.flatnonzero(col > max(_PIVOT_TOL, 1e-9 * _amax(col)))
+            rows = (col > max(_PIVOT_TOL, 1e-9 * _amax(col))).nonzero()[0]
             if not rows.size:
                 status = "unbounded"
         if status and fresh:
@@ -336,10 +367,11 @@ def _simplex(
             original[:, -1] = exact
             exact = None
             _reinvert(inverse, basis, original, work)
-            if float(np.min(rhs, initial=0.0)) < -1e-9 * max(1.0, _amax(rhs)):
+            if float(rhs.min(initial=0.0)) < -1e-9 * max(1.0, _amax(rhs)):
                 # the basis reached is infeasible without the lift
                 basis[:] = start
                 _reinvert(inverse, basis, original, work)
+                work[4] += 1
             since = 0
             continue
         if status or since == _REINVERT:
@@ -350,9 +382,10 @@ def _simplex(
         best_ratio = float(ratios.min())
         tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
         # first tied row with the largest pivot, or the smallest basic index
-        leaving = int(tied[np.argmin(basis[tied])] if bland else tied[np.argmax(col[tied])])
+        leaving = int(tied[basis[tied].argmin()] if bland else tied[col[tied].argmax()])
         _pivot(inverse, basis, leaving, entering, col)
         fresh, since, work[phase] = False, since + 1, work[phase] + 1
+        work[5] += bland
         obj = float(cost[basis] @ rhs)
         if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
             stall = 0
@@ -379,7 +412,7 @@ def _pivot(inverse: np.ndarray, basis: np.ndarray, row: int, col: int, column: n
     inverse[row] /= column[row]
     factor = column.copy()
     factor[row] = 0.0
-    inverse -= np.outer(factor, inverse[row])
+    inverse -= factor[:, None] * inverse[row]
     basis[row] = col
     rhs = inverse[:, -1]
     rhs[np.abs(rhs) < 1e-13] = 0.0

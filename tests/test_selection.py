@@ -665,6 +665,8 @@ def test_selection_lp_objective_matches_highs(monkeypatch):
         )
         assert ref.status == 0 and sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        # the box rows and -scale <= -0 start every row of the dual
+        assert sol.pivots[0] == 0
 
 
 def test_relaxed_feasible_status_matches_highs(monkeypatch):
@@ -734,6 +736,7 @@ def test_select_workload_lp_matches_highs(monkeypatch, op, nodes):
     status, fun = _highs(problem)
     assert status == sol.status == res.status == "optimal"
     assert sol.objective == pytest.approx(fun, rel=1e-9)
+    assert sol.pivots[0] == 0
     assert res.lam == pytest.approx(lo_seminorm(selection_field(inst, res.polys), inst.modulus).value, rel=1e-9)
 
 
@@ -751,26 +754,34 @@ def test_selection_lp_memory_peak():
     assert peak < 25 * 2**20
 
 
-@pytest.mark.parametrize("lift", [lp._LIFT, 0.0, 0.5], ids=["lift", "zero-lift", "large-lift"])
-def test_degenerate_stalls_match_highs(monkeypatch, lift):
+@pytest.mark.parametrize(
+    "lift, branch",
+    [(lp._LIFT, "lifts"), (0.0, "bland_pivots"), (0.5, "restarts")],
+    ids=["lift", "zero-lift", "large-lift"],
+)
+def test_degenerate_stalls_match_highs(monkeypatch, lift, branch):
     # the 32-node selection LPs stall on degenerate pivots.  The default lift
     # breaks the stalls; a zero lift leaves them to Bland's rule; a lift of
     # half the largest basic value reaches bases that are infeasible once it
-    # is undone, so those runs resume from where the lift started
+    # is undone, so those runs resume from where the lift started.  The
+    # solver's count of the branch named shows that it ran
     from test_lp import _highs
 
     monkeypatch.setattr(lp, "_LIFT", lift)
+    taken = 0
     for op in range(4):
-        problem = None
+        solved = []
 
         def recording_lp_solve(lp_problem):
-            nonlocal problem
-            problem = lp_problem
-            return lp.lp_solve(lp_problem)
+            solved.append((lp_problem, lp.lp_solve(lp_problem)))
+            return solved[-1][1]
 
         with monkeypatch.context() as patch:
             patch.setattr(selection, "lp_solve", recording_lp_solve)
             res = best_selection(_select_workload_instance(_op_seed(1, op), 32))
+        (problem, sol), = solved
         status, fun = _highs(problem)
         assert res.status == status == "optimal"
         assert res.lam == pytest.approx(fun, rel=1e-9)
+        taken += getattr(sol, branch)
+    assert taken > 0

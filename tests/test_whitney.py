@@ -409,6 +409,16 @@ def _fit_corpus():
                 yield kind, sample, Cube(pts[0], r), degree, k, Modulus.power(0.5, m), interp
 
 
+def _assert_fit_starts(problems):
+    """The dual simplex starts each stage-2 fit (rows pos, neg >= 0 for
+    every variable) from bound rows alone, with no phase-1 pivot, and each
+    stage-1 fit (the row eps >= 0) in fewer phase-1 pivots than it has
+    variables."""
+    for stage, problem in enumerate(problems):
+        phase1 = lp.lp_solve(problem).pivots[0]
+        assert phase1 == 0 if stage % 2 else phase1 < problem.objective.size
+
+
 def test_fits_match_basis_poly_oracle(monkeypatch):
     this = sys.modules[__name__]
     cases = 0
@@ -439,6 +449,7 @@ def test_fits_match_basis_poly_oracle(monkeypatch):
         for problem in problems:
             value = lp.lp_solve(problem).objective
             assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
+        _assert_fit_starts(problems)
         cases += 1
     assert cases == (6 + 8) * 2 * 5
 
@@ -474,6 +485,7 @@ def test_check_sample_fits_match_primal_tableau(monkeypatch, op):
     for problem in problems:
         value = lp.lp_solve(problem).objective
         assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
+    _assert_fit_starts(problems)
 
 
 # -- condition sweeps ------------------------------------------------------------------
