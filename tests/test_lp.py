@@ -547,6 +547,55 @@ def _degenerate_lps(count=13):
         yield LPProblem(rng.normal(size=nv), a, b, np.zeros((0, nv)), np.zeros(0))
 
 
+def _unit_row_lps():
+    """LPs whose bound rows supply some of the dual's unit columns: dense
+    rows, then per variable an upper bound, a lower bound, both, a duplicate
+    pair such as x <= 1 and 2x <= 3 (the same column once equilibrated), an
+    equality, or nothing, at random positive row scales; objective entries
+    negative, zero and positive.  Then boxed LPs that are infeasible (a
+    Farkas ray from phase 2) and LPs unbounded along a free variable (a
+    primal ray after the re-solve without objective)."""
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        nv = int(rng.integers(2, 6))
+        # |x_j + x_(j+1)/2| <= 5 bounds every variable through dense rows
+        pair = np.eye(nv) + 0.5 * np.roll(np.eye(nv), 1, axis=1)
+        a = [rng.normal(size=(int(rng.integers(0, 4)), nv)), pair, -pair]
+        b = [rng.uniform(0.5, 2.0, size=a[0].shape[0]), np.full(2 * nv, 5.0)]
+        a_eq, b_eq = [np.zeros((0, nv))], [np.zeros(0)]
+        for j in range(nv):
+            kind = rng.integers(6)
+            s = rng.uniform(0.5, 4.0)
+            e = s * np.eye(nv)[j]
+            if kind in (0, 2, 3):  # x_j <= u
+                a.append([e])
+                b.append([s * rng.uniform(0.5, 3.0)])
+            if kind == 3:  # and x_j <= u' through a scaled copy of the row
+                a.append([1.5 * e])
+                b.append([1.5 * b[-1][0] * rng.uniform(0.5, 2.0)])
+            if kind in (1, 2):  # x_j >= l
+                a.append([-e])
+                b.append([s * rng.uniform(-0.5, 3.0)])
+            if kind == 4:  # x_j = v
+                a_eq.append([e])
+                b_eq.append([s * rng.uniform(-1.0, 1.0)])
+        c = rng.choice([-1.0, 0.0, 1.0], size=nv) * rng.uniform(0.5, 2.0, size=nv)
+        yield LPProblem(c, np.vstack(a), np.concatenate(b), np.vstack(a_eq), np.concatenate(b_eq))
+    for _ in range(10):
+        nv = int(rng.integers(2, 5))
+        u = rng.normal(size=nv)
+        a, b = _boxed_rows(rng, nv, 2, 0.5)
+        a, b = np.vstack([a, u, -u]), np.concatenate([b, [-1.0, -1.0]])
+        yield LPProblem(rng.normal(size=nv), a, b, np.zeros((0, nv)), np.zeros(0))
+        # x_last is free, enters the dense rows with a coefficient >= 0 and
+        # costs c_last > 0: it falls without bound
+        a, b = _boxed_rows(rng, nv - 1, 3, 0.5)
+        a = np.hstack([a, np.zeros((a.shape[0], 1))])
+        a[:3, -1] = rng.uniform(0.0, 1.0, size=3)
+        c = np.append(rng.normal(size=nv - 1), rng.uniform(1.0, 2.0))
+        yield LPProblem(c, a, b, np.zeros((0, nv)), np.zeros(0))
+
+
 def _against_loop_simplex(problems):
     """Solve each problem with both reference solvers; assert the same pivots
     and the same bytes.  Returns the statuses and the Bland iterations."""
@@ -635,7 +684,7 @@ def _highs(problem):
 
 
 def test_dual_engine_matches_primal_tableau_and_highs():
-    problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps()]
+    problems = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps(), *_unit_row_lps()]
     for problem in problems:
         sol = lp_solve(problem)
         ref = _PrimalTableau().lp_solve(problem)
@@ -658,69 +707,6 @@ def test_solver_counts_repeat():
         # a status is read off a rebuild of the basis inverse
         assert first.reinversions >= 1
     assert all(lp_solve(p).pivots[1] > 0 for p in _degenerate_lps(4))
-
-
-def _unit_row_lps():
-    """LPs whose bound rows supply some of the dual's unit columns: dense
-    rows, then per variable an upper bound, a lower bound, both, a duplicate
-    pair such as x <= 1 and 2x <= 3 (the same column once equilibrated), an
-    equality, or nothing, at random positive row scales; objective entries
-    negative, zero and positive.  Then boxed LPs that are infeasible (a
-    Farkas ray from phase 2) and LPs unbounded along a free variable (a
-    primal ray after the re-solve without objective)."""
-    rng = np.random.default_rng(71)
-    for _ in range(60):
-        nv = int(rng.integers(2, 6))
-        # |x_j + x_(j+1)/2| <= 5 bounds every variable through dense rows
-        pair = np.eye(nv) + 0.5 * np.roll(np.eye(nv), 1, axis=1)
-        a = [rng.normal(size=(int(rng.integers(0, 4)), nv)), pair, -pair]
-        b = [rng.uniform(0.5, 2.0, size=a[0].shape[0]), np.full(2 * nv, 5.0)]
-        a_eq, b_eq = [np.zeros((0, nv))], [np.zeros(0)]
-        for j in range(nv):
-            kind = rng.integers(6)
-            s = rng.uniform(0.5, 4.0)
-            e = s * np.eye(nv)[j]
-            if kind in (0, 2, 3):  # x_j <= u
-                a.append([e])
-                b.append([s * rng.uniform(0.5, 3.0)])
-            if kind == 3:  # and x_j <= u' through a scaled copy of the row
-                a.append([1.5 * e])
-                b.append([1.5 * b[-1][0] * rng.uniform(0.5, 2.0)])
-            if kind in (1, 2):  # x_j >= l
-                a.append([-e])
-                b.append([s * rng.uniform(-0.5, 3.0)])
-            if kind == 4:  # x_j = v
-                a_eq.append([e])
-                b_eq.append([s * rng.uniform(-1.0, 1.0)])
-        c = rng.choice([-1.0, 0.0, 1.0], size=nv) * rng.uniform(0.5, 2.0, size=nv)
-        yield LPProblem(c, np.vstack(a), np.concatenate(b), np.vstack(a_eq), np.concatenate(b_eq))
-    for _ in range(10):
-        nv = int(rng.integers(2, 5))
-        u = rng.normal(size=nv)
-        a, b = _boxed_rows(rng, nv, 2, 0.5)
-        a, b = np.vstack([a, u, -u]), np.concatenate([b, [-1.0, -1.0]])
-        yield LPProblem(rng.normal(size=nv), a, b, np.zeros((0, nv)), np.zeros(0))
-        # x_last is free, enters the dense rows with a coefficient >= 0 and
-        # costs c_last > 0: it falls without bound
-        a, b = _boxed_rows(rng, nv - 1, 3, 0.5)
-        a = np.hstack([a, np.zeros((a.shape[0], 1))])
-        a[:3, -1] = rng.uniform(0.0, 1.0, size=3)
-        c = np.append(rng.normal(size=nv - 1), rng.uniform(1.0, 2.0))
-        yield LPProblem(c, a, b, np.zeros((0, nv)), np.zeros(0))
-
-
-def test_unit_columns_start_like_primal_tableau_and_highs():
-    statuses = []
-    for problem in _unit_row_lps():
-        sol = lp_solve(problem)
-        ref = _PrimalTableau().lp_solve(problem)
-        status, fun = _highs(problem)
-        assert sol.status == ref.status == status
-        if status == "optimal":
-            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
-            assert sol.objective == pytest.approx(fun, rel=1e-9, abs=1e-9)
-        statuses.append(status)
-    assert statuses.count("infeasible") >= 10 and statuses.count("unbounded") == 10
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
