@@ -12,6 +12,7 @@ fails, 2 on input or usage errors, 3 when a computation fails numerically
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -256,7 +257,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about twenty parses."""
     parser = argparse.ArgumentParser(
         prog="jetspace",
         description=(
@@ -315,8 +319,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:

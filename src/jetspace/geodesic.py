@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cubes import Cube
-from .jets import Jet, gauge_integral, jet_distance, scale
+from .jets import Jet, _JetRows, gauge_integral, jet_distance, scale
 from .modulus import Modulus
 from .numerics import within_slack
 
@@ -60,9 +60,12 @@ def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> fl
 
     Label-setting (Dijkstra) is exact here since all weights are
     non-negative.  Always <= the direct quasi-distance and >= the geodesic
-    distance.
+    distance.  The discrepancies of a settled node's edges to every unsettled
+    node are one array expression (``jets._JetRows``), so each edge weight
+    is ``jet_distance`` of its two jets bit for bit.
     """
     nodes: list[Jet] = [start, end, *candidates]
+    rows = _JetRows(nodes)
     n = len(nodes)
     dist = [math.inf] * n
     done = [False] * n
@@ -75,10 +78,9 @@ def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> fl
         done[i] = True
         if i == 1:
             break
-        for j in range(n):
-            if done[j]:
-                continue
-            nd = d + jet_distance(mod, nodes[i], nodes[j])
+        js = [j for j in range(n) if not done[j]]
+        for j, weight in zip(js, rows.distances(mod, i, js)):
+            nd = d + weight
             if nd < dist[j]:
                 dist[j] = nd
                 heapq.heappush(heap, (nd, j))

@@ -15,19 +15,25 @@ modulus.  Three independent computation routes are provided:
 
 All three agree; the closed forms ``zygmund_distance`` (w(t) = t^(m-1), no
 free derivative orders) and ``sobolev_distance`` (w(t) = t, order 1) specialize
-them.
+them.  ``jet_distance``, ``jet_gap`` and ``geodesic.d_upper`` take the
+derivative discrepancies as array rows (``_JetRows``); the other routes take
+them through ``Poly.deriv_eval`` (``_discrepancies``), so that a cross-check
+compares two independent computations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .cubes import Cube, pair_scales
 from .modulus import Modulus
 from .numerics import invert_increasing, rel_close
-from .poly import Poly, mi_order, multi_indices
+from .poly import Poly, deriv_matrix, mi_order, multi_indices
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,8 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
 def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple[int, list]:
     """The shared degree bound and, alpha-major over all multi-indices alpha
     and evaluation points y (``at`` alone, else both cube centers), the pairs
-    (|alpha|, |D^alpha(P1 - P2)(y)|)."""
+    (|alpha|, |D^alpha(P1 - P2)(y)|), through ``Poly.deriv_eval``: the
+    verification routes' discrepancies."""
     if t1.n != t2.n:
         raise ValueError("jet dimensions differ")
     if t1.degree != t2.degree:
@@ -163,21 +170,111 @@ def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple[int, l
     ]
 
 
-def _lower_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple:
-    """(gap, top peak, v, span, reach): the discrepancy scale of the orders
-    below the top, the largest top-order discrepancy, and ``pair_scales``.
-    The gauge-inverse grows with the discrepancy and sees only the order of
-    a multi-index, so each order is inverted once, at its largest one."""
-    top, disc = _discrepancies(t1, t2, at)
-    peak = [0.0] * (top + 1)
-    for a, u in disc:
-        peak[a] = max(peak[a], u)
+@lru_cache(maxsize=None)
+def _support(n: int, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Over alpha, beta in ``multi_indices(n, top)``: the mask of beta_i >=
+    alpha_i for all i, where D^alpha y^beta may be non-zero, and the position
+    of each order's first alpha (the indices are sorted by order)."""
+    betas = multi_indices(n, top)
+    support = np.array(
+        [[all(bi >= ai for ai, bi in zip(alpha, beta)) for beta in betas] for alpha in betas]
+    )
+    support.flags.writeable = False
+    orders = [mi_order(alpha) for alpha in betas]
+    return support, tuple(orders.index(a) for a in range(top + 1))
+
+
+class _JetRows:
+    """The derivative discrepancies of a list of jets, as array rows.
+
+    Holds the coefficient rows (jets x ``multi_indices(n, top)``) and the
+    exact ``deriv_matrix`` at the evaluation points: every jet's cube center,
+    or ``at`` alone.  The discrepancy |D^alpha(P_i - P_j)(y)| of a pair is the
+    sum over beta of the coefficient difference times the derivative of y^beta,
+    taken elementwise and summed along the last axis, so that a row is
+    rounded the same whichever batch it is computed in.  Entries with some
+    beta_i < alpha_i are masked rather than multiplied (an infinite difference
+    times 0 would be NaN), as ``Poly.deriv_eval`` skips them.
+    """
+
+    def __init__(self, jets: Sequence[Jet], at: Sequence[float] | None = None) -> None:
+        n, top = jets[0].n, jets[0].degree
+        for jet in jets[1:]:
+            if jet.n != n:
+                raise ValueError("jet dimensions differ")
+            if jet.degree != top:
+                raise ValueError("jet degree bounds differ")
+        if at is None:
+            points = [jet.cube.center for jet in jets]
+        elif len(at) != n:
+            raise ValueError("evaluation point dimension mismatch")
+        else:
+            points = [tuple(float(c) for c in at)]
+        betas = multi_indices(n, top)
+        column = {beta: b for b, beta in enumerate(betas)}
+        self.jets = jets
+        self.coef = np.zeros((len(jets), len(betas)))
+        for k, jet in enumerate(jets):
+            for beta, c in jet.poly.coef.items():
+                self.coef[k, column[beta]] = c
+        self.deriv = deriv_matrix(n, top, betas, points)
+        self.support, self.order_starts = _support(n, top)
+
+    def _abs_discrepancies(self, diff: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+        terms = np.zeros((len(diff), *self.support.shape))
+        np.multiply(diff[:, None, :], deriv, out=terms, where=self.support)
+        return np.abs(terms.sum(axis=-1))
+
+    def peaks(self, i: int, js: Sequence[int]) -> list[list[float]]:
+        """For each j in js, the largest |D^alpha(P_i - P_j)(y)| of each order
+        |alpha| = 0..top over the pair's evaluation points (both centers, or
+        ``at``); 0.0 where every value is NaN, as the scalar maximum skips
+        them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self.coef[i] - self.coef[js]
+            if len(self.deriv) == 1:
+                disc = self._abs_discrepancies(diff, self.deriv[0])
+            else:
+                disc = np.fmax(
+                    self._abs_discrepancies(diff, self.deriv[i]),
+                    self._abs_discrepancies(diff, self.deriv[js]),
+                )
+            peak = np.fmax.reduceat(disc, self.order_starts, axis=1)
+        return np.fmax(peak, 0.0).tolist()
+
+    def distances(self, mod: Modulus, i: int, js: Sequence[int]) -> list[float]:
+        """``jet_distance(mod, jets[i], jets[j])`` for each j in js."""
+        return [
+            _distance(mod, self.jets[i], self.jets[j], peak)
+            for j, peak in zip(js, self.peaks(i, js))
+        ]
+
+
+def _lower_gap(mod: Modulus, t1: Jet, t2: Jet, peak: list[float]) -> tuple:
+    """(gap, v, span, reach): the discrepancy scale of the orders below the
+    top, from the pair's per-order peaks, and ``pair_scales``.  The
+    gauge-inverse grows with the discrepancy and sees only the order of a
+    multi-index, so each order is inverted once, at its largest one."""
+    top = len(peak) - 1
     v, span, reach = pair_scales(t1.cube, t2.cube)
     gap = span
     for a, u in enumerate(peak[:top]):
         if u > 0.0:
             gap = max(gap, gauge_inverse(mod, top, a, u, v))
-    return gap, peak[top], v, span, reach
+    return gap, v, span, reach
+
+
+def _distance(mod: Modulus, t1: Jet, t2: Jet, peak: list[float]) -> float:
+    """``jet_distance`` from the pair's per-order peaks."""
+    if t1 == t2:
+        return 0.0
+    gap, v, span, reach = _lower_gap(mod, t1, t2, peak)
+    # in the cube-separation case the upper limit is the weighted cube
+    # distance's, so that the two coincide bit for bit
+    out = mod.integral_core(v, reach) if gap == span else mod._increment(v, gap)[0]
+    if peak[-1] > 0.0:
+        out = max(out, min(peak[-1], mod.tail_mass(v)))
+    return out
 
 
 def jet_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None) -> float:
@@ -189,9 +286,10 @@ def jet_gap(mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None) -
     With ``at`` given, derivatives are evaluated at that point only; otherwise
     at both cube centers.  +inf when a scale is beyond the float range.
     """
-    gap, top_peak, v, _, _ = _lower_gap(mod, t1, t2, at)
-    if top_peak > 0.0:
-        gap = max(gap, gauge_inverse(mod, t1.degree, t1.degree, top_peak, v))
+    peak = _JetRows([t1, t2], at).peaks(0, [1])[0]
+    gap, v, _, _ = _lower_gap(mod, t1, t2, peak)
+    if peak[-1] > 0.0:
+        gap = max(gap, gauge_inverse(mod, t1.degree, t1.degree, peak[-1], v))
     return gap
 
 
@@ -208,17 +306,14 @@ def jet_distance(
     The orders below the top enter through the discrepancy scale; the
     top-order term is carried as a distance, min(discrepancy, tail mass),
     which is the integral up to its gauge-inverse.  Zero exactly when the
-    jets are equal.  With ``cross_check`` the componentwise route is
-    evaluated too and must agree to relative 1e-8.
+    jets are equal.  The discrepancies are ``_JetRows``' array rows, as in
+    ``geodesic.d_upper``.  With ``cross_check`` the componentwise route,
+    which takes them through ``Poly.deriv_eval``, is evaluated too and must
+    agree to relative 1e-8.
     """
     if t1 == t2:
         return 0.0
-    gap, top_peak, v, span, reach = _lower_gap(mod, t1, t2, at)
-    # in the cube-separation case the upper limit is the weighted cube
-    # distance's, so that the two coincide bit for bit
-    out = mod.integral_core(v, reach) if gap == span else mod._increment(v, gap)[0]
-    if top_peak > 0.0:
-        out = max(out, min(top_peak, mod.tail_mass(v)))
+    out = _JetRows([t1, t2], at).distances(mod, 0, [1])[0]
     if cross_check:
         other = jet_distance_componentwise(mod, t1, t2, at=at)
         if not rel_close(out, other, 1e-8, abs_tol=1e-300):

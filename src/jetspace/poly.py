@@ -61,22 +61,51 @@ def deriv_matrix(
     ``Poly(n, degree, {beta: 1.0}).deriv_eval(alpha, x)`` bit for bit.
     """
     betas = multi_indices(n, degree)
-    out = np.zeros((len(points), len(orders), len(betas)))
+    cells, picks, perms = _deriv_picks(n, degree, tuple(map(tuple, orders)))
+    out = np.zeros((len(points), len(orders) * len(betas)))
     for p, x in enumerate(points):
         if len(x) != n:
             raise ValueError("point dimension mismatch")
-        for a, alpha in enumerate(orders):
-            for b, beta in enumerate(betas):
-                if any(bi < ai for ai, bi in zip(alpha, beta)):
-                    continue
-                term = 1.0
-                for ai, bi, xi in zip(alpha, beta, x):
-                    term *= math.perm(bi, ai)
-                    rest = bi - ai
-                    if rest:
-                        term *= xi**rest
-                out[p, a, b] = term
-    return out
+        table = [*(xi**r for xi in x for r in range(1, degree + 1)), *perms]
+        values = []
+        for pick in picks:
+            term = 1.0
+            for k in pick:
+                term *= table[k]
+            values.append(term)
+        out[p, cells] = values
+    return out.reshape(len(points), len(orders), len(betas))
+
+
+@lru_cache(maxsize=256)
+def _deriv_picks(n: int, degree: int, orders: tuple[MultiIndex, ...]) -> tuple:
+    """The point-independent part of ``deriv_matrix``: (cells, picks, perms).
+
+    Per point, a table holds x_i^r (r = 1..degree) at i * degree + r - 1 and
+    then the falling factorials ``perms``.  The entry at flat position
+    cells[k] is the product, in ``Poly.deriv_eval``'s order, of the table
+    items that picks[k] names; factors of 1 are exact no-ops and left out.
+    Entries with some beta_i < alpha_i are zero and have no cell.
+    """
+    index: dict[float, int] = {}
+    cells, picks = [], []
+    betas = multi_indices(n, degree)
+    for a, alpha in enumerate(orders):
+        for b, beta in enumerate(betas):
+            if any(bi < ai for ai, bi in zip(alpha, beta)):
+                continue
+            pick = []
+            for i, (ai, bi) in enumerate(zip(alpha, beta)):
+                perm = math.perm(bi, ai)
+                if perm != 1:
+                    pick.append(n * degree + index.setdefault(float(perm), len(index)))
+                if bi > ai:
+                    pick.append(i * degree + bi - ai - 1)
+            cells.append(a * len(betas) + b)
+            picks.append(tuple(pick))
+    cells = np.array(cells, dtype=np.intp)
+    cells.flags.writeable = False
+    return cells, tuple(picks), tuple(index)
 
 
 def add_shifted_power(
@@ -145,7 +174,11 @@ class Poly:
         return Poly(n=self.n, degree=max(self.degree, other.degree), coef=out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1.0)
+        self._check_compatible(other)
+        out = dict(self.coef)
+        for alpha, c in other.coef.items():
+            out[alpha] = out.get(alpha, 0.0) - c
+        return Poly(n=self.n, degree=max(self.degree, other.degree), coef=out)
 
     def scale(self, gamma: float) -> "Poly":
         return Poly(

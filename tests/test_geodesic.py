@@ -1,11 +1,13 @@
 """Chain sums, the geodesic bracket, and the chain inequalities."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from jetspace.cli import main
 from jetspace.cubes import Cube, weighted_cube_distance
 from jetspace.geodesic import (
     Chain,
@@ -17,9 +19,10 @@ from jetspace.geodesic import (
     interval_chain_inequality,
     verify_chain_bound,
 )
-from jetspace.jets import Jet, gauge, jet_distance
+from jetspace.jets import Jet, _JetRows, gauge, jet_distance
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
+from jetspace.serialize import jet_to_dict
 
 MOD = Modulus.power(1, 2)
 
@@ -122,6 +125,63 @@ def test_d_upper_antitone_in_candidates():
             val = d_upper(MOD, t1, t2, cands[:size])
             assert val <= prev * (1 + 1e-12)
             prev = val
+
+
+def _chain_jet(rng, offset=0.0):
+    """A random 2-D jet of degree 2, shaped like the metric benchmark's."""
+    coef = {a: float(rng.uniform(-2, 2)) for a in multi_indices(2, 2)}
+    center = tuple((rng.uniform(-1, 1, size=2) + offset).tolist())
+    return Jet(Poly(2, 2, coef), Cube(center, float(rng.uniform(0.05, 1.5))))
+
+
+def _chain_input(rng, candidates=24):
+    """Start, end (its cube offset by 4, so that the search settles the
+    candidates first) and the candidates."""
+    start, end = _chain_jet(rng), _chain_jet(rng, offset=4.0)
+    return start, end, [_chain_jet(rng) for _ in range(candidates)]
+
+
+def test_d_upper_edges_are_jet_distances_bit_for_bit(monkeypatch):
+    mod = Modulus.power(1.5, 2)
+    edges = []
+    distances = _JetRows.distances
+
+    def recording(self, mod, i, js):
+        out = distances(self, mod, i, js)
+        edges.extend((self.jets[i], self.jets[j], w) for j, w in zip(js, out))
+        return out
+
+    monkeypatch.setattr(_JetRows, "distances", recording)
+    rng = np.random.default_rng(21)
+    for _ in range(32):
+        start, end, cands = _chain_input(rng)
+        edges.clear()
+        upper = d_upper(mod, start, end, cands)
+        used = list(edges)
+        assert len(used) >= 25
+        for a, b, weight in used:
+            assert weight.hex() == jet_distance(mod, a, b).hex()
+        assert upper <= jet_distance(mod, start, end)
+
+
+def test_d_upper_ignores_candidates_out_of_float_range(tmp_path):
+    # the two extra candidates differ by +-inf in every coefficient
+    start, end, cands = _chain_input(np.random.default_rng(22))
+    huge = [
+        Jet(Poly(2, 2, {a: sign * 1.7e308 for a in multi_indices(2, 2)}), jet.cube)
+        for sign, jet in zip((1.0, -1.0), cands[:2])
+    ]
+    payload = {
+        "omega": {"family": "power", "q": 1.5, "m": 2},
+        "jets": [jet_to_dict(start), jet_to_dict(end)],
+        "candidates": [jet_to_dict(j) for j in cands + huge],
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert main(["metric", "--input", str(path), "--output", str(out)]) == 0
+    # the value the Poly-route discrepancies give
+    assert json.loads(out.read_text())["geodesic_upper"] == 6.169519496746535
 
 
 # -- lower bound and sandwich -----------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from jetspace.cubes import Cube, point_sub, uniform_norm, weighted_cube_distance
 from jetspace.jets import (
     Jet,
+    _discrepancies,
+    _JetRows,
     gauge,
     gauge_inverse,
     jet_distance,
@@ -175,6 +177,54 @@ def test_jet_gap_inverts_each_order_once():
                         _jet_gap_per_pair(mod, t1, t2, at=at), rel=1e-12
                     )
     assert compared >= 90
+
+
+def _poly_route_peaks(t1, t2, at=None):
+    """The largest discrepancy of each order through ``Poly.deriv_eval``, as
+    a running Python max (which skips NaN)."""
+    top, disc = _discrepancies(t1, t2, at)
+    peak = [0.0] * (top + 1)
+    for a, u in disc:
+        peak[a] = max(peak[a], u)
+    return peak
+
+
+def test_array_discrepancies_match_the_poly_route():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for degree in range(4):
+            for trial in range(4):
+                t1, t2 = _random_jet(rng, n, degree), _random_jet(rng, n, degree)
+                at = None if trial < 2 else tuple(rng.uniform(-1, 1, n).tolist())
+                assert _JetRows([t1, t2], at).peaks(0, [1])[0] == pytest.approx(
+                    _poly_route_peaks(t1, t2, at), rel=1e-12, abs=1e-12
+                )
+
+
+def test_array_discrepancies_of_an_infinite_difference():
+    # +-1.7e308 coefficients differ by inf; a term with beta_i < alpha_i must
+    # be skipped, as Poly.deriv_eval does, not multiplied by 0 into NaN
+    betas = multi_indices(2, 2)
+    t1 = Jet(Poly(2, 2, {a: 1.7e308 for a in betas}), Cube((0.25, -0.24), 0.94))
+    t2 = Jet(Poly(2, 2, {a: -1.7e308 for a in betas}), Cube((0.99, -0.07), 0.74))
+    assert _JetRows([t1, t2]).peaks(0, [1])[0] == _poly_route_peaks(t1, t2)
+    mod = Modulus.power(1.5, 2)
+    assert jet_distance(mod, t1, t2) == jet_distance_componentwise(mod, t1, t2) == math.inf
+
+
+def test_pointwise_distance_and_gap_match_the_poly_route():
+    rng = np.random.default_rng(24)
+    for mod in (Modulus.power(1.5, 2), Modulus.power_log(1.0, 2), Modulus.power(0.7, 1)):
+        for n in (1, 2, 3):
+            for degree in range(4):
+                t1, t2 = _random_jet(rng, n, degree), _random_jet(rng, n, degree)
+                y = tuple(rng.uniform(-1, 1, n).tolist())
+                assert jet_distance(mod, t1, t2, at=y) == pytest.approx(
+                    jet_distance_componentwise(mod, t1, t2, at=y), rel=1e-12
+                )
+                assert jet_gap(mod, t1, t2, at=y) == pytest.approx(
+                    _jet_gap_per_pair(mod, t1, t2, at=y), rel=1e-12
+                )
 
 
 def test_jet_distance_hand_value_three_routes():
