@@ -15,13 +15,14 @@ interval splitting bounds the chain inequality rests on.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .cubes import Cube
-from .jets import Jet, _JetRows, gauge_integral, jet_distance, scale
+from .jets import Jet, _JetRows, _distance, gauge_integral, jet_distance, scale
 from .modulus import Modulus
 from .numerics import within_slack
 
@@ -62,10 +63,25 @@ def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> fl
     non-negative.  Always <= the direct quasi-distance and >= the geodesic
     distance.  The discrepancies of a settled node's edges to every unsettled
     node are one array expression (``jets._JetRows``), so each edge weight
-    is ``jet_distance`` of its two jets bit for bit.
+    that is computed is ``jet_distance`` of its two jets bit for bit.
+
+    An edge is weighed only if it can still relax a label.  With a positive
+    top-order peak u the weight is max(cube or lower-order term, min(u, tail
+    mass at the smaller radius)), so that min, or 0 when u == 0, is a floor
+    on the weight needing no gauge inversion; float addition is monotone, so
+    d + floor <= d + weight.  An edge from a node settled at d to j is
+    skipped when d + floor >= min(label of j, label of end), which leaves
+    the result unchanged bit for bit:
+
+    * d + floor >= label of j: the relaxation test d + weight < label fails;
+    * d + floor >= label of end: every path through this edge is at least
+      the end's label, and on a tie the heap pops (label, end) before any
+      (label, j) with j > end's index.
     """
     nodes: list[Jet] = [start, end, *candidates]
     rows = _JetRows(nodes)
+    radii = [jet.cube.radius for jet in nodes]
+    tail_mass = functools.cache(mod.tail_mass)
     n = len(nodes)
     dist = [math.inf] * n
     done = [False] * n
@@ -79,8 +95,12 @@ def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> fl
         if i == 1:
             break
         js = [j for j in range(n) if not done[j]]
-        for j, weight in zip(js, rows.distances(mod, i, js)):
-            nd = d + weight
+        for j, peak in zip(js, rows.peaks(i, js)):
+            top = peak[-1]
+            floor = min(top, tail_mass(min(radii[i], radii[j]))) if top > 0.0 else 0.0
+            if d + floor >= min(dist[j], dist[1]):
+                continue
+            nd = d + _distance(mod, nodes[i], nodes[j], peak)
             if nd < dist[j]:
                 dist[j] = nd
                 heapq.heappush(heap, (nd, j))

@@ -147,4 +147,5 @@ def within_slack(lhs: float, rhs: float, rel_slack: float) -> bool:
 
 
 def rel_close(a: float, b: float, rel_tol: float, abs_tol: float = 0.0) -> bool:
-    return abs(a - b) <= max(rel_tol * max(abs(a), abs(b)), abs_tol)
+    # a == b first: equal infinities would subtract to NaN
+    return a == b or abs(a - b) <= max(rel_tol * max(abs(a), abs(b)), abs_tol)

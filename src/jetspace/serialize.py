@@ -9,6 +9,7 @@ reports.  Multi-index keys serialize as JSON arrays of exponents
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -200,12 +201,18 @@ def poly_to_dict(poly: Poly) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=4096)
+def _coef_key(key: str) -> tuple[int, ...]:
+    """The multi-index of a coefficient key such as "[1,0]", parsed once per
+    distinct key (an exception is raised again on every call, not cached)."""
+    return tuple(as_int(v, "coef key") for v in as_numbers(json.loads(key), "coef key"))
+
+
 def poly_from_dict(d: dict) -> Poly:
     d = as_object(d, "poly")
     coef = {}
     for key, val in as_object(d.get("coef", {}), "poly coef").items():
-        alpha = tuple(as_int(v, "coef key") for v in as_numbers(json.loads(key), "coef key"))
-        coef[alpha] = as_number(val, "poly coef")
+        coef[_coef_key(key)] = as_number(val, "poly coef")
     return Poly(n=as_int(d["n"], "poly n"), degree=as_int(d["L"], "poly L"), coef=coef)
 
 

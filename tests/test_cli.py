@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from jetspace.poly import multi_indices
 from jetspace.serialize import cube_from_dict, jet_from_dict, modulus_from_dict
 from test_modulus import POWERLOG_GRID, powerlog_exact, table_exact
 from test_numerics import bisection_engine, inverting_with
+from test_selection import _op_seed
 
 
 def _write(tmp_path, name, payload):
@@ -443,6 +445,40 @@ def test_metric_tiny_radius_with_overflowing_kernel_slope(tmp_path):
     with inverting_with(bisection_engine):
         oracle = jet_distance(mod, *jets)
     assert json.loads(text)["jet_distance"] == oracle
+
+
+def _metric_workload_input(seed, candidates=24):
+    """An input of the metric benchmark workload: its generator's draws, in
+    its order, for op seed ``seed``."""
+    rng = np.random.default_rng(seed)
+
+    def jet(offset=0.0):
+        keys = [f"[{a},{b}]" for a in range(3) for b in range(3) if a + b <= 2]
+        coef = {key: float(rng.uniform(-2.0, 2.0)) for key in keys}
+        center = (rng.uniform(-1.0, 1.0, size=2) + offset).tolist()
+        return {"poly": {"n": 2, "L": 2, "coef": coef}, "cube": {"x": center, "r": float(rng.uniform(0.05, 1.5))}}
+
+    start, end = jet(), jet(offset=4.0)
+    return {
+        "omega": {"family": "power", "q": 1.5, "m": 2},
+        "jets": [start, end],
+        "candidates": [jet() for _ in range(candidates)],
+    }
+
+
+def test_metric_equal_infinite_routes_agree(tmp_path):
+    # op 2 of the metric workload at seed 1 with the start jet's coefficients
+    # at 1.7e308: both jet-distance routes give +inf (the tail mass is
+    # infinite), and the cross-check once took inf - inf = NaN for a
+    # disagreement and exited 3
+    payload = _metric_workload_input(_op_seed(1, 2))
+    coef = payload["jets"][0]["poly"]["coef"]
+    coef.update((key, 1.7e308) for key in coef)
+    code, text = _run(tmp_path, ["metric", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 0
+    data = json.loads(text)
+    assert data["jet_distance"] == data["geodesic_upper"] == math.inf
+    assert '"jet_distance": Infinity' in text and '"geodesic_upper": Infinity' in text
 
 
 def _fuzz_floats(low, high):

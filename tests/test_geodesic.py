@@ -1,5 +1,6 @@
 """Chain sums, the geodesic bracket, and the chain inequalities."""
 
+import heapq
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from jetspace import geodesic
 from jetspace.cli import main
 from jetspace.cubes import Cube, weighted_cube_distance
 from jetspace.geodesic import (
@@ -19,7 +21,7 @@ from jetspace.geodesic import (
     interval_chain_inequality,
     verify_chain_bound,
 )
-from jetspace.jets import Jet, _JetRows, gauge, jet_distance
+from jetspace.jets import Jet, gauge, jet_distance
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
 from jetspace.serialize import jet_to_dict
@@ -141,27 +143,117 @@ def _chain_input(rng, candidates=24):
     return start, end, [_chain_jet(rng) for _ in range(candidates)]
 
 
-def test_d_upper_edges_are_jet_distances_bit_for_bit(monkeypatch):
-    mod = Modulus.power(1.5, 2)
-    edges = []
-    distances = _JetRows.distances
+def _full_relaxation_d_upper(mod, start, end, candidates):
+    """Dijkstra that weighs every edge from a settled node to an unsettled
+    one with ``jet_distance``: the search ``d_upper`` prunes.  Returns the
+    distance and the edges (i, j) that lowered j's label below the end's,
+    which a pruned search must weigh too."""
+    nodes = [start, end, *candidates]
+    dist = [math.inf] * len(nodes)
+    done = [False] * len(nodes)
+    dist[0] = 0.0
+    heap = [(0.0, 0)]
+    needed = []
+    while heap:
+        d, i = heapq.heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        if i == 1:
+            break
+        for j in range(len(nodes)):
+            if not done[j]:
+                nd = d + jet_distance(mod, nodes[i], nodes[j])
+                if nd < min(dist[j], dist[1]):
+                    needed.append((i, j))
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+    return dist[1], needed
 
-    def recording(self, mod, i, js):
-        out = distances(self, mod, i, js)
-        edges.extend((self.jets[i], self.jets[j], w) for j, w in zip(js, out))
+
+@pytest.fixture
+def weighed(monkeypatch):
+    """The (jet, jet, weight) of every edge ``d_upper`` weighs, in order."""
+    edges = []
+    distance = geodesic._distance
+
+    def recording(mod, t1, t2, peak):
+        out = distance(mod, t1, t2, peak)
+        edges.append((t1, t2, out))
         return out
 
-    monkeypatch.setattr(_JetRows, "distances", recording)
+    monkeypatch.setattr(geodesic, "_distance", recording)
+    return edges
+
+
+def _assert_matches_full_relaxation(mod, start, end, cands, weighed):
+    """``d_upper`` equals the full search as ``float.hex`` and weighs every
+    edge that lowers a label below the end's, the direct edge first;
+    returns it."""
+    weighed.clear()
+    upper = d_upper(mod, start, end, cands)
+    full, needed = _full_relaxation_d_upper(mod, start, end, cands)
+    assert upper.hex() == full.hex()
+    nodes = [start, end, *cands]
+    assert weighed[0][:2] == (start, end)
+    assert {(id(nodes[i]), id(nodes[j])) for i, j in needed} <= {
+        (id(a), id(b)) for a, b, _ in weighed
+    }
+    return upper
+
+
+def test_d_upper_edges_are_jet_distances_bit_for_bit(weighed):
+    mod = Modulus.power(1.5, 2)
     rng = np.random.default_rng(21)
     for _ in range(32):
         start, end, cands = _chain_input(rng)
-        edges.clear()
-        upper = d_upper(mod, start, end, cands)
-        used = list(edges)
-        assert len(used) >= 25
-        for a, b, weight in used:
+        upper = _assert_matches_full_relaxation(mod, start, end, cands, weighed)
+        # of the 325 edges of the complete graph on 26 jets, fewer than half
+        # are weighed
+        assert len(weighed) < 325 / 2
+        for a, b, weight in weighed:
             assert weight.hex() == jet_distance(mod, a, b).hex()
         assert upper <= jet_distance(mod, start, end)
+
+
+def test_d_upper_matches_full_relaxation_bit_for_bit(weighed):
+    mod = Modulus.power(1.5, 2)
+    rng = np.random.default_rng(23)
+    for _ in range(64):
+        _assert_matches_full_relaxation(mod, *_chain_input(rng), weighed)
+
+
+@pytest.mark.parametrize(
+    "mod",
+    [
+        *(Modulus.power(q, 2) for q in (0.5, 1.0, 1.5, 2.0)),
+        Modulus.power_log(1, 2),
+        Modulus.table([(0.01, 1e-4), (1, 1), (1e4, 1e8)], 2),
+    ],
+    ids=["power-0.5", "power-1", "power-1.5", "power-2", "powerlog", "table"],
+)
+def test_d_upper_fuzz_matches_full_relaxation_bit_for_bit(mod, weighed):
+    # coefficients over a wide range, radii from 0.05 to 2.7, interpolating
+    # candidates (which give routes within 1-2 ulps of the direct edge), and
+    # duplicate candidates, copies of start and end and candidates sharing
+    # start's polynomial (zero, tied and cube-only edges)
+    rng = np.random.default_rng(24)
+
+    def jet(n, deg, size, offset):
+        coef = {a: float(rng.uniform(-size, size)) for a in multi_indices(n, deg)}
+        center = tuple((rng.uniform(-1, 1, size=n) + offset).tolist())
+        return Jet(Poly(n, deg, coef), Cube(center, float(np.exp(rng.uniform(-3, 1)))))
+
+    for trial in range(80):
+        n, deg = 1 + trial % 2, int(rng.integers(0, 3))
+        size = float(np.exp(rng.uniform(-2, 4)))
+        start, end = jet(n, deg, size, 0.0), jet(n, deg, size, rng.uniform(0, 5))
+        cands = interpolating_candidates(start, end, int(rng.integers(1, 6)))
+        cands += [jet(n, deg, size, rng.uniform(0, 5)) for _ in range(int(rng.integers(0, 6)))]
+        cands += [cands[0], start, end, Jet(start.poly, cands[-1].cube)]
+        rng.shuffle(cands)
+        _assert_matches_full_relaxation(mod, start, end, cands, weighed)
 
 
 def test_d_upper_ignores_candidates_out_of_float_range(tmp_path):
