@@ -50,9 +50,8 @@ class Chain:
 
 def chain_length(mod: Modulus, chain: Chain) -> float:
     """Sum of quasi-distances along consecutive links."""
-    return sum(
-        jet_distance(mod, a, b) for a, b in zip(chain.jets, chain.jets[1:])
-    )
+    rows = _JetRows(chain.jets)
+    return sum(rows.distances(mod, i, [i + 1])[0] for i in range(len(chain) - 1))
 
 
 def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> float:
@@ -138,10 +137,7 @@ def verify_chain_bound(
     most the chain sum after scaling every polynomial up by e^n."""
     factor = math.exp(chain.jets[0].n)
     lhs = jet_distance(mod, chain.jets[0], chain.jets[-1])
-    rhs = sum(
-        jet_distance(mod, scale(factor, a), scale(factor, b))
-        for a, b in zip(chain.jets, chain.jets[1:])
-    )
+    rhs = chain_length(mod, Chain(tuple(scale(factor, jet) for jet in chain.jets)))
     return _check(lhs, rhs, rel_slack)
 
 

@@ -15,10 +15,12 @@ modulus.  Three independent computation routes are provided:
 
 All three agree; the closed forms ``zygmund_distance`` (w(t) = t^(m-1), no
 free derivative orders) and ``sobolev_distance`` (w(t) = t, order 1) specialize
-them.  ``jet_distance``, ``jet_gap`` and ``geodesic.d_upper`` take the
-derivative discrepancies as array rows (``_JetRows``); the other routes take
-them through ``Poly.deriv_eval`` (``_discrepancies``), so that a cross-check
-compares two independent computations.
+them.  ``jet_distance``, ``jet_gap``, ``geodesic.d_upper``, the
+``geodesic`` chain sums, ``whitney.pairwise_sweep`` and the metric form of
+``whitney.lipschitz_forms`` take the derivative discrepancies as array rows
+(``_JetRows``); the other routes take them through ``Poly.deriv_eval``
+(``_discrepancies``), so that a cross-check compares two independent
+computations.
 """
 
 from __future__ import annotations
@@ -147,25 +149,33 @@ def value_gauge(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     return invert_increasing(fdf, u)
 
 
+def _context(jets: Sequence[Jet], at: Sequence[float] | None) -> tuple[int, int, list]:
+    """The jets' shared dimension and degree bound, and the evaluation points:
+    ``at`` alone, else every jet's cube center.  An empty list has no rows,
+    and any context serves it."""
+    n, top = (jets[0].n, jets[0].degree) if jets else (1, 0)
+    for jet in jets[1:]:
+        if jet.n != n:
+            raise ValueError("jet dimensions differ")
+        if jet.degree != top:
+            raise ValueError("jet degree bounds differ")
+    if at is None:
+        return n, top, [jet.cube.center for jet in jets]
+    if len(at) != n:
+        raise ValueError("evaluation point dimension mismatch")
+    return n, top, [tuple(float(c) for c in at)]
+
+
 def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple[int, list]:
     """The shared degree bound and, alpha-major over all multi-indices alpha
     and evaluation points y (``at`` alone, else both cube centers), the pairs
     (|alpha|, |D^alpha(P1 - P2)(y)|), through ``Poly.deriv_eval``: the
     verification routes' discrepancies."""
-    if t1.n != t2.n:
-        raise ValueError("jet dimensions differ")
-    if t1.degree != t2.degree:
-        raise ValueError("jet degree bounds differ")
-    if at is None:
-        points = (t1.cube.center, t2.cube.center)
-    elif len(at) != t1.n:
-        raise ValueError("evaluation point dimension mismatch")
-    else:
-        points = (tuple(float(c) for c in at),)
+    n, top, points = _context((t1, t2), at)
     diff = t1.poly - t2.poly
-    return t1.degree, [
+    return top, [
         (mi_order(alpha), abs(diff.deriv_eval(alpha, y)))
-        for alpha in multi_indices(t1.n, t1.degree)
+        for alpha in multi_indices(n, top)
         for y in points
     ]
 
@@ -198,18 +208,7 @@ class _JetRows:
     """
 
     def __init__(self, jets: Sequence[Jet], at: Sequence[float] | None = None) -> None:
-        n, top = jets[0].n, jets[0].degree
-        for jet in jets[1:]:
-            if jet.n != n:
-                raise ValueError("jet dimensions differ")
-            if jet.degree != top:
-                raise ValueError("jet degree bounds differ")
-        if at is None:
-            points = [jet.cube.center for jet in jets]
-        elif len(at) != n:
-            raise ValueError("evaluation point dimension mismatch")
-        else:
-            points = [tuple(float(c) for c in at)]
+        n, top, points = _context(jets, at)
         betas = multi_indices(n, top)
         column = {beta: b for b, beta in enumerate(betas)}
         self.jets = jets
@@ -220,10 +219,17 @@ class _JetRows:
         self.deriv = deriv_matrix(n, top, betas, points)
         self.support, self.order_starts = _support(n, top)
 
-    def _abs_discrepancies(self, diff: np.ndarray, deriv: np.ndarray) -> np.ndarray:
-        terms = np.zeros((len(diff), *self.support.shape))
+    def _product_sum(self, i: int, js: Sequence[int], deriv: np.ndarray) -> np.ndarray:
+        terms = np.zeros((len(js), *self.support.shape))
+        diff = self.coef[i] - self.coef[js]
         np.multiply(diff[:, None, :], deriv, out=terms, where=self.support)
         return np.abs(terms.sum(axis=-1))
+
+    def discrepancies(self, i: int, js: Sequence[int]) -> np.ndarray:
+        """|D^alpha(P_i - P_j)| at jet i's evaluation point (its cube center,
+        or ``at``): one row per j in js, one column per alpha in
+        ``multi_indices(n, top)``."""
+        return self._product_sum(i, js, self.deriv[i if len(self.deriv) > 1 else 0])
 
     def peaks(self, i: int, js: Sequence[int]) -> list[list[float]]:
         """For each j in js, the largest |D^alpha(P_i - P_j)(y)| of each order
@@ -231,14 +237,9 @@ class _JetRows:
         ``at``); 0.0 where every value is NaN, as the scalar maximum skips
         them."""
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = self.coef[i] - self.coef[js]
-            if len(self.deriv) == 1:
-                disc = self._abs_discrepancies(diff, self.deriv[0])
-            else:
-                disc = np.fmax(
-                    self._abs_discrepancies(diff, self.deriv[i]),
-                    self._abs_discrepancies(diff, self.deriv[js]),
-                )
+            disc = self.discrepancies(i, js)
+            if len(self.deriv) > 1:
+                disc = np.fmax(disc, self._product_sum(i, js, self.deriv[js]))
             peak = np.fmax.reduceat(disc, self.order_starts, axis=1)
         return np.fmax(peak, 0.0).tolist()
 

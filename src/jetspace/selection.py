@@ -311,6 +311,10 @@ def finiteness_experiment(
     the full optimum."""
     if ell is None:
         ell = max(spec.dim for spec, _ in inst.nodes)
+    if ell < 0:
+        raise ValueError("experiment ell must be non-negative")
+    if budget < 1:
+        raise ValueError("experiment budget must be at least 1")
     n_subset = 2 ** min(ell + 1, poly_space_dim(inst.n, inst.k))
     total = len(inst.nodes)
     if total < n_subset:

@@ -26,7 +26,7 @@ from .cubes import (
     uniform_norm,
     weighted_cube_distance,
 )
-from .jets import Jet, gauge, jet_distance, scale
+from .jets import Jet, _JetRows, gauge, scale
 from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import MultiIndex, Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
@@ -409,28 +409,26 @@ def pairwise_sweep(field: PolyField, mod: Modulus) -> tuple[np.ndarray, np.ndarr
     Returns (ratio, order): ratio[i, j] is the maximum over orders alpha of
     |D^alpha(P_i - P_j)(x_i)| / gauge(t, v), and order[i, j] the position in
     ``multi_indices(n, top)`` of the first order reaching it; the diagonal is
-    zero.  Discrepancies are coefficient differences times the exact
-    derivative matrix at the centers.  A zero gauge raises FloatingPointError.
+    zero.  The discrepancies are ``jets._JetRows`` rows at x_i, the gauges
+    ``pair_gauges``.  A zero gauge (it can underflow for tiny, close cubes)
+    raises FloatingPointError.
     """
     if mod.m != field.m:
         raise ValueError("modulus order does not match the field context")
+    jets = field.jets()
+    rows = _JetRows(jets)
     top = field.top_degree
-    orders = multi_indices(field.n, top)
-    cubes = [q for q, _ in field.entries]
-    coef = np.array([[p.coef.get(beta, 0.0) for beta in orders] for _, p in field.entries])
-    deriv = deriv_matrix(field.n, top, orders, [q.center for q in cubes])
     # the infinite diagonal gauge gives a cube's zero self-discrepancy ratio 0
-    gauges = pair_gauges(mod, top, orders, cubes)
-    size = len(cubes)
+    gauges = pair_gauges(mod, top, multi_indices(field.n, top), [jet.cube for jet in jets])
+    size = len(jets)
     ratio = np.zeros((size, size))
     order = np.zeros((size, size), dtype=int)
-    rows = np.arange(size)
+    everyone = np.arange(size)
     with np.errstate(divide="raise", invalid="raise"):
         for i in range(size):
-            disc = np.abs(((coef[i] - coef)[:, None, :] * deriv[i]).sum(axis=2))
-            ratios = disc / gauges[i]
+            ratios = rows.discrepancies(i, everyone) / gauges[i]
             order[i] = ratios.argmax(axis=1)
-            ratio[i] = ratios[rows, order[i]]
+            ratio[i] = ratios[everyone, order[i]]
     return ratio, order
 
 
@@ -497,8 +495,9 @@ def check_conditions(
       discrepancy at the first center divided by its gauge;
     * interpolation residuals |P_Q(x_Q) - f(x_Q)| when scalar data is given.
 
-    A zero gauge denominator cannot occur for distinct cubes of positive
-    radius, so no ratio is ever indeterminate.
+    The gauge of distinct cubes is positive in exact arithmetic, but it can
+    underflow to 0.0 for tiny, close cubes; ``pairwise_sweep`` then raises
+    FloatingPointError rather than report an indeterminate ratio.
     """
     worst_pt, wit_pt, _ = _pointwise_bound(field, k)
     pair_ratios, pair_orders = pairwise_sweep(field, mod)
@@ -542,19 +541,15 @@ def lipschitz_forms(field: PolyField, mod: Modulus, lam: float) -> tuple[bool, b
     if lam <= 0:
         raise ValueError("scale must be positive")
     ratio_ok = bool(pairwise_sweep(field, mod)[0].max(initial=0.0) <= lam)
-
     jets = field.jets()
-    metric_ok = True
-    inv = 1.0 / lam
-    for i in range(len(jets)):
-        for j in range(i + 1, len(jets)):
-            lhs = jet_distance(mod, scale(inv, jets[i]), scale(inv, jets[j]))
-            rhs = weighted_cube_distance(mod, jets[i].cube, jets[j].cube)
-            if lhs > rhs:
-                metric_ok = False
-                break
-        if not metric_ok:
-            break
+    scaled = _JetRows([scale(1.0 / lam, jet) for jet in jets])
+    # stops at the first violation; a NaN distance fails no comparison
+    metric_ok = not any(
+        scaled.distances(mod, i, [j])[0]
+        > weighted_cube_distance(mod, jets[i].cube, jets[j].cube)
+        for i in range(len(jets))
+        for j in range(i + 1, len(jets))
+    )
     return ratio_ok, metric_ok
 
 

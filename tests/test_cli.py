@@ -161,7 +161,7 @@ def test_select_singleton(tmp_path):
     assert data["lambda_star"] > 0
 
 
-def test_select_with_experiment(tmp_path):
+def test_select_with_experiment(tmp_path, capsys):
     def interval(lo, hi, x):
         return {
             "cube": {"x": [x], "r": 1.0},
@@ -183,6 +183,15 @@ def test_select_with_experiment(tmp_path):
     data = json.loads(text)
     assert data["experiment"]["gamma_hat"] >= 1.0 - 1e-9
     assert data["experiment"]["exhaustive"]
+    # an empty budget or a negative ell is an input error
+    for experiment, argv in (
+        ({"ell": 1, "budget": 0}, []),
+        ({}, ["--experiment-ell", "-1"]),
+        ({}, ["--experiment-ell", "-2"]),
+    ):
+        path = _write(tmp_path, "in.json", {**payload, "experiment": experiment})
+        assert main(["select", "--input", path, *argv]) == 2
+        assert _error(capsys)["type"] == "ValueError"
 
 
 def test_counterexample_json_and_monotonicity(tmp_path):

@@ -21,7 +21,7 @@ from jetspace.geodesic import (
     interval_chain_inequality,
     verify_chain_bound,
 )
-from jetspace.jets import Jet, gauge, jet_distance
+from jetspace.jets import Jet, gauge, jet_distance, scale
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly, multi_indices
 from jetspace.serialize import jet_to_dict
@@ -323,7 +323,15 @@ def test_chain_bound_random_chains():
     rng = np.random.default_rng(12)
     for _ in range(300):
         jets = tuple(_rand_jet(rng) for _ in range(int(rng.integers(2, 6))))
-        assert verify_chain_bound(MOD, Chain(jets)).ok
+        res = verify_chain_bound(MOD, Chain(jets))
+        assert res.ok
+        # both chain sums are the per-link jet distances, bit for bit
+        links = list(zip(jets, jets[1:]))
+        direct = sum(jet_distance(MOD, a, b) for a, b in links)
+        assert chain_length(MOD, Chain(jets)).hex() == direct.hex()
+        factor = math.exp(1)  # e^n for n = 1
+        scaled = sum(jet_distance(MOD, scale(factor, a), scale(factor, b)) for a, b in links)
+        assert res.rhs.hex() == scaled.hex()
 
 
 # -- chain inequalities --------------------------------------------------------------

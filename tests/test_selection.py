@@ -334,6 +334,9 @@ def test_finiteness_instance_too_small():
     sub = inst.subset([0])
     with pytest.raises(ValueError):
         finiteness_experiment(sub, ell=0)
+    for ell, budget in ((-1, 10), (-2, 10), (0, 0)):
+        with pytest.raises(ValueError, match="experiment (ell|budget)"):
+            finiteness_experiment(inst, ell=ell, budget=budget)
 
 
 # -- counterexample table ---------------------------------------------------------------

@@ -9,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetspace import lp, whitney
-from jetspace.cubes import Cube, cube_family, dyadic_radii, point_sub, uniform_norm
-from jetspace.jets import gauge
+from jetspace.cubes import (
+    Cube,
+    cube_family,
+    dyadic_radii,
+    point_sub,
+    uniform_norm,
+    weighted_cube_distance,
+)
+from jetspace.jets import _JetRows, gauge, jet_distance, scale
 from jetspace.lp import LPBuilder, lp_solve
 from jetspace.modulus import Modulus
-from jetspace.poly import Poly, add_shifted_power, mi_order, multi_indices
+from jetspace.poly import Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
 from jetspace.whitney import (
     PolyField,
     SampleSet,
@@ -605,6 +612,9 @@ def test_lo_seminorm_bracket_and_small_fields():
     assert res.upper == res.value
     single = PolyField(n=1, k=0, m=2, entries=((Cube((0.0,), 1.0), Poly(1, 1, {(1,): 1.0})),))
     assert lo_seminorm(single, MOD).value == 0.0
+    for small in (single, PolyField(n=1, k=0, m=2, entries=())):
+        assert pairwise_sweep(small, MOD)[0].shape == (len(small.entries),) * 2
+        assert lipschitz_forms(small, MOD, 1.0) == (True, True)
 
 
 def test_lipschitz_forms_agreement_random():
@@ -747,6 +757,39 @@ def _oracle_ratio_triples(field, mod):
     return out
 
 
+def _oracle_unmasked_sweep(field, mod):
+    """``pairwise_sweep``'s earlier array form: its own coefficient matrix
+    times the derivative matrix at the first center, unmasked."""
+    top = field.top_degree
+    orders = multi_indices(field.n, top)
+    cubes = [q for q, _ in field.entries]
+    coef = np.array([[p.coef.get(beta, 0.0) for beta in orders] for _, p in field.entries])
+    deriv = deriv_matrix(field.n, top, orders, [q.center for q in cubes])
+    gauges = whitney.pair_gauges(mod, top, orders, cubes)
+    size = len(cubes)
+    ratio = np.zeros((size, size))
+    order = np.zeros((size, size), dtype=int)
+    rows = np.arange(size)
+    for i in range(size):
+        ratios = np.abs(((coef[i] - coef)[:, None, :] * deriv[i]).sum(axis=2)) / gauges[i]
+        order[i] = ratios.argmax(axis=1)
+        ratio[i] = ratios[rows, order[i]]
+    return ratio, order
+
+
+def _oracle_metric_form(field, mod, lam):
+    """The metric form's per-pair loop, with the distances it compared."""
+    jets = field.jets()
+    seen = []
+    for i in range(len(jets)):
+        for j in range(i + 1, len(jets)):
+            lhs = jet_distance(mod, scale(1.0 / lam, jets[i]), scale(1.0 / lam, jets[j]))
+            seen.append(lhs.hex())
+            if lhs > weighted_cube_distance(mod, jets[i].cube, jets[j].cube):
+                return False, seen
+    return True, seen
+
+
 def _sweep_modulus(family, m):
     if family == "power":
         return Modulus.power(0.5 * m, m)
@@ -757,12 +800,24 @@ def _sweep_modulus(family, m):
 
 @pytest.mark.parametrize("family", ["power", "powerlog", "table"])
 @pytest.mark.parametrize("n, k, m", [(n, k, m) for n in (1, 2) for k in (0, 1) for m in (1, 2)])
-def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m):
+def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
     rng = np.random.default_rng(1000 * n + 100 * k + 10 * m + len(family))
     mod = _sweep_modulus(family, m)
+    seen = []
+    row_distances = _JetRows.distances
+
+    def recorded(self, mod, i, js):
+        out = row_distances(self, mod, i, js)
+        seen.extend(d.hex() for d in out)
+        return out
+
+    monkeypatch.setattr(_JetRows, "distances", recorded)
     for _ in range(3):
         field = _random_field(rng, n, k, m, 5)
-        ratio, _ = pairwise_sweep(field, mod)
+        ratio, order = pairwise_sweep(field, mod)
+        old_ratio, old_order = _oracle_unmasked_sweep(field, mod)
+        assert ratio.tobytes() == old_ratio.tobytes()
+        assert order.tobytes() == old_order.tobytes()
         rep = check_conditions(None, field, mod, k)
         assert rep.pair_ratios.tobytes() == ratio.tobytes()
         scale = max(ratio.max(), 1e-300)
@@ -782,8 +837,32 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m):
             assert wit["order"] == oracle_wit["order"]
             assert type(wit["cube_indices"][0]) is int and type(wit["ratio"]) is float
 
-        for lam in (lo_star * (1 + 1e-9), lo_star * (1 - 1e-9)):
-            assert lipschitz_forms(field, mod, lam)[0] == _oracle_ratio_form(field, mod, lam)
+        for lam in (lo_star * 0.1, lo_star * (1 - 1e-9), lo_star * (1 + 1e-9), lo_star * 10):
+            seen.clear()
+            ratio_ok, metric_ok = lipschitz_forms(field, mod, lam)
+            got = (metric_ok, seen[:])  # the oracle's jet_distance calls record too
+            assert ratio_ok == _oracle_ratio_form(field, mod, lam)
+            assert got == _oracle_metric_form(field, mod, lam)
+
+
+def test_underflowing_gauge_raises_rather_than_divides():
+    # tiny, close cubes: t^2 * core underflows to 0.0 at order 0
+    field = PolyField(
+        n=1,
+        k=1,
+        m=2,
+        entries=(
+            (Cube((0.0,), 1e-200), Poly(1, 2, {(0,): 1.0})),
+            (Cube((3e-200,), 1e-200), Poly.zero(1, 2)),
+        ),
+    )
+    mod = Modulus.power(1.0, 2)
+    cubes = [q for q, _ in field.entries]
+    assert whitney.pair_gauges(mod, 2, multi_indices(1, 2), cubes)[0, 1, 0] == 0.0
+    with pytest.raises(FloatingPointError):
+        pairwise_sweep(field, mod)
+    with pytest.raises(FloatingPointError):
+        check_conditions(None, field, mod, 1)
 
 
 # -- star norm -----------------------------------------------------------------------------
