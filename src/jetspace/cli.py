@@ -31,7 +31,7 @@ from .cubes import (
 )
 from .geodesic import d_lower, d_upper, interpolating_candidates
 from .jets import jet_distance
-from .selection import best_selection, counterexample_family, finiteness_experiment
+from .selection import SUBSET_BUDGET, best_selection, counterexample_family, finiteness_experiment
 from .suites import DEFAULT_SEED, run_all
 from .whitney import check_conditions, fit_field, limit_jet, lo_seminorm, star_norm
 
@@ -192,7 +192,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         rep = finiteness_experiment(
             inst,
             ell=ell,
-            budget=ser.as_int(exp.get("budget", 5000), "experiment budget"),
+            budget=ser.as_int(exp.get("budget", SUBSET_BUDGET), "experiment budget"),
             seed=args.seed,
         )
         payload["experiment"] = {

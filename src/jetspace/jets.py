@@ -95,19 +95,16 @@ def gauge(mod: Modulus, top: int, alpha, t: float, v: float) -> float:
 def gauge_inverse(mod: Modulus, top: int, alpha, u: float, v: float) -> float:
     """The spatial scale t >= 0 at which the gauge reaches u.
 
-    Closed forms cover the power family with unit kernel (q == m); the
-    pure-integral case (order == top) is ``core_integral_inverse``.  Otherwise
-    the strictly increasing gauge is inverted by ``invert_increasing``
-    (safeguarded Newton with the exact slope, relative bracket width 1e-13).
+    The pure-integral case (order == top) is ``core_integral_inverse``.
+    Otherwise the strictly increasing gauge is inverted by
+    ``invert_increasing`` (safeguarded Newton with the exact slope, relative
+    bracket width 1e-13).
     """
     e = _excess(top, alpha, v, u, "target")
     if u == 0.0:
         return 0.0
     if e == 0:
         return mod.core_integral_inverse(u, v)
-    if mod.family == "power" and mod.q == mod.m:
-        # unit kernel: the gauge is t^(e+1)
-        return u ** (1.0 / (e + 1))
 
     def fdf(t: float) -> tuple[float, float]:
         core, slope = mod._increment(v, t)

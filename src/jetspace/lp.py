@@ -7,8 +7,10 @@ constraint) by two-phase revised simplex with Bland's anti-cycling rule,
 keeping only the basis inverse and the basic values.  The start basis takes
 the unit columns that the problem's bound rows (x_j <= u, x_j >= l, x_j = v)
 supply to the dual, and an artificial only for a dual row without one; when
-every row has one, phase 1 is skipped.  The primal solution is the final
-dual basis's simplex multipliers.  Before a status is returned its
+every row has one, phase 1 is skipped.  An equality a x = b enters as the
+pair of inequalities a x <= b and -a x <= -b, so everything below
+``lp_solve`` works on the single form a x <= b.  The primal solution is the
+final dual basis's simplex multipliers.  Before a status is returned its
 certificate is checked: primal and dual feasibility and the duality gap for
 "optimal", a Farkas ray for "infeasible", a feasible point and an improving
 ray for "unbounded".  A failed check raises ArithmeticError.  Exact vertex
@@ -143,28 +145,28 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     norms[norms == 0.0] = 1.0
     b /= norms
-    # the dual's columns, written straight from the rows: the equilibrated
-    # constraints, the negated equalities, then room for the artificials
-    # and the right-hand side, which _solve_dual fills in
-    original = np.empty((n, 2 * m - m_ub + n + 1))
+    # the single form a x <= b: the equalities enter again, negated.  The
+    # dual's columns are written straight from its rows, then room for the
+    # artificials and the right-hand side, which _solve_dual fills in
+    b = np.append(b, -b[m_ub:])
+    original = np.empty((n, b.size + n + 1))
     np.divide(a_ub.T, norms[:m_ub], out=original[:, :m_ub])
     np.divide(a_eq.T, norms[m_ub:], out=original[:, m_ub:m])
-    np.negative(original[:, m_ub:m], out=original[:, m : 2 * m - m_ub])
+    np.negative(original[:, m_ub:m], out=original[:, m : b.size])
     work = [0] * 6  # phase-1 pivots, phase-2 pivots, rebuilds, lifts, restarts, Bland pivots
-    solution = _solve_dual(c, original, b, m_ub, work)
+    solution = _solve_dual(c, original, b, work)
     solution.pivots = (work[0], work[1])
     solution.reinversions, solution.lifts, solution.restarts, solution.bland_pivots = work[2:]
     return solution
 
 
-def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, work: list[int]) -> LPSolution:
-    """min c.x over free x subject to a[:m_ub] x <= b[:m_ub] and
-    a[m_ub:] x = b[m_ub:], a = original[:, :b.size].T, solved as its dual:
-    min b.w subject to a^T w = -c with w[:m_ub] >= 0.
+def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[int]) -> LPSolution:
+    """min c.x over free x subject to a x <= b, a = original[:, :b.size].T,
+    solved as its dual: min b.w subject to a^T w = -c, w >= 0.
 
     The dual has a row per variable of x and a column per dual variable of
-    ``original``: w on the inequalities, w+ and w- (w = w+ - w-) on the
-    equalities, then one artificial per row, then the right-hand side -c.
+    ``original``: one per row of a, then one artificial per row of the
+    dual, then the right-hand side -c.
     Row j's artificial is sign_j e_j, sign_j = -1 where c_j > 0, so that it
     starts the basis at |c_j| >= 0.  A constraint column equal to sign_j e_j,
     which a bound on x_j such as x_j >= l (c_j > 0) or x_j <= u (c_j <= 0)
@@ -173,9 +175,8 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, w
     out only the artificials still basic, and is skipped when none is.  The
     re-solve without objective reuses ``original`` and adds to ``work``.
     """
-    n, m = c.size, b.size
-    n_core = 2 * m - m_ub
-    a = original[:, :m].T  # the certificate checks read the full rows
+    n, n_core = c.size, b.size
+    a = original[:, :n_core].T  # the certificate checks read the full rows
     sign = np.where(c > 0, -1.0, 1.0)
     original[:, n_core:-1] = 0.0
     original[np.arange(n), n_core + np.arange(n)] = sign
@@ -205,9 +206,9 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, w
             # c.x falls; the same LP without objective tells whether the
             # primal is feasible
             ray = phase1_cost[basis] @ inverse[:, :-1]
-            if _solve_dual(np.zeros(n), original, b, m_ub, work).status == "infeasible":
+            if _solve_dual(np.zeros(n), original, b, work).status == "infeasible":
                 return LPSolution(status="infeasible")
-            _check_primal_ray(c, a, m_ub, ray)
+            _check_primal_ray(c, a, ray)
             return LPSolution(status="unbounded")
         # a basis row whose artificial cannot leave is redundant: drop it and
         # the original row it belongs to, which depends on the others
@@ -221,8 +222,7 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, w
             original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
 
     cost = np.zeros(n_core + n)
-    cost[:m] = b
-    cost[m:n_core] = -b[m_ub:]
+    cost[:n_core] = b
     status, entering = _simplex(inverse, basis, cost, n_core, original, work, 1)
     if status == "unbounded":
         # b.w falls without bound along the entering column's ray, which is
@@ -230,42 +230,34 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, m_ub: int, w
         ray = np.zeros(n_core + n)
         ray[entering] = 1.0
         ray[basis] = -(inverse[:, :-1] @ original[:, entering])
-        _check_farkas_ray(a, b, m_ub, _fold(ray, m, m_ub))
+        _check_farkas_ray(a, b, ray[:n_core])
         return LPSolution(status="infeasible")
 
     w = np.zeros(n_core + n)
     w[basis] = inverse[:, -1]
     x = np.zeros(n)  # a variable whose row was dropped gets multiplier 0
     x[rows] = cost[basis] @ inverse[:, :-1]
-    _check_optimal(c, a, b, m_ub, x, _fold(w, m, m_ub))
+    _check_optimal(c, a, b, x, w[:n_core])
     return LPSolution(status="optimal", x=x, objective=float(c @ x))
-
-
-def _fold(v: np.ndarray, m: int, m_ub: int) -> np.ndarray:
-    """Dual variables per constraint from a vector over the dual's columns."""
-    w = v[:m].copy()
-    w[m_ub:] -= v[m : 2 * m - m_ub]
-    return w
 
 
 def _amax(v: np.ndarray) -> float:
     return float(np.abs(v).max(initial=0.0))
 
 
-def _excess(resid: np.ndarray, m_ub: int) -> float:
-    """How far resid[:m_ub] <= 0 and resid[m_ub:] = 0 are violated; NaN
-    when an entry is NaN."""
-    return _amax(np.append(np.maximum(resid[:m_ub], 0.0), resid[m_ub:]))
+def _excess(resid: np.ndarray) -> float:
+    """How far resid <= 0 is violated; NaN when an entry is NaN."""
+    return float(np.max(resid, initial=0.0))
 
 
-def _check_optimal(c, a, b, m_ub, x, w) -> None:
+def _check_optimal(c, a, b, x, w) -> None:
     """x primal feasible, w dual feasible and c.x = -b.w, each within
     _CERT_TOL of the magnitude of the terms it is computed from (rows of a
     are at most 1 in size).  Every test is written so that NaN fails it."""
-    if not _excess(a @ x - b, m_ub) <= _CERT_TOL * max(1.0, _amax(x)):
+    if not _excess(a @ x - b) <= _CERT_TOL * max(1.0, _amax(x)):
         raise ArithmeticError("simplex lost primal feasibility")
     tol = _CERT_TOL * max(1.0, _amax(w), _amax(c))
-    if not (float(np.min(w[:m_ub], initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
+    if not (float(np.min(w, initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
         raise ArithmeticError("simplex lost dual feasibility")
     size = float(np.abs(c) @ np.abs(x) + np.abs(b) @ np.abs(w))
     if not abs(float(c @ x + b @ w)) <= _CERT_TOL * max(1.0, size):
@@ -279,20 +271,20 @@ def _unit(ray: np.ndarray) -> np.ndarray:
     return ray / size
 
 
-def _check_farkas_ray(a, b, m_ub, w) -> None:
-    """w[:m_ub] >= 0, a^T w = 0 and b.w < 0: no x has a x <= b."""
+def _check_farkas_ray(a, b, w) -> None:
+    """w >= 0, a^T w = 0 and b.w < 0: no x has a x <= b."""
     w = _unit(w)
-    if not (float(np.min(w[:m_ub], initial=0.0)) >= -_CERT_TOL and _amax(a.T @ w) <= _CERT_TOL):
+    if not (float(np.min(w, initial=0.0)) >= -_CERT_TOL and _amax(a.T @ w) <= _CERT_TOL):
         raise ArithmeticError("infeasibility certificate is not a Farkas ray")
     if not float(b @ w) < 0.0:
         raise ArithmeticError("infeasibility certificate does not separate")
 
 
-def _check_primal_ray(c, a, m_ub, d) -> None:
-    """a[:m_ub] d <= 0, a[m_ub:] d = 0 and c.d < 0: from any feasible
-    point, c.x falls without bound along d."""
+def _check_primal_ray(c, a, d) -> None:
+    """a d <= 0 and c.d < 0: from any feasible point, c.x falls without
+    bound along d."""
     d = _unit(d)
-    if not _excess(a @ d, m_ub) <= _CERT_TOL:
+    if not _excess(a @ d) <= _CERT_TOL:
         raise ArithmeticError("unboundedness certificate is not a primal ray")
     if not float(c @ d) < 0.0:
         raise ArithmeticError("unboundedness certificate does not improve the objective")

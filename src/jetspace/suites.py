@@ -725,8 +725,13 @@ def run_all(
     """Run every suite with its default trial count (or a uniform override).
 
     ``slack`` overrides the relative slack of the inequality suites; the
-    agreement suites keep their pinned tolerances.
+    agreement suites keep their pinned tolerances.  Raises ValueError for
+    ``trials`` below 1 and for a ``slack`` that is negative or not finite.
     """
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if slack is not None and not 0.0 <= slack < math.inf:
+        raise ValueError("slack must be finite and non-negative")
     results = []
     for name, fn in SUITES.items():
         kwargs = {}

@@ -255,8 +255,13 @@ def _sup_fit(
     n = cube.dim
     betas = multi_indices(n, degree)
     size = len(betas)
-    inv_r = 1.0 / cube.radius
-    col_scale = [inv_r ** mi_order(beta) for beta in betas]
+    inv_r = 1.0 / cube.radius  # +inf for a subnormal radius
+    try:
+        col_scale = [inv_r ** mi_order(beta) for beta in betas]
+    except OverflowError:
+        col_scale = [math.inf]
+    if math.inf in col_scale:
+        raise OverflowError(f"fit basis of order {degree} overflows on a cube of radius {cube.radius!r}")
 
     def rows_at(points: Sequence[Point]) -> np.ndarray:
         local = [point_sub(y, cube.center) for y in points]

@@ -239,6 +239,25 @@ def test_counterexample_bound_exit_code(capsys):
     assert "error" in err and "ValueError" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--trials", "-3"], "trials must be at least 1"),
+        (["--tol", "nan"], "slack must be finite and non-negative"),
+        (["--tol", "inf"], "slack must be finite and non-negative"),
+        (["--tol", "-1"], "slack must be finite and non-negative"),
+    ],
+)
+def test_properties_bad_options_exit_2(tmp_path, capsys, argv, message):
+    # --tol nan and --tol -1 once exited 1, as if a suite had failed
+    out = tmp_path / "out.json"
+    assert main(["properties", *argv, "--output", str(out)]) == 2
+    assert not out.exists()
+    error = _error(capsys)
+    assert error["type"] == "ValueError" and error["message"] == message
+
+
 def _error(capsys) -> dict:
     return json.loads(capsys.readouterr().err)["error"]
 
@@ -350,6 +369,19 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", payload)
     assert main(["metric", "--input", path]) == 3
     assert _error(capsys)["type"] == "OverflowError"
+    # the local fit's basis scale (1/r)^2 overflows on a cube of radius
+    # 1e-200, and 1/r itself on a subnormal one; the errors once read only
+    # "Numerical result out of range" and "LP data has a non-finite entry"
+    for radius, far in ((1e-200, 3e-200), (1e-309, 3e-309)):
+        payload = {
+            "n": 1, "k": 1, "m": 2, "omega": MOD_D,
+            "points": [{"x": [0.0], "f": 0.0}, {"x": [far], "f": 1.0}],
+            "radii": [radius],
+        }
+        assert main(["check", "--input", _write(tmp_path, "in.json", payload)]) == 3
+        error = _error(capsys)
+        assert error["type"] == "OverflowError"
+        assert error["message"] == f"fit basis of order 2 overflows on a cube of radius {radius!r}"
 
 
 def test_metric_powerlog_wide_span_is_exact(tmp_path):

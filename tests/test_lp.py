@@ -733,6 +733,60 @@ def test_bound_rows_start_the_basis(c):
         assert solution.objective == pytest.approx(_highs(lp_problem)[1], abs=1e-9)
 
 
+def _as_inequality_pairs(problem):
+    """The same LP with each equality a x = b written as the rows a x <= b
+    and -a x <= -b, stacked after the inequality rows."""
+    return LPProblem(
+        problem.objective,
+        np.vstack([problem.a_ub, problem.a_eq, -problem.a_eq]),
+        np.concatenate([problem.b_ub, problem.b_eq, -problem.b_eq]),
+        np.zeros((0, problem.objective.size)),
+        np.zeros(0),
+    )
+
+
+def test_equalities_solve_as_inequality_pairs(monkeypatch):
+    # lp_solve enters an equality as that pair of rows, so the LP written
+    # with the pairs by hand has the same dual: the same pivots, counts and
+    # bytes of x.  The LPs: the fits behind a small check (centers
+    # interpolated), the select LP of a benchmark input (it takes a lift),
+    # and LPs with redundant equalities (rows dropped after phase 1)
+    from jetspace import selection, whitney
+    from jetspace.cubes import cube_family, dyadic_radii
+    from jetspace.whitney import SampleSet, fit_field
+    from test_selection import _op_seed, _select_workload_instance
+
+    problems, redundant = [], []
+
+    def record(problem):
+        problems.append(problem)
+        return lp_solve(problem)
+
+    def drive_out(*args):
+        redundant.append(drive_out_artificials(*args))
+        return redundant[-1]
+
+    drive_out_artificials = lp._drive_out_artificials
+    monkeypatch.setattr(whitney, "lp_solve", record)
+    monkeypatch.setattr(selection, "lp_solve", record)
+    pts = tuple(tuple(map(float, p)) for p in np.random.default_rng(3).uniform(-1, 1, (6, 2)))
+    sample = SampleSet(n=2, points=pts, values=tuple(math.sin(x) * y for x, y in pts))
+    fit_field(sample, cube_family(pts, dyadic_radii(pts, 2)), k=1, m=2, interpolate_center=True)
+    selection.best_selection(_select_workload_instance(_op_seed(1, 0), 24))
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    lifts = 0
+    for problem in [*problems, *_redundant_lps()]:
+        assert problem.b_eq.size > 0
+        got, want = lp_solve(problem), lp_solve(_as_inequality_pairs(problem))
+        assert got.status == want.status == "optimal"
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.pivots, got.reinversions, got.lifts, got.restarts, got.bland_pivots) == (
+            want.pivots, want.reinversions, want.lifts, want.restarts, want.bland_pivots
+        )
+        lifts += got.lifts
+    assert len(problems) > 2 and lifts > 0 and any(redundant)
+
+
 def _two_bounds():
     """min x + y subject to x >= 1, y >= 2, x + y <= 10: optimum 3 at (1, 2)."""
     a_ub = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
@@ -755,33 +809,34 @@ def _bound_and_pin():
     "check, problem, status, corrupt, message",
     [
         ("_check_optimal", _two_bounds(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x + 10.0, w), "primal feasibility"),
+         lambda c, a, b, x, w: (c, a, b, x + 10.0, w), "primal feasibility"),
         ("_check_optimal", _two_bounds(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x, -w), "dual feasibility"),
+         lambda c, a, b, x, w: (c, a, b, x, -w), "dual feasibility"),
         ("_check_optimal", _two_bounds(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x + 1.0, w), "duality gap"),
+         lambda c, a, b, x, w: (c, a, b, x + 1.0, w), "duality gap"),
         ("_check_farkas_ray", _INFEASIBLE, "infeasible",
-         lambda a, b, m_ub, w: (a, b, m_ub, -w), "not a Farkas ray"),
+         lambda a, b, w: (a, b, -w), "not a Farkas ray"),
         ("_check_farkas_ray", _INFEASIBLE, "infeasible",
-         lambda a, b, m_ub, w: (a, -b, m_ub, w), "does not separate"),
+         lambda a, b, w: (a, -b, w), "does not separate"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
-         lambda c, a, m_ub, d: (c, a, m_ub, -d), "not a primal ray"),
+         lambda c, a, d: (c, a, -d), "not a primal ray"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
-         lambda c, a, m_ub, d: (-c, a, m_ub, d), "does not improve"),
+         lambda c, a, d: (-c, a, d), "does not improve"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
-         lambda c, a, m_ub, d: (c, a, m_ub, 0.0 * d), "zero certificate"),
+         lambda c, a, d: (c, a, 0.0 * d), "zero certificate"),
         # NaN compares false with everything, so each test must fail on it
         ("_check_optimal", _two_bounds(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x * math.nan, w), "primal feasibility"),
+         lambda c, a, b, x, w: (c, a, b, x * math.nan, w), "primal feasibility"),
+        # the equality row and its negation, after the one inequality row
         ("_check_optimal", _bound_and_pin(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, np.vstack([a[:m_ub], a[m_ub:] * math.nan]), b, m_ub, x, w),
+         lambda c, a, b, x, w: (c, np.vstack([a[:1], a[1:] * math.nan]), b, x, w),
          "primal feasibility"),
         ("_check_optimal", _two_bounds(), "optimal",
-         lambda c, a, b, m_ub, x, w: (c, a, b, m_ub, x, w * math.nan), "dual feasibility"),
+         lambda c, a, b, x, w: (c, a, b, x, w * math.nan), "dual feasibility"),
         ("_check_farkas_ray", _INFEASIBLE, "infeasible",
-         lambda a, b, m_ub, w: (a * math.nan, b, m_ub, w), "not a Farkas ray"),
+         lambda a, b, w: (a * math.nan, b, w), "not a Farkas ray"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
-         lambda c, a, m_ub, d: (c, a * math.nan, m_ub, d), "not a primal ray"),
+         lambda c, a, d: (c, a * math.nan, d), "not a primal ray"),
     ],
 )
 def test_corrupted_certificate_raises(monkeypatch, check, problem, status, corrupt, message):

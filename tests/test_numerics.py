@@ -96,6 +96,7 @@ class Recorder:
 TABLE = Modulus.table([(0.01, 0.01), (1.0, 0.5), (100.0, 2.0), (1e4, 3.0)], 2)
 MODULI = [
     Modulus.power(0.5, 1),
+    Modulus.power(1.0, 1),
     Modulus.power(1.0, 2),
     Modulus.power(1.5, 2),
     Modulus.power(2.0, 3),
@@ -138,8 +139,7 @@ def _inversions():
                     continue
                 if mod.family == "table":
                     u *= float(10 ** rng.uniform(0, 6))  # the gauge outgrows the mass by t^e
-                if not (mod.family == "power" and mod.q == mod.m):
-                    cases.append((gauge_inverse, (mod, e, 0, u, v)))
+                cases.append((gauge_inverse, (mod, e, 0, u, v)))
                 cases.append((value_gauge, (mod, e, 0, u, v)))
     for j in (1, 2, 3):
         for _ in range(6):
