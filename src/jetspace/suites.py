@@ -4,14 +4,17 @@ Each suite draws its inputs from a spawned child of one master seed, checks a
 mathematical guarantee (an inequality with relative slack, or agreement of
 independent computation routes within a relative tolerance), and reports
 trial/failure counts, the worst margin seen, and serialized witnesses for
-replay.  All suites are deterministic functions of (seed, trials).
+replay, all through one ``_Tally`` (``halfspace_equivalence`` reports an
+interval instead).  A per-case suite splits its trials evenly over its cases
+with ``_cases``.  All suites are deterministic functions of (seed, trials).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,7 +88,8 @@ class SuiteResult:
 class _Tally:
     """Per-suite bookkeeping: trial and failure counts, the worst margin in
     the metric's direction ("min_slack" keeps the minimum, "max_rel_dev" the
-    maximum) and the witnesses of the first three failures."""
+    maximum, "bool_agreement" reports the failure count) and the witnesses of
+    the first three failures."""
 
     def __init__(self, metric: str) -> None:
         self.metric = metric
@@ -106,11 +110,31 @@ class _Tally:
             if len(self.witnesses) < 3:
                 self.witnesses.append(witness())
 
+    def add_all(self, ok: np.ndarray, margins: np.ndarray, witness: Callable[[int], dict]) -> None:
+        """Count one trial per entry of ``ok``, exactly as repeated ``add``
+        calls would; ``witness(i)`` is called only for one of the first three
+        failures."""
+        self.worst = self._pick([self.worst, *margins.tolist()])
+        bad = np.flatnonzero(~ok).tolist()
+        self.trials += ok.size
+        self.failures += len(bad)
+        self.witnesses += [witness(i) for i in bad[: 3 - len(self.witnesses)]]
+
     def result(self, name: str, detail: str) -> SuiteResult:
+        worst = float(self.failures) if self.metric == "bool_agreement" else self.worst
         return SuiteResult(
-            name, self.trials, self.failures, self.metric, self.worst, detail,
+            name, self.trials, self.failures, self.metric, worst, detail,
             tuple(self.witnesses),
         )
+
+
+def _cases(trials: int, cases: Sequence) -> list:
+    """Each case ``trials // len(cases)`` times, case by case; raises
+    ValueError when ``trials`` is below the case count, so that no case runs
+    zero trials."""
+    if trials < len(cases):
+        raise ValueError(f"trials must be at least {len(cases)}, one per case")
+    return [case for case in cases for _ in range(trials // len(cases))]
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +199,10 @@ def suite_triangle_cube(
 def suite_triangle_weighted(
     seed: int, trials: int = 100_000, slack: float = INEQ_SLACK
 ) -> SuiteResult:
-    """Triangle inequality for the weighted cube distance, per modulus in the
-    test matrix.  Power-family integrals are evaluated vectorized; the table
-    modulus is checked scalar."""
-    failures = 0
-    worst = math.inf
-    witnesses = []
+    """Triangle inequality for the weighted cube distance, ``trials`` triples
+    per modulus in the test matrix.  Power-family integrals are evaluated
+    vectorized; the table modulus is checked scalar."""
+    tally = _Tally("min_slack")
     for idx, (name, mod, r_hi, c_scale) in enumerate(TRIANGLE_MATRIX):
         rng = _rng_for(seed, 100 + idx)
         n = 2
@@ -195,36 +217,30 @@ def suite_triangle_weighted(
                 return _power_core_vec(mod.q, mod.m, lo, hi)
 
             d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
-            margin = d01 + d12 - d02
             scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
             bad = (d02 - (d01 + d12)) > slack * scale_arr + 1e-300
-            failures += int(np.count_nonzero(bad))
-            worst = min(worst, float(np.min(margin)))
-            if np.any(bad) and len(witnesses) < 3:
-                i = int(np.flatnonzero(bad)[0])
-                witnesses.append(
-                    {
-                        "modulus": modulus_to_dict(mod),
-                        "centers": centers[i].tolist(),
-                        "radii": radii[i].tolist(),
-                    }
-                )
+            tally.add_all(
+                ~bad, d01 + d12 - d02,
+                witness=lambda i: {
+                    "modulus": modulus_to_dict(mod),
+                    "centers": centers[i].tolist(),
+                    "radii": radii[i].tolist(),
+                },
+            )
         else:
             for _ in range(trials):
                 q = [_random_cube(rng, n, r_hi, c_scale) for _ in range(3)]
                 d01 = weighted_cube_distance(mod, q[0], q[1])
                 d12 = weighted_cube_distance(mod, q[1], q[2])
                 d02 = weighted_cube_distance(mod, q[0], q[2])
-                worst = min(worst, d01 + d12 - d02)
-                if not within_slack(d02, d01 + d12, slack):
-                    failures += 1
-                    if len(witnesses) < 3:
-                        witnesses.append(
-                            {"modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(c) for c in q]}
-                        )
-    return SuiteResult(
-        "triangle_weighted", trials * len(TRIANGLE_MATRIX), failures, "min_slack", worst,
-        "weighted cube distance is a metric for every matrix modulus", tuple(witnesses),
+                tally.add(
+                    within_slack(d02, d01 + d12, slack), d01 + d12 - d02,
+                    witness=lambda: {
+                        "modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(c) for c in q]
+                    },
+                )
+    return tally.result(
+        "triangle_weighted", "weighted cube distance is a metric for every matrix modulus"
     )
 
 
@@ -234,8 +250,7 @@ def suite_same_poly_identity(seed: int, trials: int = 10_000) -> SuiteResult:
     rng = _rng_for(seed, 2)
     tally = _Tally("max_rel_dev")
     for t in range(trials):
-        n = 1 + t % 2
-        m = 1 + t % 2
+        n = m = 1 + t % 2
         k = t % 2
         mod = Modulus.power(float(rng.uniform(0.2, m)), m)
         degree = k + m - 1
@@ -258,24 +273,21 @@ def suite_same_poly_identity(seed: int, trials: int = 10_000) -> SuiteResult:
 
 def suite_zygmund_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     """Generic jet distance with w(t) = t^(m-1) against the closed-form
-    exponential-gauge formula, over (n, m) in {1,2} x {2,3}."""
+    exponential-gauge formula, over (n, m) in {1,2} x {2,3}, trials // 4
+    pairs each."""
     rng = _rng_for(seed, 3)
-    combos = [(n, m) for n in (1, 2) for m in (2, 3)]
-    per = trials // len(combos)
     tally = _Tally("max_rel_dev")
-    for n, m in combos:
+    for n, m in _cases(trials, [(n, m) for n in (1, 2) for m in (2, 3)]):
         mod = Modulus.power(float(m - 1), m)
-        degree = m - 1
-        for _ in range(per):
-            t1 = _random_jet(rng, n, degree)
-            t2 = _random_jet(rng, n, degree)
-            a = jet_distance(mod, t1, t2)
-            b = zygmund_distance(t1, t2, m)
-            dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            tally.add(
-                dev <= AGREE_TOL, dev,
-                witness=lambda: {"n": n, "m": m, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
-            )
+        t1 = _random_jet(rng, n, m - 1)
+        t2 = _random_jet(rng, n, m - 1)
+        a = jet_distance(mod, t1, t2)
+        b = zygmund_distance(t1, t2, m)
+        dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        tally.add(
+            dev <= AGREE_TOL, dev,
+            witness=lambda: {"n": n, "m": m, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
+        )
     return tally.result(
         "zygmund_agreement", "pure-power modulus specializes to the exponential-gauge closed form"
     )
@@ -283,23 +295,20 @@ def suite_zygmund_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
 
 def suite_sobolev_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     """Generic jet distance with w(t) = t at order 1 against the root-exponent
-    closed form, over k in {1, 2} and n in {1, 2}."""
+    closed form, over k in {1, 2} and n in {1, 2}, trials // 4 pairs each."""
     rng = _rng_for(seed, 4)
-    combos = [(n, k) for n in (1, 2) for k in (1, 2)]
-    per = trials // len(combos)
     mod1 = Modulus.power(1.0, 1)
     tally = _Tally("max_rel_dev")
-    for n, k in combos:
-        for _ in range(per):
-            t1 = _random_jet(rng, n, k)
-            t2 = _random_jet(rng, n, k)
-            a = jet_distance(mod1, t1, t2)
-            b = sobolev_distance(t1, t2, k)
-            dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            tally.add(
-                dev <= AGREE_TOL, dev,
-                witness=lambda: {"n": n, "k": k, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
-            )
+    for n, k in _cases(trials, [(n, k) for n in (1, 2) for k in (1, 2)]):
+        t1 = _random_jet(rng, n, k)
+        t2 = _random_jet(rng, n, k)
+        a = jet_distance(mod1, t1, t2)
+        b = sobolev_distance(t1, t2, k)
+        dev = abs(a - b) / max(abs(a), abs(b), 1e-300)
+        tally.add(
+            dev <= AGREE_TOL, dev,
+            witness=lambda: {"n": n, "k": k, "jets": [jet_to_dict(t1), jet_to_dict(t2)]},
+        )
     return tally.result(
         "sobolev_agreement", "unit-kernel modulus specializes to the root-exponent closed form"
     )
@@ -307,29 +316,28 @@ def suite_sobolev_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
 
 def suite_value_gauge_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     """Pointwise jet distance: the discrepancy-scale route, the componentwise
-    route and the value-gauge route agree to relative 1e-8."""
+    route and the value-gauge route agree to relative 1e-8, over six
+    (n, k, m) cases, trials // 6 inputs each."""
     rng = _rng_for(seed, 5)
-    combos = [(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 1, 1), (2, 1, 1), (1, 0, 3)]
-    per = trials // len(combos)
     tally = _Tally("max_rel_dev")
-    for n, k, m in combos:
+    combos = [(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 1, 1), (2, 1, 1), (1, 0, 3)]
+    for n, k, m in _cases(trials, combos):
         degree = k + m - 1
-        for _ in range(per):
-            q = float(rng.uniform(0.3 * m, m))
-            mod = Modulus.power(q, m)
-            t1 = _random_jet(rng, n, degree)
-            t2 = _random_jet(rng, n, degree)
-            y = tuple(rng.uniform(-1.0, 1.0, size=n).tolist())
-            a = jet_distance(mod, t1, t2, at=y)
-            b = jet_distance_componentwise(mod, t1, t2, at=y)
-            c = jet_distance_via_value_gauge(mod, t1, t2, y)
-            hi = max(a, b, c)
-            lo = min(a, b, c)
-            # max and min skip a NaN route, which must fail the trial
-            dev = (hi - lo) / max(hi, 1e-300) if not math.isnan(a + b + c) else math.nan
-            tally.add(
-                dev <= AGREE_TOL, dev, witness=lambda: _jets_witness(mod, t1, t2, at=list(y))
-            )
+        q = float(rng.uniform(0.3 * m, m))
+        mod = Modulus.power(q, m)
+        t1 = _random_jet(rng, n, degree)
+        t2 = _random_jet(rng, n, degree)
+        y = tuple(rng.uniform(-1.0, 1.0, size=n).tolist())
+        a = jet_distance(mod, t1, t2, at=y)
+        b = jet_distance_componentwise(mod, t1, t2, at=y)
+        c = jet_distance_via_value_gauge(mod, t1, t2, y)
+        hi = max(a, b, c)
+        lo = min(a, b, c)
+        # max and min skip a NaN route, which must fail the trial
+        dev = (hi - lo) / max(hi, 1e-300) if not math.isnan(a + b + c) else math.nan
+        tally.add(
+            dev <= AGREE_TOL, dev, witness=lambda: _jets_witness(mod, t1, t2, at=list(y))
+        )
     return tally.result(
         "value_gauge_agreement", "three computation routes for the pointwise jet distance agree"
     )
@@ -339,19 +347,17 @@ def suite_chain_scaling(
     seed: int, trials: int = 10_000, slack: float = INEQ_SLACK
 ) -> SuiteResult:
     """Endpoint jet distance is bounded by the chain sum of the e^n-scaled
-    links, over the (n, k, m) matrix, chains of two to five jets."""
+    links, over the eight-case (n, k, m) matrix, trials // 8 chains of two
+    to five jets each."""
     rng = _rng_for(seed, 6)
-    per = trials // len(CHAIN_MATRIX)
     tally = _Tally("min_slack")
-    for n, k, m in CHAIN_MATRIX:
-        degree = k + m - 1
-        for _ in range(per):
-            q = float(rng.uniform(0.3 * m, m))
-            mod = Modulus.power(q, m)
-            length = int(rng.integers(2, 6))
-            jets = tuple(_random_jet(rng, n, degree) for _ in range(length))
-            res = verify_chain_bound(mod, Chain(jets), rel_slack=slack)
-            tally.add(res.ok, res.slack, witness=lambda: _jets_witness(mod, *jets))
+    for n, k, m in _cases(trials, CHAIN_MATRIX):
+        q = float(rng.uniform(0.3 * m, m))
+        mod = Modulus.power(q, m)
+        length = int(rng.integers(2, 6))
+        jets = tuple(_random_jet(rng, n, k + m - 1) for _ in range(length))
+        res = verify_chain_bound(mod, Chain(jets), rel_slack=slack)
+        tally.add(res.ok, res.slack, witness=lambda: _jets_witness(mod, *jets))
     return tally.result("chain_scaling", "scaled chain sums dominate the endpoint jet distance")
 
 
@@ -494,29 +500,27 @@ def suite_point_shift_scaling(
     seed: int, trials: int = 10_000, slack: float = INEQ_SLACK
 ) -> SuiteResult:
     """Moving the evaluation point of the pointwise jet distance is dominated
-    by scaling the polynomials by max(1, e^n * step^L / span^L)."""
+    by scaling the polynomials by max(1, e^n * step^L / span^L), over four
+    (n, k, m) cases, trials // 4 inputs each."""
     rng = _rng_for(seed, 11)
     tally = _Tally("min_slack")
-    combos = [(1, 0, 2), (1, 1, 1), (2, 0, 2), (2, 1, 1)]
-    per = trials // len(combos)
-    for n, k, m in combos:
+    for n, k, m in _cases(trials, [(1, 0, 2), (1, 1, 1), (2, 0, 2), (2, 1, 1)]):
         degree = k + m - 1
-        for _ in range(per):
-            q = float(rng.uniform(0.3 * m, m))
-            mod = Modulus.power(q, m)
-            t1 = _random_jet(rng, n, degree)
-            t2 = _random_jet(rng, n, degree)
-            y = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
-            z = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
-            _, span, _ = pair_scales(t1.cube, t2.cube)
-            step = uniform_norm(tuple(a - b for a, b in zip(y, z)))
-            gamma = math.exp(n) * max(1.0, step**degree / span**degree)
-            lhs = jet_distance(mod, t1, t2, at=z)
-            rhs = jet_distance(mod, scale(gamma, t1), scale(gamma, t2), at=y)
-            tally.add(
-                within_slack(lhs, rhs, slack), rhs - lhs,
-                witness=lambda: _jets_witness(mod, t1, t2, y=list(y), z=list(z)),
-            )
+        q = float(rng.uniform(0.3 * m, m))
+        mod = Modulus.power(q, m)
+        t1 = _random_jet(rng, n, degree)
+        t2 = _random_jet(rng, n, degree)
+        y = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
+        z = tuple(rng.uniform(-1.5, 1.5, size=n).tolist())
+        _, span, _ = pair_scales(t1.cube, t2.cube)
+        step = uniform_norm(tuple(a - b for a, b in zip(y, z)))
+        gamma = math.exp(n) * max(1.0, step**degree / span**degree)
+        lhs = jet_distance(mod, t1, t2, at=z)
+        rhs = jet_distance(mod, scale(gamma, t1), scale(gamma, t2), at=y)
+        tally.add(
+            within_slack(lhs, rhs, slack), rhs - lhs,
+            witness=lambda: _jets_witness(mod, t1, t2, y=list(y), z=list(z)),
+        )
     return tally.result(
         "point_shift_scaling", "evaluation-point moves are dominated by explicit polynomial scaling"
     )
@@ -535,51 +539,40 @@ def _random_field(rng, n: int, k: int, m: int, size: int) -> PolyField:
     return PolyField(n=n, k=k, m=m, entries=tuple(entries))
 
 
-def suite_lipschitz_forms(
-    seed: int, fields: int = 1000, lams_per_field: int = 10
-) -> SuiteResult:
+def suite_lipschitz_forms(seed: int, trials: int = 10_000) -> SuiteResult:
     """The ratio form and the metric form of the scaled Lipschitz condition
     agree for random fields and scales, and the seminorm is their shared
-    threshold."""
+    threshold: ``trials // 10`` fields (at least one), each at ten scales and
+    on both sides of its threshold."""
     rng = _rng_for(seed, 12)
-    failures = 0
-    worst = 0.0
-    witnesses = []
-    trials = 0
-    for t in range(fields):
-        n = 1 + t % 2
-        k = 0
-        m = 1 + t % 2
-        q = float(rng.uniform(0.3 * m, m))
-        mod = Modulus.power(q, m)
-        field = _random_field(rng, n, k, m, size=3)
+    tally = _Tally("bool_agreement")
+    for t in range(max(trials // 10, 1)):
+        n = m = 1 + t % 2
+        mod = Modulus.power(float(rng.uniform(0.3 * m, m)), m)
+        field = _random_field(rng, n, 0, m, size=3)
         lam_star = lo_seminorm(field, mod).value
         if lam_star <= 0:
             continue
-        for _ in range(lams_per_field):
+        for _ in range(10):
             lam = lam_star * float(rng.uniform(0.3, 3.0))
             if abs(lam - lam_star) < 1e-9 * lam_star:
                 continue
             ratio_ok, metric_ok = lipschitz_forms(field, mod, lam)
-            trials += 1
-            if ratio_ok != metric_ok:
-                failures += 1
-                if len(witnesses) < 3:
-                    witnesses.append({"modulus": modulus_to_dict(mod), "lam": lam})
+            tally.add(
+                ratio_ok == metric_ok,
+                witness=lambda: {"modulus": modulus_to_dict(mod), "lam": lam},
+            )
         # threshold sandwich around the seminorm
-        hi = lipschitz_forms(field, mod, lam_star * (1 + 1e-6))
-        lo = lipschitz_forms(field, mod, lam_star * (1 - 1e-6))
-        trials += 2
-        if hi != (True, True) or lo != (False, False):
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(
-                    {"modulus": modulus_to_dict(mod), "lam_star": lam_star, "kind": "threshold"}
-                )
-    return SuiteResult(
-        "lipschitz_forms", trials, failures, "bool_agreement", float(failures),
+        for factor, side in ((1 + 1e-6, (True, True)), (1 - 1e-6, (False, False))):
+            tally.add(
+                lipschitz_forms(field, mod, lam_star * factor) == side,
+                witness=lambda: {
+                    "modulus": modulus_to_dict(mod), "lam_star": lam_star, "kind": "threshold"
+                },
+            )
+    return tally.result(
+        "lipschitz_forms",
         "ratio and metric forms of the Lipschitz condition agree with a shared threshold",
-        tuple(witnesses),
     )
 
 
@@ -629,8 +622,7 @@ def suite_scale_monotonicity(
     rng = _rng_for(seed, 14)
     tally = _Tally("min_slack")
     for t in range(trials):
-        n = 1 + t % 2
-        m = 1 + t % 2
+        n = m = 1 + t % 2
         k = t % 2
         degree = k + m - 1
         mod = Modulus.power(float(rng.uniform(0.3 * m, m)), m)
@@ -661,8 +653,7 @@ def suite_geodesic_sandwich(
     rng = _rng_for(seed, 15)
     tally = _Tally("min_slack")
     for t in range(trials):
-        n = 1 + t % 2
-        m = 1 + t % 2
+        n = m = 1 + t % 2
         k = t % 2
         degree = k + m - 1
         mod = Modulus.power(float(rng.uniform(0.3 * m, m)), m)
@@ -710,13 +701,6 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-_SLACK_SUITES = {
-    "triangle_cube", "triangle_weighted", "chain_scaling", "interval_chain",
-    "derivative_chain", "gauge_shift", "gauge_chain", "point_shift_scaling",
-    "scale_monotonicity", "geodesic_sandwich",
-}
-
-
 def run_all(
     seed: int = DEFAULT_SEED,
     trials: int | None = None,
@@ -724,23 +708,20 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite with its default trial count (or a uniform override).
 
-    ``slack`` overrides the relative slack of the inequality suites; the
+    ``slack`` overrides the relative slack of the suites that take one; the
     agreement suites keep their pinned tolerances.  Raises ValueError for
-    ``trials`` below 1 and for a ``slack`` that is negative or not finite.
+    ``trials`` below 1, for ``trials`` below the case count of a per-case
+    suite (8, the chain matrix) and for a ``slack`` that is negative or not
+    finite.
     """
     if trials is not None and trials < 1:
         raise ValueError("trials must be at least 1")
     if slack is not None and not 0.0 <= slack < math.inf:
         raise ValueError("slack must be finite and non-negative")
     results = []
-    for name, fn in SUITES.items():
+    for fn in SUITES.values():
         kwargs = {}
-        if slack is not None and name in _SLACK_SUITES:
+        if slack is not None and "slack" in inspect.signature(fn).parameters:
             kwargs["slack"] = slack
-        if trials is None:
-            results.append(fn(seed, **kwargs))
-        elif name == "lipschitz_forms":
-            results.append(fn(seed, fields=max(trials // 10, 1)))
-        else:
-            results.append(fn(seed, trials, **kwargs))
+        results.append(fn(seed, **kwargs) if trials is None else fn(seed, trials, **kwargs))
     return results

@@ -144,7 +144,7 @@ def test_criterion_06_chain_inequality_suites():
 
 
 def test_criterion_07_lipschitz_forms_equivalence():
-    res = suite_lipschitz_forms(SEED, fields=1000, lams_per_field=10)
+    res = suite_lipschitz_forms(SEED, 10_000)  # 1000 fields at ten scales each
     # threshold recovery by bisection on the metric form, independent of the
     # ratio maximum
     rng = np.random.default_rng(SEED + 7)

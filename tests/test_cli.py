@@ -105,6 +105,24 @@ def test_check_polynomial_trace(tmp_path):
     assert len(data["limit_jets"]) == len(xs)
 
 
+def test_check_repeated_radius_counts_once(tmp_path):
+    # the cube family drops a repeated radius, so two distinct radii get no
+    # limit jets however often one is listed
+    def run(radii):
+        payload = {
+            "n": 1, "k": 0, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1},
+            "points": [{"x": [x], "f": x} for x in (0.0, 0.4, 1.0)],
+            "radii": radii,
+        }
+        return _run(tmp_path, ["check", "--input", _write(tmp_path, "in.json", payload)])
+
+    code, text = run([0.5, 0.5, 0.25])
+    assert code == 0 and json.loads(text)["limit_jets"] == []
+    code, text = run([0.5, 0.25, 0.125])
+    assert code == 0 and len(json.loads(text)["limit_jets"]) == 3
+    assert run([0.5, 0.5, 0.25, 0.125]) == (code, text)
+
+
 def test_check_csv_rows_per_pair(tmp_path):
     xs = [0.0, 1.0]
     payload = {
@@ -256,6 +274,17 @@ def test_properties_bad_options_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
     error = _error(capsys)
     assert error["type"] == "ValueError" and error["message"] == message
+
+
+@pytest.mark.parametrize("trials", range(1, 8))
+def test_properties_below_eight_trials_exit_2(capsys, trials):
+    # below the chain matrix's eight cases a suite would run zero trials of a
+    # case and still report a pass
+    assert main(["properties", "--trials", str(trials)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"].endswith(", one per case")
 
 
 def _error(capsys) -> dict:
