@@ -3,13 +3,10 @@ and LP-based Lipschitz selection on finite data."""
 
 from .cubes import (
     Cube,
-    HalfSpacePoint,
     cube_distance,
     cube_family,
-    cube_to_halfspace,
     dyadic_radii,
     equivalence_ratio,
-    halfspace_to_cube,
     poincare_distance,
     uniform_norm,
     weighted_cube_distance,

@@ -24,7 +24,6 @@ from . import serialize as ser
 from .cubes import (
     cube_distance,
     cube_family,
-    cube_to_halfspace,
     dyadic_radii,
     poincare_distance,
     weighted_cube_distance,
@@ -111,9 +110,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
         raise ValueError("metric input needs 'jets' or 'cubes'")
     payload["cube_distance"] = cube_distance(q1, q2)
     payload["weighted_cube_distance"] = weighted_cube_distance(mod, q1, q2)
-    payload["poincare_distance"] = poincare_distance(
-        cube_to_halfspace(q1), cube_to_halfspace(q2)
-    )
+    payload["poincare_distance"] = poincare_distance(q1, q2)
     if "jets" in data:
         payload["jet_distance"] = jet_distance(mod, jets[0], jets[1], cross_check=True)
         payload["geodesic_lower"] = d_lower(mod, jets[0], jets[1])
@@ -137,13 +134,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     cubes = cube_family(sample.points, radii)
     field = fit_field(sample, cubes, k=k, m=m, mod=mod, interpolate_center=interp)
     mode = "center-interpolating best fit" if interp else "unconstrained best fit"
-    report = check_conditions(sample, field, mod, k, fit_mode=mode)
+    report = check_conditions(sample, field, mod, fit_mode=mode)
     lo = lo_seminorm(field, mod, report.pair_ratios)
-    sn = star_norm(field, k)
+    sn = star_norm(field)
     limits = []
     if len(set(radii)) >= 3:  # cube_family drops a repeated radius
         for x in sample.points:
-            res = limit_jet(field, mod, x, k)
+            res = limit_jet(field, mod, x)
             limits.append(
                 {
                     "x": list(x),

@@ -1,15 +1,16 @@
 """Cube geometry in the uniform norm and the metrics on cube space.
 
 Cubes Q(x, r) are closed uniform-norm balls with center x and radius r > 0.
-The space of cubes carries a logarithmic distance ``cube_distance``, a modulus-weighted
-integral distance ``weighted_cube_distance``, and, through the identification
-of a cube with the upper half-space point (x, r), the classical Poincare
-half-space metric ``poincare_distance``.
+A cube Q(x, r) is also the point (x, r) of the upper half-space, so the
+space of cubes carries a logarithmic distance ``cube_distance``, a
+modulus-weighted integral distance ``weighted_cube_distance`` and the
+classical Poincare half-space metric ``poincare_distance``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,39 +58,10 @@ class Cube:
         return uniform_norm(point_sub(x, self.center)) <= self.radius
 
 
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Point (x, h) of the open upper half-space, h > 0."""
-
-    base: Point
-    height: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_point(self.base))
-        if not (self.height > 0):
-            raise ValueError("height must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-
-def cube_to_halfspace(q: Cube) -> HalfSpacePoint:
-    return HalfSpacePoint(base=q.center, height=q.radius)
-
-
-def halfspace_to_cube(z: HalfSpacePoint) -> Cube:
-    return Cube(center=z.base, radius=z.height)
-
-
-def _check_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-
-
 def pair_scales(q1: Cube, q2: Cube) -> tuple[float, float, float]:
     """The scales of a cube pair: the smaller radius min(r1, r2), the span
-    max(r1, r2) + ||x1 - x2|| and the reach r1 + r2 + ||x1 - x2||."""
+    max(r1, r2) + ||x1 - x2|| and the reach r1 + r2 + ||x1 - x2||.  Cubes of
+    different dimensions raise ValueError here."""
     sep = uniform_norm(point_sub(q1.center, q2.center))
     return (
         min(q1.radius, q2.radius),
@@ -98,55 +70,77 @@ def pair_scales(q1: Cube, q2: Cube) -> tuple[float, float, float]:
     )
 
 
+def _log_eightfold(num: float, den: float) -> float:
+    """ln(8 * num / den), also where the quotient overflows."""
+    ratio = num / den * 8.0
+    return math.log(ratio) if ratio < math.inf else math.log(num) - math.log(den) + math.log(8.0)
+
+
 def cube_distance(q1: Cube, q2: Cube) -> float:
     """Logarithmic cube distance ln(1 + (max(r1,r2) + ||x1-x2||) / min(r1,r2)).
 
     Exactly zero only when the two cubes are equal (bit-equality of the
-    stored centers and radii).
+    stored centers and radii).  Where the span overflows, the pair is taken
+    at an eighth of its scale.
     """
-    _check_same_dim(q1, q2)
     if q1 == q2:
         return 0.0
     v, span, _ = pair_scales(q1, q2)
+    if span == math.inf:  # ln(1 + span / v) = ln(reach / v), with the reach at an eighth
+        sep = uniform_norm([x / 8.0 - y / 8.0 for x, y in zip(q1.center, q2.center)])
+        return _log_eightfold(q1.radius / 8.0 + q2.radius / 8.0 + sep, v)
     ratio = span / v
     return math.log1p(ratio) if ratio < math.inf else math.log(span) - math.log(v)
 
 
 def weighted_cube_distance(mod: Modulus, q1: Cube, q2: Cube) -> float:
     """Modulus-weighted cube distance: the core integral of w(s)/s^m from
-    min(r1,r2) to r1 + r2 + ||x1-x2||; zero only for equal cubes."""
-    _check_same_dim(q1, q2)
+    min(r1,r2) to r1 + r2 + ||x1-x2||; zero only for equal cubes.
+
+    Where the reach overflows, it runs over the step reach - min(r1,r2) = span;
+    where that overflows too, it is the tail mass if the tail beyond the float
+    range rounds away against it, and OverflowError otherwise."""
     if q1 == q2:
         return 0.0
-    v, _, reach = pair_scales(q1, q2)
-    return mod.integral_core(v, reach)
+    v, span, reach = pair_scales(q1, q2)
+    if reach < math.inf:
+        return mod.integral_core(v, reach)
+    total = mod._increment(v, span)[0]
+    if span == math.inf and total - mod.tail_mass(sys.float_info.max) != total:
+        raise OverflowError("weighted cube distance beyond the float range")
+    return total
 
 
-def poincare_distance(z1: HalfSpacePoint, z2: HalfSpacePoint) -> float:
-    """Poincare upper half-space distance.
+def poincare_distance(q1: Cube, q2: Cube) -> float:
+    """Poincare distance of the upper half-space points (x1, r1), (x2, r2).
 
     Defined as ln((A + B)/(A - B)) with B the Euclidean distance between the
     points and A the Euclidean distance to the reflection (height negated).
     """
-    _check_same_dim(z1, z2)
-    if z1 == z2:
+    if q1 == q2:
         return 0.0
-    diff = [a - b for a, b in zip(z1.base, z2.base)]
-    b = math.hypot(*diff, z1.height - z2.height)
-    a = math.hypot(*diff, z1.height + z2.height)
+    h1, h2 = q1.radius, q2.radius
+    diff = point_sub(q1.center, q2.center)
+    b = math.hypot(*diff, h1 - h2)
+    a = math.hypot(*diff, h1 + h2)
     # A - B cancels badly for far pairs; use A^2 - B^2 = 4*h1*h2 instead, one
-    # factor (a + b) / (2 h) >= 1 at a time so that neither overflows
-    return math.log((a + b) / (2.0 * z1.height)) + math.log((a + b) / (2.0 * z2.height))
+    # factor (a + b) / (2 h) >= 1 at a time
+    dist = math.log((a + b) / (2.0 * h1)) + math.log((a + b) / (2.0 * h2))
+    if dist < math.inf:
+        return dist
+    # a + b or a factor overflows: take (a + b) / 2 at an eighth of the scale
+    diff, h1, h2 = [x / 8.0 - y / 8.0 for x, y in zip(q1.center, q2.center)], h1 / 8.0, h2 / 8.0
+    half = (math.hypot(*diff, h1 - h2) + math.hypot(*diff, h1 + h2)) / 2.0
+    return _log_eightfold(half, q1.radius) + _log_eightfold(half, q2.radius)
 
 
-def equivalence_ratio(z1: HalfSpacePoint, z2: HalfSpacePoint) -> float:
-    """Ratio of the cube metric (through the cube/half-space identification)
-    to 1 + the Poincare distance.  The two are equivalent up to constants;
-    this ratio is what an empirical constant scan samples."""
-    if z1 == z2:
-        raise ValueError("ratio undefined for equal points")
-    varrho = cube_distance(halfspace_to_cube(z1), halfspace_to_cube(z2))
-    return varrho / (1.0 + poincare_distance(z1, z2))
+def equivalence_ratio(q1: Cube, q2: Cube) -> float:
+    """Ratio of the cube metric to 1 + the Poincare distance.  The two are
+    equivalent up to constants; this ratio is what an empirical constant scan
+    samples."""
+    if q1 == q2:
+        raise ValueError("ratio undefined for equal cubes")
+    return cube_distance(q1, q2) / (1.0 + poincare_distance(q1, q2))
 
 
 def cube_family(points: Sequence[Sequence[float]], radii: Sequence[float]) -> list[Cube]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .numerics import invert_increasing
 
@@ -309,23 +309,18 @@ def check_omega_m(mod: Modulus, grid: Sequence[float]) -> OmegaMembershipReport:
 
     vals = [mod.eval(t) for t in grid]
     ratios = [w / t**mod.m for t, w in zip(grid, vals)]
-
-    worst = -math.inf
-    mono_ok = True
-    for a, b in zip(vals, vals[1:]):
-        viol = (a - b) / max(abs(a), abs(b), 1e-300)
-        worst = max(worst, viol)
-        if viol > _MEMBERSHIP_SLACK:
-            mono_ok = False
-    ratio_ok = True
-    for a, b in zip(ratios, ratios[1:]):
-        viol = (b - a) / max(abs(a), abs(b), 1e-300)
-        worst = max(worst, viol)
-        if viol > _MEMBERSHIP_SLACK:
-            ratio_ok = False
+    drops = _relative_drops(zip(vals, vals[1:]))
+    rises = _relative_drops(zip(ratios[1:], ratios))
     return OmegaMembershipReport(
-        nondecreasing=mono_ok, ratio_nonincreasing=ratio_ok, worst_violation=worst
+        nondecreasing=not any(d > _MEMBERSHIP_SLACK for d in drops),
+        ratio_nonincreasing=not any(d > _MEMBERSHIP_SLACK for d in rises),
+        worst_violation=max([-math.inf, *drops, *rises]),
     )
+
+
+def _relative_drops(pairs: Iterable[tuple[float, float]]) -> list[float]:
+    """(earlier - later) / max(|earlier|, |later|, 1e-300) for each pair."""
+    return [(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs]
 
 
 def _power_mass(a: float, c: float, x: float, end: float) -> float:

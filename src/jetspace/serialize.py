@@ -15,7 +15,7 @@ import json
 import math
 from typing import Any, Iterable, Sequence
 
-from .cubes import Cube, HalfSpacePoint
+from .cubes import Cube
 from .jets import Jet
 from .modulus import Modulus
 from .poly import Poly
@@ -177,15 +177,6 @@ def cube_to_dict(cube: Cube) -> dict:
 def cube_from_dict(d: dict) -> Cube:
     d = as_object(d, "cube")
     return Cube(center=as_numbers(d["x"], "cube x"), radius=as_number(d["r"], "cube r"))
-
-
-def halfspace_to_dict(z: HalfSpacePoint) -> dict:
-    return {"x": list(z.base), "h": z.height}
-
-
-def halfspace_from_dict(d: dict) -> HalfSpacePoint:
-    d = as_object(d, "half-space point")
-    return HalfSpacePoint(base=as_numbers(d["x"], "point x"), height=as_number(d["h"], "point h"))
 
 
 def _mi_key(alpha: Sequence[int]) -> str:

@@ -18,7 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cubes import Cube, cube_distance, pair_scales, uniform_norm, weighted_cube_distance
+from .cubes import (
+    Cube,
+    cube_distance,
+    equivalence_ratio,
+    pair_scales,
+    uniform_norm,
+    weighted_cube_distance,
+)
 from .geodesic import (
     Chain,
     d_lower,
@@ -39,7 +46,7 @@ from .jets import (
     zygmund_distance,
 )
 from .modulus import Modulus
-from .numerics import within_slack
+from .numerics import rel_close, within_slack
 from .poly import Poly, mi_order, multi_indices
 from .serialize import cube_to_dict, jet_to_dict, modulus_to_dict
 from .whitney import PolyField, lipschitz_forms, lo_seminorm
@@ -48,6 +55,8 @@ DEFAULT_SEED = 123456789
 
 INEQ_SLACK = 1e-9
 AGREE_TOL = 1e-8
+# a vectorized suite's numpy copy must match the library on this many draws
+LIBRARY_DRAWS = 64
 
 # moduli exercised by the metric suites; the table entry caps the sampling
 # ranges so integrals stay inside its domain
@@ -65,9 +74,11 @@ TRIANGLE_MATRIX: list[tuple[str, Modulus, float, float]] = [
     ),
 ]
 
-CHAIN_MATRIX = [
-    (n, k, m) for n in (1, 2) for k in (0, 1) for m in (1, 2)
-]
+ZYGMUND_CASES = [(n, m) for n in (1, 2) for m in (2, 3)]
+SOBOLEV_CASES = [(n, k) for n in (1, 2) for k in (1, 2)]
+VALUE_GAUGE_CASES = [(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 1, 1), (2, 1, 1), (1, 0, 3)]
+CHAIN_MATRIX = [(n, k, m) for n in (1, 2) for k in (0, 1) for m in (1, 2)]
+POINT_SHIFT_CASES = [(1, 0, 2), (1, 1, 1), (2, 0, 2), (2, 1, 1)]
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,7 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 
 def _random_cube(rng, n: int, r_hi: float, c_scale: float) -> Cube:
-    center = tuple(rng.uniform(-c_scale, c_scale, size=n).tolist())
-    radius = float(rng.uniform(0.05, r_hi))
-    return Cube(center=center, radius=radius)
+    return Cube(rng.uniform(-c_scale, c_scale, size=n), float(rng.uniform(0.05, r_hi)))
 
 
 def _random_poly(rng, n: int, degree: int, scale_coef: float = 2.0) -> Poly:
@@ -201,7 +210,8 @@ def suite_triangle_weighted(
 ) -> SuiteResult:
     """Triangle inequality for the weighted cube distance, ``trials`` triples
     per modulus in the test matrix.  Power-family integrals are evaluated
-    vectorized; the table modulus is checked scalar."""
+    vectorized, and on the first ``LIBRARY_DRAWS`` triples must also match
+    ``weighted_cube_distance``; the table modulus is checked scalar."""
     tally = _Tally("min_slack")
     for idx, (name, mod, r_hi, c_scale) in enumerate(TRIANGLE_MATRIX):
         rng = _rng_for(seed, 100 + idx)
@@ -218,9 +228,15 @@ def suite_triangle_weighted(
 
             d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
             scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
-            bad = (d02 - (d01 + d12)) > slack * scale_arr + 1e-300
+            ok = ~((d02 - (d01 + d12)) > slack * scale_arr + 1e-300)
+            for t in range(min(trials, LIBRARY_DRAWS)):
+                q = [Cube(c, float(r)) for c, r in zip(centers[t], radii[t])]
+                ok[t] &= all(
+                    rel_close(float(d[t]), weighted_cube_distance(mod, q[i], q[j]), AGREE_TOL)
+                    for d, i, j in ((d01, 0, 1), (d12, 1, 2), (d02, 0, 2))
+                )
             tally.add_all(
-                ~bad, d01 + d12 - d02,
+                ok, d01 + d12 - d02,
                 witness=lambda i: {
                     "modulus": modulus_to_dict(mod),
                     "centers": centers[i].tolist(),
@@ -277,7 +293,7 @@ def suite_zygmund_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     pairs each."""
     rng = _rng_for(seed, 3)
     tally = _Tally("max_rel_dev")
-    for n, m in _cases(trials, [(n, m) for n in (1, 2) for m in (2, 3)]):
+    for n, m in _cases(trials, ZYGMUND_CASES):
         mod = Modulus.power(float(m - 1), m)
         t1 = _random_jet(rng, n, m - 1)
         t2 = _random_jet(rng, n, m - 1)
@@ -299,7 +315,7 @@ def suite_sobolev_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     rng = _rng_for(seed, 4)
     mod1 = Modulus.power(1.0, 1)
     tally = _Tally("max_rel_dev")
-    for n, k in _cases(trials, [(n, k) for n in (1, 2) for k in (1, 2)]):
+    for n, k in _cases(trials, SOBOLEV_CASES):
         t1 = _random_jet(rng, n, k)
         t2 = _random_jet(rng, n, k)
         a = jet_distance(mod1, t1, t2)
@@ -320,8 +336,7 @@ def suite_value_gauge_agreement(seed: int, trials: int = 10_000) -> SuiteResult:
     (n, k, m) cases, trials // 6 inputs each."""
     rng = _rng_for(seed, 5)
     tally = _Tally("max_rel_dev")
-    combos = [(1, 0, 2), (1, 1, 2), (2, 0, 2), (1, 1, 1), (2, 1, 1), (1, 0, 3)]
-    for n, k, m in _cases(trials, combos):
+    for n, k, m in _cases(trials, VALUE_GAUGE_CASES):
         degree = k + m - 1
         q = float(rng.uniform(0.3 * m, m))
         mod = Modulus.power(q, m)
@@ -504,7 +519,7 @@ def suite_point_shift_scaling(
     (n, k, m) cases, trials // 4 inputs each."""
     rng = _rng_for(seed, 11)
     tally = _Tally("min_slack")
-    for n, k, m in _cases(trials, [(1, 0, 2), (1, 1, 1), (2, 0, 2), (2, 1, 1)]):
+    for n, k, m in _cases(trials, POINT_SHIFT_CASES):
         degree = k + m - 1
         q = float(rng.uniform(0.3 * m, m))
         mod = Modulus.power(q, m)
@@ -576,39 +591,49 @@ def suite_lipschitz_forms(seed: int, trials: int = 10_000) -> SuiteResult:
     )
 
 
+def _equivalence_ratios(bases: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """``equivalence_ratio`` of each cube pair in (bases, heights), vectorized."""
+    sep = np.max(np.abs(bases[:, 0] - bases[:, 1]), axis=1)
+    hmin = np.minimum(heights[:, 0], heights[:, 1])
+    hmax = np.maximum(heights[:, 0], heights[:, 1])
+    varrho = np.log1p((hmax + sep) / hmin)
+    d2 = np.sum((bases[:, 0] - bases[:, 1]) ** 2, axis=1)
+    bdist = np.sqrt(d2 + (heights[:, 0] - heights[:, 1]) ** 2)
+    adist = np.sqrt(d2 + (heights[:, 0] + heights[:, 1]) ** 2)
+    ph = np.log((adist + bdist) ** 2 / (4.0 * heights[:, 0] * heights[:, 1]))
+    return varrho / (1.0 + ph)
+
+
 def suite_halfspace_equivalence(
     seed: int, trials: int = 100_000
 ) -> SuiteResult:
     """Sampled ratio of the cube metric to 1 + the Poincare distance stays in
     a narrow positive interval, and the interval is stable when the sample is
-    doubled."""
+    doubled.  The first ``LIBRARY_DRAWS`` ratios must also match
+    ``equivalence_ratio``."""
     rng = _rng_for(seed, 13)
     n = 2
 
-    def draw(count: int) -> np.ndarray:
+    def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
         bases = rng.normal(0.0, 3.0, size=(count, 2, n))
-        heights = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(count, 2)))
-        sep = np.max(np.abs(bases[:, 0] - bases[:, 1]), axis=1)
-        hmin = np.minimum(heights[:, 0], heights[:, 1])
-        hmax = np.maximum(heights[:, 0], heights[:, 1])
-        varrho = np.log1p((hmax + sep) / hmin)
-        d2 = np.sum((bases[:, 0] - bases[:, 1]) ** 2, axis=1)
-        bdist = np.sqrt(d2 + (heights[:, 0] - heights[:, 1]) ** 2)
-        adist = np.sqrt(d2 + (heights[:, 0] + heights[:, 1]) ** 2)
-        ph = np.log((adist + bdist) ** 2 / (4.0 * heights[:, 0] * heights[:, 1]))
-        return varrho / (1.0 + ph)
+        return bases, np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=(count, 2)))
 
-    first = draw(trials)
-    second = np.concatenate([first, draw(trials)])
+    bases, heights = draw(trials)
+    first = _equivalence_ratios(bases, heights)
+    agree = all(
+        rel_close(ratio, equivalence_ratio(*map(Cube, b, h)), AGREE_TOL)
+        for ratio, b, h in zip(first[:LIBRARY_DRAWS].tolist(), bases, heights.tolist())
+    )
+    second = np.concatenate([first, _equivalence_ratios(*draw(trials))])
     c1, c2 = float(np.min(first)), float(np.max(first))
     c1d, c2d = float(np.min(second)), float(np.max(second))
     move = max(abs(c1 - c1d) / c1, abs(c2 - c2d) / c2)
     spread = c2 / c1
-    ok = c1 > 0 and spread < 20.0 and move < 0.05
+    ok = agree and c1 > 0 and spread < 20.0 and move < 0.05
     detail = (
         f"ratio interval [{c1:.6g}, {c2:.6g}], spread {spread:.3f}, "
         f"doubling moved endpoints by {move:.2%}"
-    )
+    ) + ("" if agree else ", disagrees with equivalence_ratio")
     return SuiteResult(
         "halfspace_equivalence", trials, 0 if ok else 1, "interval", spread, detail, ()
     )
@@ -709,13 +734,17 @@ def run_all(
     """Run every suite with its default trial count (or a uniform override).
 
     ``slack`` overrides the relative slack of the suites that take one; the
-    agreement suites keep their pinned tolerances.  Raises ValueError for
-    ``trials`` below 1, for ``trials`` below the case count of a per-case
-    suite (8, the chain matrix) and for a ``slack`` that is negative or not
-    finite.
+    agreement suites keep their pinned tolerances.  Raises ValueError, before
+    any suite runs, for ``trials`` below 1, for ``trials`` below the largest
+    case count of the per-case suites (8, the chain matrix) and for a
+    ``slack`` that is negative or not finite.
     """
     if trials is not None and trials < 1:
         raise ValueError("trials must be at least 1")
+    cases = (ZYGMUND_CASES, SOBOLEV_CASES, VALUE_GAUGE_CASES, CHAIN_MATRIX, POINT_SHIFT_CASES)
+    most = max(map(len, cases))
+    if trials is not None and trials < most:
+        raise ValueError(f"trials must be at least {most}, one per case")
     if slack is not None and not 0.0 <= slack < math.inf:
         raise ValueError("slack must be finite and non-negative")
     results = []

@@ -462,12 +462,10 @@ class CheckReport:
     pair_ratios: np.ndarray
 
 
-def _pointwise_bound(field: PolyField, k: int) -> tuple[float, dict | None, bool]:
+def _pointwise_bound(field: PolyField) -> tuple[float, dict | None, bool]:
     """Worst center derivative scaled by the radius power it may legally grow
     with, over cubes of radius <= 1; its witness; whether any cube
     qualified."""
-    if k != field.k:
-        raise ValueError("context k mismatch")
     worst = 0.0
     witness = None
     any_small = False
@@ -476,7 +474,7 @@ def _pointwise_bound(field: PolyField, k: int) -> tuple[float, dict | None, bool
             continue
         any_small = True
         for gamma in multi_indices(field.n, field.top_degree):
-            e = max(0, mi_order(gamma) - k)
+            e = max(0, mi_order(gamma) - field.k)
             ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
             if ratio > worst:
                 worst = ratio
@@ -488,10 +486,10 @@ def check_conditions(
     sample: SampleSet | None,
     field: PolyField,
     mod: Modulus,
-    k: int,
+    *,
     fit_mode: str | None = None,
 ) -> CheckReport:
-    """Sweep the trace conditions over the field.
+    """Sweep the trace conditions over the field; ``fit_mode`` only labels the report.
 
     * pointwise bounds: for every cube with radius <= 1 and every derivative
       order up to the degree bound, the derivative at the center scaled by
@@ -504,7 +502,7 @@ def check_conditions(
     underflow to 0.0 for tiny, close cubes; ``pairwise_sweep`` then raises
     FloatingPointError rather than report an indeterminate ratio.
     """
-    worst_pt, wit_pt, _ = _pointwise_bound(field, k)
+    worst_pt, wit_pt, _ = _pointwise_bound(field)
     pair_ratios, pair_orders = pairwise_sweep(field, mod)
     worst_pair = float(pair_ratios.max(initial=0.0))
     wit_pair = None
@@ -596,14 +594,14 @@ class StarNorm:
     empty_sup: bool
 
 
-def star_norm(field: PolyField, k: int) -> StarNorm:
-    value, _, any_small = _pointwise_bound(field, k)
+def star_norm(field: PolyField) -> StarNorm:
+    value, _, any_small = _pointwise_bound(field)
     return StarNorm(value=value, empty_sup=not any_small)
 
 
 def lo_norm_full(field: PolyField, mod: Modulus) -> float:
     """Full field norm: star norm plus scale seminorm."""
-    return star_norm(field, field.k).value + lo_seminorm(field, mod).value
+    return star_norm(field).value + lo_seminorm(field, mod).value
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +633,14 @@ class LimitJetResult:
         return max((row.ratio for row in self.rows), default=0.0)
 
 
-def limit_jet(field: PolyField, mod: Modulus, x: Sequence[float], k: int) -> LimitJetResult:
+def limit_jet(field: PolyField, mod: Modulus, x: Sequence[float]) -> LimitJetResult:
     """Taylor part at x of the smallest-radius entry centered at x, with a
     convergence diagnostic from the successive entries.
 
     Needs at least three distinct radii at the center.  For each derivative
-    order up to k and each consecutive radius pair, the difference of center
-    derivatives is compared against r^(k - order) * w(r) at the larger radius.
+    order up to the field's k and each consecutive radius pair, the difference of
+    center derivatives is compared against r^(k - order) * w(r) at the larger radius.
     """
-    if k != field.k:
-        raise ValueError("context k mismatch")
     x = as_point(x)
     stack = sorted(
         ((q.radius, p) for q, p in field.entries if q.center == x),
@@ -654,11 +650,11 @@ def limit_jet(field: PolyField, mod: Modulus, x: Sequence[float], k: int) -> Lim
         raise ValueError("need at least three radii at the center")
     rows = []
     for (r_big, p_big), (_, p_small) in zip(stack, stack[1:]):
-        for alpha in multi_indices(field.n, k):
+        for alpha in multi_indices(field.n, field.k):
             diff = abs(p_big.deriv_eval(alpha, x) - p_small.deriv_eval(alpha, x))
-            env = r_big ** (k - mi_order(alpha)) * mod.eval(r_big)
+            env = r_big ** (field.k - mi_order(alpha)) * mod.eval(r_big)
             rows.append(
                 LimitJetRow(order=alpha, radius=r_big, difference=diff, envelope=env)
             )
-    limit_poly = stack[-1][1].taylor(x, k)
+    limit_poly = stack[-1][1].taylor(x, field.k)
     return LimitJetResult(poly=limit_poly, rows=tuple(rows))

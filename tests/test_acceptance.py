@@ -220,7 +220,7 @@ def test_criterion_09_trace_checker_sanity():
         field = fit_field(
             sample, cube_family(pts, radii), k=0, m=2, interpolate_center=True
         )
-        rep = check_conditions(sample, field, mod, 0)
+        rep = check_conditions(sample, field, mod)
         worst_pair = max(worst_pair, rep.pairwise.lambda_hat)
     trace_ok = worst_pair <= 1e-8
 
@@ -231,7 +231,7 @@ def test_criterion_09_trace_checker_sanity():
     field = fit_field(
         sample, cube_family(pts, radii), k=0, m=2, interpolate_center=True
     )
-    rep = check_conditions(sample, field, mod, 0)
+    rep = check_conditions(sample, field, mod)
 
     from jetspace.jets import gauge
     from jetspace.cubes import point_sub, uniform_norm
@@ -270,7 +270,7 @@ def test_criterion_09_trace_checker_sanity():
     field5 = fit_field(
         sample5, cube_family(pts5, radii5), k=0, m=2, interpolate_center=True
     )
-    rep5 = check_conditions(sample5, field5, mod, 0)
+    rep5 = check_conditions(sample5, field5, mod)
     shrink_ok = math.isfinite(rep5.lambda_hat) and rep5.lambda_hat > 0
 
     ok = trace_ok and square_ok and shrink_ok

@@ -49,6 +49,29 @@ def test_metric_equal_cubes(tmp_path):
     assert data["poincare_distance"] == 0.0
 
 
+@pytest.mark.parametrize("x", [1e308, 1.7976931348623157e308])
+def test_metric_far_apart_cubes(tmp_path, capsys, x):
+    # the separation 2x overflows, though every distance is finite
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        sep = 2 * mp.mpf(x)
+        cube, poincare = float(mp.log(2 + sep)), float(mp.acosh(1 + sep**2 / 2))
+    cubes = [{"x": [x], "r": 1.0}, {"x": [-x], "r": 1.0}]
+    path = _write(tmp_path, "in.json", {"omega": {**MOD_D, "q": 0.5}, "cubes": cubes})
+    code, text = _run(tmp_path, ["metric", "--input", path])
+    assert code == 0
+    data = json.loads(text)
+    assert data["cube_distance"] == pytest.approx(cube, rel=1e-12)
+    assert data["poincare_distance"] == pytest.approx(poincare, rel=1e-12)
+    # the tail beyond the reach, 2 / sqrt(2 + sep), rounds away against 2
+    assert data["weighted_cube_distance"] == 2.0
+    # with w(t) = t the integral is ln((2 + sep) / 1), but the tail diverges
+    path = _write(tmp_path, "in.json", {"omega": MOD_D, "cubes": cubes})
+    assert main(["metric", "--input", path]) == 3
+    error = _error(capsys)
+    assert error["type"] == "OverflowError"
+
+
 def test_metric_worked_jet_pair(tmp_path):
     path = _write(tmp_path, "in.json", {"omega": MOD_D, "jets": [JET1, JET0]})
     code, text = _run(tmp_path, ["metric", "--input", path])
@@ -284,7 +307,7 @@ def test_properties_below_eight_trials_exit_2(capsys, trials):
     out, err = capsys.readouterr()
     assert out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "ValueError" and error["message"].endswith(", one per case")
+    assert error == {"type": "ValueError", "message": "trials must be at least 8, one per case"}
 
 
 def _error(capsys) -> dict:

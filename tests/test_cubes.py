@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from jetspace.cubes import (
     Cube,
-    HalfSpacePoint,
     cube_distance,
     cube_family,
-    cube_to_halfspace,
     dyadic_radii,
     equivalence_ratio,
-    halfspace_to_cube,
     pair_scales,
     poincare_distance,
     point_sub,
@@ -41,8 +38,6 @@ def test_cube_validation():
             Cube(center=(0.0, bad), radius=1.0)
         with pytest.raises(ValueError):
             Cube(center=(0.0,), radius=bad)
-    with pytest.raises(ValueError):
-        HalfSpacePoint(base=(0.0,), height=-1.0)
 
 
 def test_cube_distance_identity_and_value():
@@ -60,8 +55,12 @@ def test_cube_distance_shrinking_radii():
 
 
 def test_cube_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cube_distance(Cube((0.0,), 1.0), Cube((0.0, 0.0), 1.0))
+    q1, q2 = Cube((0.0,), 1.0), Cube((0.0, 0.0), 1.0)
+    for distance in (cube_distance, poincare_distance, equivalence_ratio):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            distance(q1, q2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        weighted_cube_distance(Modulus.power(1, 2), q1, q2)
 
 
 def test_weighted_distance_unit_kernel():
@@ -90,11 +89,32 @@ def test_weighted_distance_equal_cubes():
     assert weighted_cube_distance(mod, q, q) == 0.0
 
 
+def test_weighted_distance_where_the_reach_overflows():
+    mp = pytest.importorskip("mpmath")
+    # the reach 2.5e308 + 1 overflows, the span 1.5e308 + 1 does not
+    q1, q2 = Cube((0.0,), 1e308), Cube((1.0,), 1.5e308)
+    with mp.workdps(40):
+        v, reach = mp.mpf(1e308), mp.mpf(1e308) + mp.mpf(1.5e308) + 1
+        # w(t) = t^(1/2) at m = 2: the kernel s^(-3/2) integrates to 2 (v^-1/2 - reach^-1/2)
+        root, log = float(2 * (v**-0.5 - reach**-0.5)), float(mp.log(reach / v))
+    assert weighted_cube_distance(Modulus.power(0.5, 2), q1, q2) == pytest.approx(root, rel=1e-12)
+    assert weighted_cube_distance(Modulus.power(1.0, 2), q1, q2) == pytest.approx(log, rel=1e-12)
+    # the span overflows too: only a tail that rounds away beyond the float range is the value
+    far = Cube((1e308,), 1.0), Cube((-1e308,), 1.0)
+    assert weighted_cube_distance(Modulus.power(0.5, 2), *far) == 2.0
+    for slow in (Modulus.power(1.0, 2), Modulus.power(0.999, 2)):
+        with pytest.raises(OverflowError):
+            weighted_cube_distance(slow, *far)
+    table = Modulus.table([(0.5, 0.6), (1.0, 1.0), (16.0, 4.0)], 2)
+    with pytest.raises(ValueError, match="table range"):
+        weighted_cube_distance(table, *far)
+
+
 def test_poincare_vertical_pair():
-    z1 = HalfSpacePoint((0.0,), 1.0)
-    z2 = HalfSpacePoint((0.0,), math.e)
-    assert poincare_distance(z1, z2) == pytest.approx(1.0, rel=1e-12)
-    assert poincare_distance(z1, z1) == 0.0
+    q1 = Cube((0.0,), 1.0)
+    q2 = Cube((0.0,), math.e)
+    assert poincare_distance(q1, q2) == pytest.approx(1.0, rel=1e-12)
+    assert poincare_distance(q1, q1) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,59 +123,80 @@ def test_poincare_vertical_pair():
     h1=st.floats(0.01, 10), h2=st.floats(0.01, 10),
 )
 def test_poincare_symmetry_nonnegative(x1, x2, h1, h2):
-    z1 = HalfSpacePoint((x1,), h1)
-    z2 = HalfSpacePoint((x2,), h2)
-    d12 = poincare_distance(z1, z2)
-    d21 = poincare_distance(z2, z1)
+    q1 = Cube((x1,), h1)
+    q2 = Cube((x2,), h2)
+    d12 = poincare_distance(q1, q2)
+    d21 = poincare_distance(q2, q1)
     assert d12 == pytest.approx(d21, rel=1e-10, abs=1e-12)
     assert d12 >= 0.0
 
 
 def test_poincare_scale_invariance():
-    z1 = HalfSpacePoint((1.0, 0.5), 0.7)
-    z2 = HalfSpacePoint((-0.3, 2.0), 1.9)
+    q1 = Cube((1.0, 0.5), 0.7)
+    q2 = Cube((-0.3, 2.0), 1.9)
     lam = 37.0
-    w1 = HalfSpacePoint(tuple(lam * c for c in z1.base), lam * z1.height)
-    w2 = HalfSpacePoint(tuple(lam * c for c in z2.base), lam * z2.height)
-    assert poincare_distance(z1, z2) == pytest.approx(
+    w1 = Cube(tuple(lam * c for c in q1.center), lam * q1.radius)
+    w2 = Cube(tuple(lam * c for c in q2.center), lam * q2.radius)
+    assert poincare_distance(q1, q2) == pytest.approx(
         poincare_distance(w1, w2), rel=1e-12
     )
 
 
+@pytest.mark.parametrize(
+    "q1, q2",
+    [
+        # the separation overflows
+        (Cube((1e308,), 1.0), Cube((-1e308,), 1.0)),
+        (Cube((1.7976931348623157e308, 0.0), 1e308), Cube((-1.7976931348623157e308, 1.0), 1.0)),
+        (Cube((1e308, 0.0), 5e-324), Cube((-1e308, 1.0), 3e-323)),
+        # a + b or a Poincare factor (a + b) / (2 h) overflows
+        (Cube((0.0,), 1e-10), Cube((1e300,), 1e-10)),
+        (Cube((0.0,), 1.7e308), Cube((0.0,), 1e-300)),
+        (Cube((0.0,), 1.7e308), Cube((0.0,), 1.6e308)),
+    ],
+)
+def test_distances_where_the_scales_overflow(q1, q2):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        diff = [mp.mpf(a) - mp.mpf(b) for a, b in zip(q1.center, q2.center)]
+        r1, r2 = mp.mpf(q1.radius), mp.mpf(q2.radius)
+        span = max(r1, r2) + max(abs(d) for d in diff)
+        euclid2 = sum(d**2 for d in diff) + (r1 - r2) ** 2
+        cube = float(mp.log1p(span / min(r1, r2)))
+        poincare = float(mp.acosh(1 + euclid2 / (2 * r1 * r2)))
+    assert cube_distance(q1, q2) == pytest.approx(cube, rel=1e-12)
+    assert poincare_distance(q1, q2) == pytest.approx(poincare, rel=1e-12)
+
+
 def test_equivalence_ratio_vertical_value():
-    z1 = HalfSpacePoint((0.0,), 1.0)
-    z2 = HalfSpacePoint((0.0,), math.e)
+    q1 = Cube((0.0,), 1.0)
+    q2 = Cube((0.0,), math.e)
     expected = math.log(1.0 + math.e) / 2.0
-    assert equivalence_ratio(z1, z2) == pytest.approx(expected, rel=1e-12)
+    assert equivalence_ratio(q1, q2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_equivalence_ratio_near_coincident():
-    z1 = HalfSpacePoint((0.0,), 1.0)
-    z2 = HalfSpacePoint((0.0,), 1.0 + 1e-9)
+    q1 = Cube((0.0,), 1.0)
+    q2 = Cube((0.0,), 1.0 + 1e-9)
     # the cube metric jumps to about ln 2 while the smooth metric vanishes
-    assert equivalence_ratio(z1, z2) == pytest.approx(math.log(2.0), rel=1e-6)
+    assert equivalence_ratio(q1, q2) == pytest.approx(math.log(2.0), rel=1e-6)
 
 
 def test_equivalence_ratio_positive_finite():
     rng = np.random.default_rng(11)
     for _ in range(500):
-        z1 = HalfSpacePoint(tuple(rng.normal(0, 3, size=2)), float(rng.uniform(0.1, 10)))
-        z2 = HalfSpacePoint(tuple(rng.normal(0, 3, size=2)), float(rng.uniform(0.1, 10)))
-        if z1 == z2:
+        q1 = Cube(tuple(rng.normal(0, 3, size=2)), float(rng.uniform(0.1, 10)))
+        q2 = Cube(tuple(rng.normal(0, 3, size=2)), float(rng.uniform(0.1, 10)))
+        if q1 == q2:
             continue
-        ratio = equivalence_ratio(z1, z2)
+        ratio = equivalence_ratio(q1, q2)
         assert 0.0 < ratio < math.inf
 
 
 def test_equivalence_ratio_equal_points_error():
-    z = HalfSpacePoint((0.0,), 1.0)
+    q = Cube((0.0,), 1.0)
     with pytest.raises(ValueError):
-        equivalence_ratio(z, z)
-
-
-def test_cube_halfspace_identification_roundtrip():
-    q = Cube((1.0, 2.0), 0.25)
-    assert halfspace_to_cube(cube_to_halfspace(q)) == q
+        equivalence_ratio(q, q)
 
 
 def test_cube_family_product_and_dedup():
@@ -241,9 +282,9 @@ def test_vectorized_equivalence_suite_matches_scalar():
     bases = rng.normal(0.0, 3.0, size=(200, 2, 2))
     heights = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(200, 2)))
     for i in range(200):
-        z1 = HalfSpacePoint(tuple(bases[i, 0]), float(heights[i, 0]))
-        z2 = HalfSpacePoint(tuple(bases[i, 1]), float(heights[i, 1]))
-        scalar = equivalence_ratio(z1, z2)
+        q1 = Cube(tuple(bases[i, 0]), float(heights[i, 0]))
+        q2 = Cube(tuple(bases[i, 1]), float(heights[i, 1]))
+        scalar = equivalence_ratio(q1, q2)
         # inline the suite's vectorized arithmetic for this single pair
         sep = float(np.max(np.abs(bases[i, 0] - bases[i, 1])))
         hmin, hmax = float(np.min(heights[i])), float(np.max(heights[i]))

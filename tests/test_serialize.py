@@ -6,7 +6,7 @@ import math
 import pytest
 
 from jetspace import serialize as ser
-from jetspace.cubes import Cube, HalfSpacePoint
+from jetspace.cubes import Cube
 from jetspace.jets import Jet
 from jetspace.modulus import Modulus
 from jetspace.poly import Poly
@@ -47,11 +47,9 @@ def test_modulus_order_consistency():
     assert mod.m == 3
 
 
-def test_cube_and_halfspace_round_trip():
+def test_cube_round_trip():
     q = Cube((0.5, -1.0), 0.25)
     assert ser.cube_from_dict(ser.cube_to_dict(q)) == q
-    z = HalfSpacePoint((1.0,), 2.0)
-    assert ser.halfspace_from_dict(ser.halfspace_to_dict(z)) == z
 
 
 def test_poly_round_trip_with_array_keys():

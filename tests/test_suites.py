@@ -179,9 +179,41 @@ def test_run_all_at_eight_trials_runs_every_suite():
 
 
 @pytest.mark.parametrize("trials", range(1, 8))
-def test_run_all_below_eight_trials_raises(trials):
-    with pytest.raises(ValueError, match="one per case"):
+def test_run_all_below_eight_trials_raises(monkeypatch, trials):
+    # the largest case count is checked before any suite runs
+    calls = []
+    monkeypatch.setattr(suites, "SUITES", _recording_fakes(calls))
+    with pytest.raises(ValueError, match="^trials must be at least 8, one per case$"):
         suites.run_all(seed=5, trials=trials)
+    assert calls == []
+
+
+# -- the vectorized copies must match the library -----------------------------
+
+
+def test_triangle_weighted_fails_when_its_copy_drifts(monkeypatch):
+    assert suites.suite_triangle_weighted(3, trials=100).passed
+    copy = suites._power_core_vec
+    monkeypatch.setattr(
+        suites, "_power_core_vec", lambda *args: copy(*args) * (1.0 + 1e-6)
+    )
+    # a common factor keeps every triangle inequality; the library check fails
+    # each of the first draws of every power modulus
+    res = suites.suite_triangle_weighted(3, trials=100)
+    powers = sum(mod.family == "power" for _, mod, _, _ in suites.TRIANGLE_MATRIX)
+    assert res.trials == 100 * len(suites.TRIANGLE_MATRIX)
+    assert res.failures == suites.LIBRARY_DRAWS * powers
+
+
+def test_halfspace_equivalence_fails_when_its_copy_drifts(monkeypatch):
+    assert suites.suite_halfspace_equivalence(3, trials=1000).passed
+    copy = suites._equivalence_ratios
+    monkeypatch.setattr(
+        suites, "_equivalence_ratios", lambda *args: copy(*args) * (1.0 + 1e-6)
+    )
+    res = suites.suite_halfspace_equivalence(3, trials=1000)
+    assert res.failures == 1
+    assert res.detail.endswith(", disagrees with equivalence_ratio")
 
 
 def test_tally_nan_margin_leaves_worst_and_nan_test_fails():

@@ -509,7 +509,7 @@ def test_check_conditions_polynomial_trace_pairwise_zero():
     target = Poly(1, 1, {(0,): 0.3, (1,): 1.2})
     pts = tuple((x,) for x in np.linspace(-1, 1, 6))
     s, field = _trace_field(target, pts, k=0, m=2)
-    rep = check_conditions(s, field, MOD, 0)
+    rep = check_conditions(s, field, MOD)
     assert rep.pairwise.lambda_hat <= 1e-8
     assert all(res <= 1e-8 for _, res in rep.interpolation)
     assert rep.lambda_hat == max(rep.pairwise.lambda_hat, rep.pointwise.lambda_hat)
@@ -520,7 +520,7 @@ def test_check_conditions_square_function():
     s = SampleSet(n=1, points=pts, values=tuple(p[0] ** 2 for p in pts))
     radii = dyadic_radii(pts, 2)
     field = fit_field(s, cube_family(pts, radii), k=0, m=2, interpolate_center=True)
-    rep = check_conditions(s, field, MOD, 0)
+    rep = check_conditions(s, field, MOD)
     assert 0.0 < rep.pairwise.lambda_hat < math.inf
     assert rep.pairwise.witness is not None
 
@@ -530,9 +530,10 @@ def test_check_conditions_context_validation():
     pts = ((0.0,), (1.0,))
     s, field = _trace_field(target, pts, k=0, m=2)
     with pytest.raises(ValueError):
-        check_conditions(s, field, MOD, 1)
-    with pytest.raises(ValueError):
-        check_conditions(s, field, Modulus.power(1, 1), 0)
+        check_conditions(s, field, Modulus.power(1, 1))
+    # k is the field's own; a stale positional k is no longer a label
+    with pytest.raises(TypeError):
+        check_conditions(s, field, MOD, 0)
 
 
 # -- Lipschitz forms and the scale seminorm ------------------------------------------------
@@ -635,7 +636,7 @@ def test_lipschitz_forms_agreement_random():
 def test_check_pairwise_equals_lo_seminorm():
     rng = np.random.default_rng(26)
     field = _random_field(rng, 1, 0, 2, 4)
-    rep = check_conditions(None, field, MOD, 0)
+    rep = check_conditions(None, field, MOD)
     assert rep.pairwise.lambda_hat == pytest.approx(
         lo_seminorm(field, MOD).value, rel=1e-12
     )
@@ -818,7 +819,7 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
         old_ratio, old_order = _oracle_unmasked_sweep(field, mod)
         assert ratio.tobytes() == old_ratio.tobytes()
         assert order.tobytes() == old_order.tobytes()
-        rep = check_conditions(None, field, mod, k)
+        rep = check_conditions(None, field, mod)
         assert rep.pair_ratios.tobytes() == ratio.tobytes()
         scale = max(ratio.max(), 1e-300)
 
@@ -862,7 +863,7 @@ def test_underflowing_gauge_raises_rather_than_divides():
     with pytest.raises(FloatingPointError):
         pairwise_sweep(field, mod)
     with pytest.raises(FloatingPointError):
-        check_conditions(None, field, mod, 1)
+        check_conditions(None, field, mod)
 
 
 # -- star norm -----------------------------------------------------------------------------
@@ -872,14 +873,14 @@ def test_star_norm_zero_field():
     field = PolyField(
         n=1, k=0, m=2, entries=((Cube((0.0,), 0.5), Poly.zero(1, 1)),)
     )
-    assert star_norm(field, 0).value == 0.0
+    assert star_norm(field).value == 0.0
 
 
 def test_star_norm_all_radii_above_one():
     field = PolyField(
         n=1, k=0, m=2, entries=((Cube((0.0,), 2.0), Poly.constant(1, 1, 5.0)),)
     )
-    res = star_norm(field, 0)
+    res = star_norm(field)
     assert res.value == 0.0 and res.empty_sup
 
 
@@ -891,7 +892,7 @@ def test_star_norm_constant_one():
             (Cube((1.0,), 3.0), Poly.constant(1, 1, 9.0)),
         ),
     )
-    res = star_norm(field, 0)
+    res = star_norm(field)
     assert res.value == 1.0 and not res.empty_sup
     assert lo_norm_full(field, MOD) == res.value + lo_seminorm(field, MOD).value
 
@@ -901,7 +902,7 @@ def test_star_norm_radius_weighting():
     field = PolyField(
         n=1, k=0, m=2, entries=((Cube((0.0,), 0.5), Poly(1, 1, {(1,): 4.0})),)
     )
-    assert star_norm(field, 0).value == pytest.approx(2.0)
+    assert star_norm(field).value == pytest.approx(2.0)
 
 
 # -- limit jets -----------------------------------------------------------------------------
@@ -912,7 +913,7 @@ def test_limit_jet_constant_field():
     x = (0.5,)
     entries = tuple((Cube(x, r), p) for r in (1.0, 0.5, 0.25))
     field = PolyField(n=1, k=0, m=2, entries=entries)
-    res = limit_jet(field, MOD, x, 0)
+    res = limit_jet(field, MOD, x)
     assert res.poly.coef == pytest.approx(p.taylor(x, 0).coef)
     assert res.envelope_constant == 0.0
 
@@ -922,7 +923,7 @@ def test_limit_jet_from_polynomial_trace():
     pts = tuple((x,) for x in np.linspace(-1, 1, 6))
     s = SampleSet(n=1, points=pts, values=tuple(target.eval(p) for p in pts))
     field = fit_field(s, cube_family(pts, [2.0, 1.0, 0.9]), k=0, m=2)
-    res = limit_jet(field, MOD, pts[0], 0)
+    res = limit_jet(field, MOD, pts[0])
     assert res.poly.eval(pts[0]) == pytest.approx(target.eval(pts[0]), abs=1e-7)
 
 
@@ -931,7 +932,7 @@ def test_limit_jet_requires_three_radii():
     entries = tuple((Cube((0.0,), r), p) for r in (1.0, 0.5))
     field = PolyField(n=1, k=0, m=2, entries=entries)
     with pytest.raises(ValueError):
-        limit_jet(field, MOD, (0.0,), 0)
+        limit_jet(field, MOD, (0.0,))
 
 
 def test_limit_jet_envelope_on_square():
@@ -940,7 +941,7 @@ def test_limit_jet_envelope_on_square():
     field = fit_field(
         s, cube_family(pts, [2.0, 1.0, 0.5, 0.25]), k=0, m=2, interpolate_center=False
     )
-    res = limit_jet(field, MOD, (0.0,), 0)
+    res = limit_jet(field, MOD, (0.0,))
     # successive center values converge to f(0) = 0 within a bounded multiple
     # of the envelope r * w(r)
     assert res.envelope_constant < 10.0
@@ -993,4 +994,4 @@ def test_pointwise_bound_exponent_matches_split_enumeration():
                     naive,
                     abs(poly.deriv_eval(gamma, cube.center)) * cube.radius ** sum(b),
                 )
-    assert star_norm(field, k).value == pytest.approx(naive, rel=1e-12)
+    assert star_norm(field).value == pytest.approx(naive, rel=1e-12)
