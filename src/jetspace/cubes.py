@@ -94,15 +94,18 @@ def cube_distance(q1: Cube, q2: Cube) -> float:
 
 
 def weighted_cube_distance(mod: Modulus, q1: Cube, q2: Cube) -> float:
-    """Modulus-weighted cube distance: the core integral of w(s)/s^m from
-    min(r1,r2) to r1 + r2 + ||x1-x2||; zero only for equal cubes.
-
-    Where the reach overflows, it runs over the step reach - min(r1,r2) = span;
-    where that overflows too, it is the tail mass if the tail beyond the float
-    range rounds away against it, and OverflowError otherwise."""
+    """Modulus-weighted cube distance: ``reach_integral``, the core integral
+    of w(s)/s^m from min(r1,r2) to r1 + r2 + ||x1-x2||; zero only for equal cubes."""
     if q1 == q2:
         return 0.0
-    v, span, reach = pair_scales(q1, q2)
+    return reach_integral(mod, *pair_scales(q1, q2))
+
+
+def reach_integral(mod: Modulus, v: float, span: float, reach: float) -> float:
+    """The core integral of w(s)/s^m from v to the reach of a cube pair's
+    ``pair_scales``: over the step span where the reach overflows; where that
+    overflows too, the tail mass if the tail beyond the float range rounds
+    away against it, else OverflowError."""
     if reach < math.inf:
         return mod.integral_core(v, reach)
     total = mod._increment(v, span)[0]

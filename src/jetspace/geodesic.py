@@ -210,7 +210,10 @@ def interpolating_candidates(start: Jet, end: Jet, count: int = 3) -> list[Jet]:
     r1, r2 = start.cube.radius, end.cube.radius
     for i in range(1, count + 1):
         s = i / (count + 1)
-        center = tuple(a + s * (b - a) for a, b in zip(x1, x2))
+        # b - a overflows for far-apart centers, where (1 - s) a + s b does not
+        center = tuple(
+            a + s * (b - a) if abs(b - a) < math.inf else (1 - s) * a + s * b for a, b in zip(x1, x2)
+        )
         radius = r1 ** (1 - s) * r2**s
         poly = start.poly.scale(1 - s) + end.poly.scale(s)
         out.append(Jet(poly=poly, cube=Cube(center=center, radius=radius)))

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubes import Cube, pair_scales
+from .cubes import Cube, pair_scales, reach_integral
 from .modulus import Modulus
 from .numerics import invert_increasing, rel_close
 from .poly import Poly, deriv_matrix, mi_order, multi_indices
@@ -267,9 +267,9 @@ def _distance(mod: Modulus, t1: Jet, t2: Jet, peak: list[float]) -> float:
     if t1 == t2:
         return 0.0
     gap, v, span, reach = _lower_gap(mod, t1, t2, peak)
-    # in the cube-separation case the upper limit is the weighted cube
+    # in the cube-separation case the integral is the weighted cube
     # distance's, so that the two coincide bit for bit
-    out = mod.integral_core(v, reach) if gap == span else mod._increment(v, gap)[0]
+    out = reach_integral(mod, v, span, reach) if gap == span else mod._increment(v, gap)[0]
     if peak[-1] > 0.0:
         out = max(out, min(peak[-1], mod.tail_mass(v)))
     return out
@@ -328,8 +328,8 @@ def jet_distance_componentwise(
     if t1 == t2:
         return 0.0
     top, disc = _discrepancies(t1, t2, at)
-    v, _, reach = pair_scales(t1.cube, t2.cube)
-    best = mod.integral_core(v, reach)
+    v, span, reach = pair_scales(t1.cube, t2.cube)
+    best = reach_integral(mod, v, span, reach)
     for a, u in disc:
         if u > 0.0:
             best = max(best, gauge_integral(mod, top, a, u, v))
@@ -345,8 +345,8 @@ def jet_distance_via_value_gauge(
     if t1 == t2:
         return 0.0
     top, disc = _discrepancies(t1, t2, y)
-    v, _, reach = pair_scales(t1.cube, t2.cube)
-    best = mod.integral_core(v, reach)
+    v, span, reach = pair_scales(t1.cube, t2.cube)
+    best = reach_integral(mod, v, span, reach)
     for a, u in disc:
         if u > 0.0:
             best = max(best, value_gauge(mod, top, a, u, v))

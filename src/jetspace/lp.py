@@ -172,8 +172,9 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[i
     which a bound on x_j such as x_j >= l (c_j > 0) or x_j <= u (c_j <= 0)
     supplies, starts in row j's place instead (the first one, where several
     do): B stays diag(sign) and the basic values stay |c|.  Phase 1 prices
-    out only the artificials still basic, and is skipped when none is.  The
-    re-solve without objective reuses ``original`` and adds to ``work``.
+    out only the artificials still basic, is skipped when none is, and only
+    drives them out when all start at zero.  The re-solve without objective
+    reuses ``original`` and adds to ``work``.
     """
     n, n_core = c.size, b.size
     a = original[:, :n_core].T  # the certificate checks read the full rows
@@ -198,7 +199,10 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[i
         phase1_cost = np.zeros(n_core + n)
         phase1_cost[n_core:] = 1.0
         floor = _FEAS_TOL * max(1.0, _amax(c))
-        if _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
+        if float(phase1_cost[basis] @ inverse[:, -1]) == 0.0:
+            # the artificials start at zero: optimal, cleaned as _reinvert would
+            inverse[np.abs(inverse[:, -1]) < 1e-13, -1] = 0.0
+        elif _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
             raise ArithmeticError("phase-1 simplex failed to terminate")
         if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
             # no dual feasible point: the primal is unbounded or infeasible.

@@ -11,9 +11,10 @@ supported:
   power law is extended down to 0.  Evaluation above the last knot is an error.
 
 Every metric downstream reduces to the core integral of w(s)/s^m, and every
-integral here comes from one primitive, ``Modulus._increment``: power laws in
-closed form, the powerlog kernel s^k ln(1+s) by series below 1/2 and above 2
-and by a fixed Gauss-Legendre rule in between; no adaptive quadrature.
+scalar integral here comes from one primitive, ``Modulus._increment``: power
+laws in closed form, the powerlog kernel s^k ln(1+s) by series below 1/2 and
+above 2 and by a fixed Gauss-Legendre rule in between; no adaptive quadrature.
+``Modulus.core_integrals`` walks the same pieces over arrays of pairs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .numerics import invert_increasing
 
@@ -36,6 +39,8 @@ _GL = [(0.5 + 0.5 * sign * y, 0.5 * w) for sign in (-1.0, 1.0) for y, w in (
     (0.5873179542866175, 0.20316742672306573), (0.7699026741943047, 0.16007832854334642),
     (0.9041172563704748, 0.10693932599531907), (0.9815606342467192, 0.04717533638651141),
 )]
+_GL_U, _GL_W = np.array(_GL).T
+_TERMS = np.arange(1.0, 64.0)  # the j of _log_mass's series
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,34 @@ class Modulus:
             return total, end**k * math.log1p(end) if coef is None else coef * end**k
         except OverflowError:
             return total, math.inf
+
+    def core_integrals(self, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``_increment(v, t)[0]`` element by element over float arrays v > 0
+        and t >= 0: the same pieces in the same increment form, the masses as
+        masked array expressions, and the scalar route's errors.  numpy's
+        elementary functions round unlike libm's: the routes agree to ulps."""
+        v, t = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(t, dtype=float))
+        room = self.domain_max - v
+        if np.any((room < 0.0) | ((room < t) & (t < np.inf))):
+            raise ValueError("integration range beyond table range")
+        total, c = np.zeros(v.shape), v.copy()
+        with np.errstate(all="ignore"):
+            rest = np.where(t >= room, np.inf, t)  # NaN once a lane is done
+            for upper, coef, k in self._core:
+                on = (c < upper) & (rest >= 0.0)
+                cs, rs = c[on], rest[on]
+                whole = rs >= upper - cs
+                step, end = np.where(whole, upper - cs, rs), np.where(whole, upper, cs + rs)
+                x = step / cs
+                x = np.where(x < np.inf, np.log1p(x), np.log(step) - np.log(cs))
+                masses = _log_masses if coef is None else _power_masses
+                total[on] += (1.0 if coef is None else coef) * masses(k + 1.0, cs, x, end)
+                rest[on], c[on] = np.where(rs > step, rs - step, np.nan), upper
+        upper, _, k = self._core[-1]  # +inf is a tail mass only where the last piece's diverges
+        finite = (t < np.inf) | (upper < np.inf) | (k < -1.0)
+        if np.any(~(total > -np.inf) | ((total == np.inf) & finite)):
+            raise OverflowError("core integral beyond the float range")
+        return total
 
     def integral_core(self, a: float, b: float) -> float:
         """Integral of w(s)/s^m over [a, b] with 0 < a <= b."""
@@ -365,6 +398,33 @@ def _log_mass(a: float, c: float, x: float, end: float) -> float:
         if abs(d) <= 1e-17 * abs(total):
             break
     return total
+
+
+def _power_masses(a, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``_power_mass`` over arrays with end > 0; a may be an array too."""
+    ax, ca = a * x, c**a
+    out = np.where(np.abs(ax) <= 0.5, ca * np.expm1(ax) / a, (end**a - ca) / a)
+    return np.where(a == 0.0, x, out)
+
+
+def _log_masses(a: float, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``_log_mass`` over 1-D arrays with end > 0: Gauss-Legendre lanes as one
+    (lanes x 12) product, series lanes as one (lanes x 63 terms) sum."""
+    out = np.empty_like(x)
+    gl = np.abs(x) <= _LN2
+    xg, cg = x[gl], c[gl]
+    quad = np.exp(a * xg[:, None] * _GL_U) * np.log1p(cg[:, None] * np.exp(xg[:, None] * _GL_U))
+    out[gl] = xg * cg**a * (quad @ _GL_W)
+    c, x, end = c[~gl], x[~gl], end[~gl]
+    ca, low, z = c**a, c < 1.0, a * x if a else np.zeros_like(x)
+    near = ca * x * x * (np.exp(z[:, None] * _GL_U) @ (_GL_W * _GL_U))
+    far = (ca + np.where(end < np.inf, end**a * (z - 1.0), 0.0)) / (a * a)
+    head = np.where(np.abs(z) <= 1.0, near, far) + np.log(c) * _power_masses(a, c, x, end)
+    sign = np.where(low, 1.0, -1.0)[:, None]
+    terms = _power_masses(a + sign * _TERMS, c[:, None], x[:, None], end[:, None]) / _TERMS
+    series = np.where(low, 0.0, head) + terms @ (-1.0) ** (_TERMS + 1.0)
+    out[~gl] = np.where(low | (end < np.inf) | (a < 0.0), series, np.inf)
+    return out
 
 
 def _power_inverse(a: float, v: float, w: float) -> float:

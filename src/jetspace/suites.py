@@ -175,13 +175,6 @@ def _jets_witness(mod: Modulus, *jets: Jet, **extra) -> dict:
     return {"modulus": modulus_to_dict(mod), "jets": [jet_to_dict(j) for j in jets], **extra}
 
 
-def _power_core_vec(q: float, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    p = q - m + 1.0
-    if p == 0.0:
-        return np.log(b / a)
-    return (b**p - a**p) / p
-
-
 # ---------------------------------------------------------------------------
 # suite implementations
 
@@ -209,52 +202,37 @@ def suite_triangle_weighted(
     seed: int, trials: int = 100_000, slack: float = INEQ_SLACK
 ) -> SuiteResult:
     """Triangle inequality for the weighted cube distance, ``trials`` triples
-    per modulus in the test matrix.  Power-family integrals are evaluated
-    vectorized, and on the first ``LIBRARY_DRAWS`` triples must also match
-    ``weighted_cube_distance``; the table modulus is checked scalar."""
+    per modulus in the test matrix.  The distances of all triples are one
+    ``Modulus.core_integrals`` call per cube pair, and on the first
+    ``LIBRARY_DRAWS`` triples must also match ``weighted_cube_distance``."""
     tally = _Tally("min_slack")
     for idx, (name, mod, r_hi, c_scale) in enumerate(TRIANGLE_MATRIX):
         rng = _rng_for(seed, 100 + idx)
-        n = 2
-        if mod.family == "power":
-            centers = rng.uniform(-c_scale, c_scale, size=(trials, 3, n))
-            radii = rng.uniform(0.05, r_hi, size=(trials, 3))
+        centers = rng.uniform(-c_scale, c_scale, size=(trials, 3, 2))
+        radii = rng.uniform(0.05, r_hi, size=(trials, 3))
 
-            def dvec(i, j):
-                sep = np.max(np.abs(centers[:, i] - centers[:, j]), axis=1)
-                lo = np.minimum(radii[:, i], radii[:, j])
-                hi = radii[:, i] + radii[:, j] + sep
-                return _power_core_vec(mod.q, mod.m, lo, hi)
+        def dvec(i, j):
+            sep = np.max(np.abs(centers[:, i] - centers[:, j]), axis=1)
+            lo = np.minimum(radii[:, i], radii[:, j])
+            return mod.core_integrals(lo, radii[:, i] + radii[:, j] + sep - lo)
 
-            d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
-            scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
-            ok = ~((d02 - (d01 + d12)) > slack * scale_arr + 1e-300)
-            for t in range(min(trials, LIBRARY_DRAWS)):
-                q = [Cube(c, float(r)) for c, r in zip(centers[t], radii[t])]
-                ok[t] &= all(
-                    rel_close(float(d[t]), weighted_cube_distance(mod, q[i], q[j]), AGREE_TOL)
-                    for d, i, j in ((d01, 0, 1), (d12, 1, 2), (d02, 0, 2))
-                )
-            tally.add_all(
-                ok, d01 + d12 - d02,
-                witness=lambda i: {
-                    "modulus": modulus_to_dict(mod),
-                    "centers": centers[i].tolist(),
-                    "radii": radii[i].tolist(),
-                },
+        d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
+        scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
+        ok = ~((d02 - (d01 + d12)) > slack * scale_arr + 1e-300)
+        for t in range(min(trials, LIBRARY_DRAWS)):
+            q = [Cube(c, float(r)) for c, r in zip(centers[t], radii[t])]
+            ok[t] &= all(
+                rel_close(float(d[t]), weighted_cube_distance(mod, q[i], q[j]), AGREE_TOL)
+                for d, i, j in ((d01, 0, 1), (d12, 1, 2), (d02, 0, 2))
             )
-        else:
-            for _ in range(trials):
-                q = [_random_cube(rng, n, r_hi, c_scale) for _ in range(3)]
-                d01 = weighted_cube_distance(mod, q[0], q[1])
-                d12 = weighted_cube_distance(mod, q[1], q[2])
-                d02 = weighted_cube_distance(mod, q[0], q[2])
-                tally.add(
-                    within_slack(d02, d01 + d12, slack), d01 + d12 - d02,
-                    witness=lambda: {
-                        "modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(c) for c in q]
-                    },
-                )
+        tally.add_all(
+            ok, d01 + d12 - d02,
+            witness=lambda i: {
+                "modulus": modulus_to_dict(mod),
+                "centers": centers[i].tolist(),
+                "radii": radii[i].tolist(),
+            },
+        )
     return tally.result(
         "triangle_weighted", "weighted cube distance is a metric for every matrix modulus"
     )

@@ -21,12 +21,12 @@ from .cubes import (
     Cube,
     Point,
     as_point,
-    pair_scales,
     point_sub,
     uniform_norm,
     weighted_cube_distance,
 )
-from .jets import Jet, _JetRows, gauge, scale
+# gauge is unused here, but the benchmark tracer patches it by this name
+from .jets import Jet, _JetRows, gauge, scale  # noqa: F401
 from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import MultiIndex, Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
@@ -305,11 +305,15 @@ def _sup_fit(
     return Poly(n, degree, coef)
 
 
-def _captured(sample: SampleSet, cube: Cube) -> list[Point]:
-    pts = [p for p in sample.points if cube.contains(p)]
-    if not pts:
+def _captured(sample: SampleSet, cubes: Sequence[Cube]) -> list[list[Point]]:
+    """Each cube's sample points, from one points x cubes comparison
+    max |p - x_Q| <= r_Q, which decides as ``Cube.contains`` does."""
+    centers = np.array([q.center for q in cubes]).reshape(len(cubes), sample.n)
+    points = np.array(sample.points).reshape(-1, 1, sample.n)
+    inside = np.abs(points - centers).max(axis=2) <= np.array([q.radius for q in cubes])
+    if not inside.any(axis=0).all():
         raise ValueError("cube captures no sample points")
-    return pts
+    return [[p for p, hit in zip(sample.points, column) if hit] for column in inside.T]
 
 
 def local_fit(
@@ -317,6 +321,8 @@ def local_fit(
     cube: Cube,
     degree: int,
     interpolate_center: bool = False,
+    *,
+    captured: Sequence[Point] | None = None,
 ) -> Poly:
     """Sup-norm best polynomial fit to the scalar samples inside the cube.
 
@@ -325,10 +331,11 @@ def local_fit(
     second solve minimizing the sum of absolute local coefficients at the
     optimal residual.  With ``interpolate_center`` the fit is pinned to the
     sample value at the cube center (which must itself be a sample point).
+    ``captured``, the sample points in the cube, is found when not given.
     """
     if sample.values is None:
         raise ValueError("scalar sample data required (use jet_fit for jet data)")
-    pts = _captured(sample, cube)
+    pts = _captured(sample, [cube])[0] if captured is None else captured
     value = lambda y: [sample.value_at(y)]
     return _sup_fit(cube, degree, [(0,) * sample.n], [1.0], value, pts, interpolate_center)
 
@@ -340,14 +347,17 @@ def jet_fit(
     degree: int,
     mod: Modulus,
     interpolate_center: bool = False,
+    *,
+    captured: Sequence[Point] | None = None,
 ) -> Poly:
     """Best fit to jet data inside the cube: minimizes the largest scaled
     deviation |D^a(P - P_y)(y)| / (r^(k-|a|) w(r)) over captured points y and
     orders |a| <= k.  With ``interpolate_center`` the degree-k Taylor part at
-    the center is pinned to the center's data polynomial."""
+    the center is pinned to the center's data polynomial.  ``captured`` is as
+    in ``local_fit``."""
     if sample.jets is None:
         raise ValueError("jet sample data required")
-    pts = _captured(sample, cube)
+    pts = _captured(sample, [cube])[0] if captured is None else captured
     low_orders = multi_indices(sample.n, k)
     r = cube.radius
     wr = mod.eval(r)
@@ -373,13 +383,13 @@ def fit_field(
     """Fit one polynomial per cube and assemble the field."""
     degree = k + m - 1
     entries = []
-    for cube in cubes:
+    for cube, pts in zip(cubes, _captured(sample, cubes)):
         if sample.values is not None:
-            poly = local_fit(sample, cube, degree, interpolate_center)
+            poly = local_fit(sample, cube, degree, interpolate_center, captured=pts)
         else:
             if mod is None:
                 raise ValueError("jet data fitting needs the modulus")
-            poly = jet_fit(sample, cube, k, degree, mod, interpolate_center)
+            poly = jet_fit(sample, cube, k, degree, mod, interpolate_center, captured=pts)
         entries.append((cube, poly))
     return PolyField(n=sample.n, k=k, m=m, entries=tuple(entries))
 
@@ -395,15 +405,17 @@ def pair_gauges(
     for alpha = orders[a], and +inf on the diagonal.
 
     The gauge is symmetric in the pair and its core integral does not depend
-    on alpha, so each unordered pair costs one integral.
+    on alpha, so the unordered pairs' scales (as ``pair_scales`` rounds them)
+    take one ``Modulus.core_integrals`` call.
     """
-    powers = [top - mi_order(alpha) for alpha in orders]
+    powers = np.array([top - mi_order(alpha) for alpha in orders], dtype=float)
     out = np.full((len(cubes), len(cubes), len(orders)), np.inf)
-    for i, qi in enumerate(cubes):
-        for j in range(i + 1, len(cubes)):
-            v, t, _ = pair_scales(qi, cubes[j])
-            core = gauge(mod, top, top, t, v)  # top order: the bare integral
-            out[i, j] = out[j, i] = [t**e * core for e in powers]
+    i, j = np.triu_indices(len(cubes), 1)
+    centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
+    v = np.minimum(radii[i], radii[j])
+    t = np.maximum(radii[i], radii[j]) + np.abs(centers[i] - centers[j]).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore"):  # a gauge beyond the float range is +inf
+        out[i, j] = out[j, i] = t[:, None] ** powers * mod.core_integrals(v, t)[:, None]
     return out
 
 

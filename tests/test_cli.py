@@ -72,6 +72,17 @@ def test_metric_far_apart_cubes(tmp_path, capsys, x):
     assert error["type"] == "OverflowError"
 
 
+def test_metric_far_jets_get_finite_candidates(tmp_path):
+    # without candidates, metric interpolates the centers; b - a overflowed
+    # here and made a candidate cube "cube center must be finite" (exit 2)
+    jets = [{**JET1, "cube": {"x": [1e308], "r": 1.0}}, {**JET0, "cube": {"x": [-1e308], "r": 1.0}}]
+    path = _write(tmp_path, "in.json", {"omega": {**MOD_D, "q": 0.5}, "jets": jets})
+    code, text = _run(tmp_path, ["metric", "--input", path])
+    assert code == 0
+    data = json.loads(text)
+    assert 0.0 <= data["geodesic_lower"] <= data["geodesic_upper"] <= data["jet_distance"]
+
+
 def test_metric_worked_jet_pair(tmp_path):
     path = _write(tmp_path, "in.json", {"omega": MOD_D, "jets": [JET1, JET0]})
     code, text = _run(tmp_path, ["metric", "--input", path])

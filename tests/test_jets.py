@@ -579,3 +579,37 @@ def test_value_gauge_table_target_far_below_the_base_scale():
     v, u = 0.8629514739235359, 1e-17
     s = value_gauge(mod, 1, 0, u, v)
     assert s * mod.core_integral_inverse(s, v) == pytest.approx(u, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.999, 1.0, 1.5])
+def test_routes_at_an_overflowing_reach_match_mpmath(q):
+    # the reach r1 + r2 + ||x1 - x2|| overflows; every route takes the cube
+    # term as weighted_cube_distance does, over the step v + span
+    mp = pytest.importorskip("mpmath")
+    mod = Modulus.power(q, 2)
+    poly = Poly(1, 1, {(0,): 1.0})
+    near = (Cube((0.0,), 1e308), Cube((5e307,), 1e308))  # the span is finite
+    far = (Cube((1e308,), 1.0), Cube((-1e308,), 1.0))  # the span overflows too
+    routes = (
+        lambda t1, t2: weighted_cube_distance(mod, t1.cube, t2.cube),
+        lambda t1, t2: jet_distance(mod, t1, t2),
+        lambda t1, t2: jet_distance_componentwise(mod, t1, t2),
+        lambda t1, t2: jet_distance_via_value_gauge(mod, t1, t2, (0.0,)),
+    )
+    for q1, q2 in (near, far):
+        with mp.workdps(40):
+            v, reach = mp.mpf(min(q1.radius, q2.radius)), mp.mpf(q1.radius) + mp.mpf(q2.radius)
+            reach += abs(mp.mpf(q1.center[0]) - mp.mpf(q2.center[0]))
+            a = mp.mpf(q) - 1
+            exact = float(mp.log(reach / v) if a == 0 else (reach**a - v**a) / a)
+        jets = (Jet(poly, q1), Jet(poly, q2))
+        for route in routes:
+            if q1 == near[0] or q == 0.5:
+                assert route(*jets) == pytest.approx(exact, rel=1e-12, abs=0.0)
+            else:
+                # the tail beyond the float range does not round away (the
+                # distance is 508.30 at q = 0.999, 709.89 at q = 1); the jet
+                # routes once returned the whole tail mass, 1000.0000000001102
+                # and +inf there
+                with pytest.raises(OverflowError):
+                    route(*jets)

@@ -457,3 +457,66 @@ def test_powerlog_core_inverse_beyond_the_float_range_is_inf():
     assert mod.core_integral_inverse(3e5, 1.0) == math.inf
     t = mod.core_integral_inverse(0.5 * reach, 1.0)
     assert mod.integral_core(1.0, 1.0 + t) == pytest.approx(0.5 * reach, rel=1e-12)
+
+
+# -- the array route ------------------------------------------------------------
+
+_ARRAY_MODULI = [
+    *(Modulus.power(q, m) for q, m in ((1.0, 2), (0.5, 3), (1.5, 2), (3.0, 1), (0.0, 1), (0.999, 2))),
+    *(Modulus.power_log(q, m) for q, m in ((1.0, 2), (0.0, 1), (0.5, 2), (2.0, 1), (0.0, 3), (3.0, 2))),
+    Modulus.table([(0.05, 0.02), (1.0, 0.8), (10.0, 3.0)], 2),
+    Modulus.table([(0.01, 1e-4), (1.0, 1.0), (1e4, 1e8)], 2),
+]
+
+
+def _array_draws(mod, rng, count):
+    """(v, t) pairs over the whole float range: v log-uniform down to 1e-300
+    (up to 1e300, or the last knot), v at the powerlog piece ends and the
+    knots, t / v from 1e-12 up, t up to 1e300, t reaching a piece end
+    exactly, t = 0 and t = +inf; past a table's last knot, also +inf or the
+    room left."""
+    ends = np.array([0.5, 1.0, 2.0, *(t for t, _ in mod.knots or ())])
+    top = math.log10(mod.domain_max) if mod.knots else 300.0
+    v = 10.0 ** rng.uniform(-300.0, top, count)
+    v[: count // 4] = 10.0 ** rng.uniform(-3.0, 1.0, count // 4)
+    v[count // 4 : count // 2] = rng.choice(ends, count // 4)
+    v = np.minimum(v, mod.domain_max)
+    t = v * 10.0 ** rng.uniform(-12.0, 6.0, count)
+    t[::7] = 10.0 ** rng.uniform(-5.0, 300.0, t[::7].size)
+    t[3::17] = np.maximum(rng.choice(ends, t[3::17].size) - v[3::17], 0.0)
+    t[::11], t[::13] = np.inf, 0.0
+    room, pick = mod.domain_max - v, rng.uniform(size=count)
+    return v, np.where(t > room, np.where(pick < 0.4, room, np.where(pick < 0.8, np.inf, t)), t)
+
+
+def _scalar_or_error(mod, v, t):
+    try:
+        return mod._increment(v, t)[0]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("error")
+def test_core_integrals_match_the_scalar_route():
+    # numpy's log1p, expm1 and pow round unlike libm's, so the routes agree
+    # to within a few ulps; infinities, zeros and errors agree exactly
+    rng = np.random.default_rng(20)
+    compared = 0
+    for mod in _ARRAY_MODULI:
+        v, t = _array_draws(mod, rng, 800)
+        want = [_scalar_or_error(mod, a, b) for a, b in zip(v.tolist(), t.tolist())]
+        fine = np.array([isinstance(w, float) for w in want])
+        got = mod.core_integrals(v[fine], t[fine])
+        for a, b, g, w in zip(v[fine], t[fine], got.tolist(), [w for w in want if isinstance(w, float)]):
+            if math.isfinite(w) and w != 0.0:
+                assert abs(g - w) <= 1e-14 * abs(w), (mod, a, b)
+            else:
+                assert g == w, (mod, a, b)
+        for a, b, w in zip(v[~fine], t[~fine], [w for w in want if not isinstance(w, float)]):
+            with pytest.raises(w):
+                mod.core_integrals(np.array([a]), np.array([b]))
+        if not fine.all():  # one failing element fails the call
+            with pytest.raises((ValueError, OverflowError)):
+                mod.core_integrals(v, t)
+        compared += v.size
+    assert compared >= 10_000

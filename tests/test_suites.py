@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from jetspace import suites
-from jetspace.cubes import uniform_norm, weighted_cube_distance
+from jetspace.cubes import uniform_norm
 from jetspace.modulus import Modulus
 from jetspace.numerics import within_slack
 from jetspace.poly import mi_order, multi_indices
-from jetspace.serialize import cube_to_dict, modulus_to_dict
+from jetspace.serialize import modulus_to_dict
 from jetspace.suites import (
     SuiteResult,
     _cases,
-    _power_core_vec,
-    _random_cube,
     _random_field,
     _random_poly,
     _rng_for,
@@ -193,16 +191,15 @@ def test_run_all_below_eight_trials_raises(monkeypatch, trials):
 
 def test_triangle_weighted_fails_when_its_copy_drifts(monkeypatch):
     assert suites.suite_triangle_weighted(3, trials=100).passed
-    copy = suites._power_core_vec
+    copy = Modulus.core_integrals
     monkeypatch.setattr(
-        suites, "_power_core_vec", lambda *args: copy(*args) * (1.0 + 1e-6)
+        Modulus, "core_integrals", lambda *args: copy(*args) * (1.0 + 1e-6)
     )
     # a common factor keeps every triangle inequality; the library check fails
-    # each of the first draws of every power modulus
+    # each of the first draws of every modulus
     res = suites.suite_triangle_weighted(3, trials=100)
-    powers = sum(mod.family == "power" for _, mod, _, _ in suites.TRIANGLE_MATRIX)
     assert res.trials == 100 * len(suites.TRIANGLE_MATRIX)
-    assert res.failures == suites.LIBRARY_DRAWS * powers
+    assert res.failures == suites.LIBRARY_DRAWS * len(suites.TRIANGLE_MATRIX)
 
 
 def test_halfspace_equivalence_fails_when_its_copy_drifts(monkeypatch):
@@ -314,51 +311,36 @@ def test_derivative_chain_witnesses_match_per_link_oracle():
 
 def _oracle_triangle_weighted(seed, trials, slack=suites.INEQ_SLACK):
     """The suite with its own failure count, worst margin and one witness
-    per failing power modulus."""
+    per failing modulus."""
     failures = 0
     worst = math.inf
     witnesses = []
     for idx, (name, mod, r_hi, c_scale) in enumerate(suites.TRIANGLE_MATRIX):
         rng = _rng_for(seed, 100 + idx)
-        n = 2
-        if mod.family == "power":
-            centers = rng.uniform(-c_scale, c_scale, size=(trials, 3, n))
-            radii = rng.uniform(0.05, r_hi, size=(trials, 3))
+        centers = rng.uniform(-c_scale, c_scale, size=(trials, 3, 2))
+        radii = rng.uniform(0.05, r_hi, size=(trials, 3))
 
-            def dvec(i, j):
-                sep = np.max(np.abs(centers[:, i] - centers[:, j]), axis=1)
-                lo = np.minimum(radii[:, i], radii[:, j])
-                hi = radii[:, i] + radii[:, j] + sep
-                return _power_core_vec(mod.q, mod.m, lo, hi)
+        def dvec(i, j):
+            sep = np.max(np.abs(centers[:, i] - centers[:, j]), axis=1)
+            lo = np.minimum(radii[:, i], radii[:, j])
+            hi = radii[:, i] + radii[:, j] + sep
+            return mod.core_integrals(lo, hi - lo)
 
-            d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
-            margin = d01 + d12 - d02
-            scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
-            bad = (d02 - (d01 + d12)) > slack * scale_arr + 1e-300
-            failures += int(np.count_nonzero(bad))
-            worst = min(worst, float(np.min(margin)))
-            if np.any(bad) and len(witnesses) < 3:
-                i = int(np.flatnonzero(bad)[0])
-                witnesses.append(
-                    {
-                        "modulus": modulus_to_dict(mod),
-                        "centers": centers[i].tolist(),
-                        "radii": radii[i].tolist(),
-                    }
-                )
-        else:
-            for _ in range(trials):
-                q = [_random_cube(rng, n, r_hi, c_scale) for _ in range(3)]
-                d01 = weighted_cube_distance(mod, q[0], q[1])
-                d12 = weighted_cube_distance(mod, q[1], q[2])
-                d02 = weighted_cube_distance(mod, q[0], q[2])
-                worst = min(worst, d01 + d12 - d02)
-                if not within_slack(d02, d01 + d12, slack):
-                    failures += 1
-                    if len(witnesses) < 3:
-                        witnesses.append(
-                            {"modulus": modulus_to_dict(mod), "cubes": [cube_to_dict(c) for c in q]}
-                        )
+        d01, d12, d02 = dvec(0, 1), dvec(1, 2), dvec(0, 2)
+        margin = d01 + d12 - d02
+        scale_arr = np.maximum(np.abs(d02), np.abs(d01 + d12))
+        bad = (d02 - (d01 + d12)) > slack * scale_arr + 1e-300
+        failures += int(np.count_nonzero(bad))
+        worst = min(worst, float(np.min(margin)))
+        if np.any(bad) and len(witnesses) < 3:
+            i = int(np.flatnonzero(bad)[0])
+            witnesses.append(
+                {
+                    "modulus": modulus_to_dict(mod),
+                    "centers": centers[i].tolist(),
+                    "radii": radii[i].tolist(),
+                }
+            )
     return SuiteResult(
         "triangle_weighted", trials * len(suites.TRIANGLE_MATRIX), failures, "min_slack", worst,
         "weighted cube distance is a metric for every matrix modulus", tuple(witnesses),

@@ -13,6 +13,7 @@ from jetspace.cubes import (
     Cube,
     cube_family,
     dyadic_radii,
+    pair_scales,
     point_sub,
     uniform_norm,
     weighted_cube_distance,
@@ -420,15 +421,48 @@ def _assert_fit_starts(problems):
     """The dual simplex starts each stage-2 fit (rows pos, neg >= 0 for
     every variable) from bound rows alone, with no phase-1 pivot, and each
     stage-1 fit (the row eps >= 0) in fewer phase-1 pivots than it has
-    variables."""
+    variables.  A stage-1 fit's artificials (the free coefficients' rows)
+    start at zero, so its phase 1 is skipped: x and every count but the
+    rebuilds equal those of the path that runs it, which rebuilds once more.
+    Returns the number of phase 1s skipped."""
+    drive_out = lp._drive_out_artificials
+
+    def phase1_then_drive_out(inverse, basis, original, n_core, work):
+        if work[2] == 0:  # no rebuild yet: phase 1 was skipped, run it
+            cost = np.append(np.zeros(n_core), np.ones(basis.size))
+            floor = lp._FEAS_TOL * max(1.0, lp._amax(original[:, -1]))
+            assert lp._simplex(inverse, basis, cost, cost.size, original, work, 0, floor)[0] == "optimal"
+        return drive_out(inverse, basis, original, n_core, work)
+
+    skipped = 0
     for stage, problem in enumerate(problems):
-        phase1 = lp.lp_solve(problem).pivots[0]
+        got = lp.lp_solve(problem)
+        phase1 = got.pivots[0]
         assert phase1 == 0 if stage % 2 else phase1 < problem.objective.size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "_drive_out_artificials", phase1_then_drive_out)
+            want = lp.lp_solve(problem)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.pivots, got.lifts, got.restarts, got.bland_pivots) == (
+            want.pivots, want.lifts, want.restarts, want.bland_pivots
+        )
+        assert want.reinversions - got.reinversions in ((0,) if stage % 2 else (0, 1))
+        skipped += want.reinversions - got.reinversions
+    return skipped
+
+
+def test_captured_matches_cube_contains():
+    # the points x cubes comparison decides membership as Cube.contains does,
+    # on the corpus' own cubes and on cubes at every sample point
+    for _, sample, cube, *_ in _fit_corpus():
+        cubes = [cube, *cube_family(sample.points, [cube.radius, 0.5 * cube.radius])]
+        want = [[p for p in sample.points if q.contains(p)] for q in cubes]
+        assert whitney._captured(sample, cubes) == want
 
 
 def test_fits_match_basis_poly_oracle(monkeypatch):
     this = sys.modules[__name__]
-    cases = 0
+    cases = skipped = 0
     for kind, sample, cube, degree, k, mod, interp in _fit_corpus():
         if kind == "scalar":
             new = _recorded_fit(monkeypatch, whitney, local_fit, sample, cube, degree, interp)
@@ -456,9 +490,9 @@ def test_fits_match_basis_poly_oracle(monkeypatch):
         for problem in problems:
             value = lp.lp_solve(problem).objective
             assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
-        _assert_fit_starts(problems)
+        skipped += _assert_fit_starts(problems)
         cases += 1
-    assert cases == (6 + 8) * 2 * 5
+    assert cases == (6 + 8) * 2 * 5 and skipped > cases / 2
 
 
 @pytest.mark.parametrize("op", [2, 6])
@@ -492,7 +526,7 @@ def test_check_sample_fits_match_primal_tableau(monkeypatch, op):
     for problem in problems:
         value = lp.lp_solve(problem).objective
         assert value == pytest.approx(_PrimalTableau().lp_solve(problem).objective, rel=1e-9, abs=1e-12)
-    _assert_fit_starts(problems)
+    assert _assert_fit_starts(problems) > 0
 
 
 # -- condition sweeps ------------------------------------------------------------------
@@ -844,6 +878,49 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
             got = (metric_ok, seen[:])  # the oracle's jet_distance calls record too
             assert ratio_ok == _oracle_ratio_form(field, mod, lam)
             assert got == _oracle_metric_form(field, mod, lam)
+
+
+def _oracle_pair_gauges(mod, top, orders, cubes):
+    """``pair_gauges``' scalar form: one ``gauge`` per unordered pair at its
+    ``pair_scales``, times t^(top - |alpha|) per order."""
+    powers = [top - mi_order(alpha) for alpha in orders]
+    out = np.full((len(cubes), len(cubes), len(orders)), np.inf)
+    for i, qi in enumerate(cubes):
+        for j in range(i + 1, len(cubes)):
+            v, t, _ = pair_scales(qi, cubes[j])
+            core = gauge(mod, top, top, t, v)  # top order: the bare integral
+            out[i, j] = out[j, i] = [t**e * core for e in powers]
+    return out
+
+
+@pytest.mark.parametrize("family", ["power", "powerlog", "table"])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 2)])
+def test_pair_gauges_match_the_scalar_loop(family, n, m, monkeypatch):
+    # the scales are pair_scales' bit for bit; the core integrals come from
+    # the array route, within a few ulps of gauge's
+    rng = np.random.default_rng(100 * n + 10 * m + len(family))
+    mod = _sweep_modulus(family, m)
+    scales = []
+    integrals = Modulus.core_integrals
+
+    def recorded(self, v, t):
+        scales.append((v.copy(), t.copy()))
+        return integrals(self, v, t)
+
+    monkeypatch.setattr(Modulus, "core_integrals", recorded)
+    for count in (0, 1, 2, 9):
+        pts = rng.uniform(-2.0, 2.0, size=(count, n))
+        cubes = cube_family(pts.tolist(), rng.uniform(0.05, 1.5, size=2).tolist()) if count else []
+        orders = multi_indices(n, m)
+        got, want = whitney.pair_gauges(mod, m, orders, cubes), _oracle_pair_gauges(mod, m, orders, cubes)
+        assert got.shape == want.shape
+        off = ~np.eye(len(cubes), dtype=bool)
+        assert np.all(np.diagonal(got) == np.inf)
+        assert np.all(np.abs(got[off] - want[off]) <= 1e-14 * want[off]), (family, n, m)
+        i, j = np.triu_indices(len(cubes), 1)
+        v, t = scales.pop()
+        assert v.tolist() == [pair_scales(cubes[a], cubes[b])[0] for a, b in zip(i, j)]
+        assert t.tolist() == [pair_scales(cubes[a], cubes[b])[1] for a, b in zip(i, j)]
 
 
 def test_underflowing_gauge_raises_rather_than_divides():
