@@ -65,14 +65,6 @@ class SampleSet:
             if any(p.n != self.n for p in self.jets):
                 raise ValueError("jet data dimension mismatch")
 
-    def value_at(self, x: Sequence[float]) -> float:
-        idx = self.points.index(as_point(x))
-        return self.values[idx]
-
-    def jet_at(self, x: Sequence[float]) -> Poly:
-        idx = self.points.index(as_point(x))
-        return self.jets[idx]
-
 
 @dataclass(frozen=True)
 class PolyField:
@@ -237,20 +229,20 @@ def _sup_fit(
     degree: int,
     orders: Sequence[MultiIndex],
     weights: Sequence[float],
-    target: Callable[[Point], list[float]],
-    pts: Sequence[Point],
-    interpolate_center: bool,
+    offsets: Sequence[Point],
+    targets: np.ndarray,
+    center: int | None,
 ) -> Poly:
     """min-sup-residual fit with an l1-minimal tie-break, in the cube-local
     basis ((y - x_Q)/r_Q)^beta.
 
-    For each captured point y and each alpha = orders[a], the fit's D^alpha at
-    y is held within eps * weights[a] of target(y)[a]; with
-    ``interpolate_center`` it equals target(x_Q) at the center.  Stage one
-    minimizes eps; stage two re-solves at the optimal eps minimizing the l1
-    mass of the local coordinates d, which keeps radius-weighted derivative
-    magnitudes small.  On the cube every basis value lies in [-1, 1], which
-    keeps both LPs well conditioned regardless of the cube's scale or position.
+    For the captured point y = x_Q + offsets[p] and alpha = orders[a], the
+    fit's D^alpha at y is held within eps * weights[a] of targets[p, a], and
+    equals it where p is ``center``.  Stage one minimizes eps; stage two
+    re-solves at the optimal eps minimizing the l1 mass of the local
+    coordinates d, which keeps radius-weighted derivative magnitudes small.
+    On the cube every basis value lies in [-1, 1], which keeps both LPs well
+    conditioned regardless of the cube's scale or position.
     """
     n = cube.dim
     betas = multi_indices(n, degree)
@@ -263,17 +255,14 @@ def _sup_fit(
     if math.inf in col_scale:
         raise OverflowError(f"fit basis of order {degree} overflows on a cube of radius {cube.radius!r}")
 
-    def rows_at(points: Sequence[Point]) -> np.ndarray:
-        local = [point_sub(y, cube.center) for y in points]
-        return deriv_matrix(n, degree, orders, local).reshape(-1, size) * col_scale
-
-    a = rows_at(pts)
-    t = np.array([v for y in pts for v in target(y)])
-    w = np.tile(weights, len(pts))
-    if interpolate_center:
-        a_eq, b_eq = rows_at([cube.center]), np.array(target(cube.center))
-    else:
+    rows = deriv_matrix(n, degree, orders, offsets) * col_scale
+    a = rows.reshape(-1, size)
+    t = targets.ravel()
+    w = np.tile(weights, len(offsets))
+    if center is None:
         a_eq, b_eq = np.zeros((0, size)), np.zeros(0)
+    else:
+        a_eq, b_eq = rows[center], targets[center]
 
     # stage one over (d, eps): +-(row . d - target) <= eps * weight, eps >= 0
     a_ub = _interleave(np.column_stack([a, -w]), np.column_stack([-a, -w]))
@@ -305,15 +294,26 @@ def _sup_fit(
     return Poly(n, degree, coef)
 
 
-def _captured(sample: SampleSet, cubes: Sequence[Cube]) -> list[list[Point]]:
-    """Each cube's sample points, from one points x cubes comparison
-    max |p - x_Q| <= r_Q, which decides as ``Cube.contains`` does."""
+def _captured(sample: SampleSet, cubes: Sequence[Cube]) -> list[list[int]]:
+    """Each cube's sample indices, ascending, from one points x cubes
+    comparison max |p - x_Q| <= r_Q, which decides as ``Cube.contains`` does."""
     centers = np.array([q.center for q in cubes]).reshape(len(cubes), sample.n)
     points = np.array(sample.points).reshape(-1, 1, sample.n)
     inside = np.abs(points - centers).max(axis=2) <= np.array([q.radius for q in cubes])
     if not inside.any(axis=0).all():
         raise ValueError("cube captures no sample points")
-    return [[p for p, hit in zip(sample.points, column) if hit] for column in inside.T]
+    return [np.flatnonzero(column).tolist() for column in inside.T]
+
+
+def _fit_points(sample: SampleSet, cube: Cube, captured: Sequence[int] | None, pin: bool):
+    """The cube's sample indices (``captured``, or found), their offsets
+    y - x_Q, and with ``pin`` the position of x_Q among them (else None); a
+    center that is a sample point is always captured."""
+    idx = _captured(sample, [cube])[0] if captured is None else captured
+    at = [p for p, i in enumerate(idx) if pin and sample.points[i] == cube.center]
+    if pin and not at:
+        raise ValueError(f"cube center {cube.center} is not a sample point")
+    return idx, [point_sub(sample.points[i], cube.center) for i in idx], at[0] if pin else None
 
 
 def local_fit(
@@ -322,7 +322,7 @@ def local_fit(
     degree: int,
     interpolate_center: bool = False,
     *,
-    captured: Sequence[Point] | None = None,
+    captured: Sequence[int] | None = None,
 ) -> Poly:
     """Sup-norm best polynomial fit to the scalar samples inside the cube.
 
@@ -331,13 +331,13 @@ def local_fit(
     second solve minimizing the sum of absolute local coefficients at the
     optimal residual.  With ``interpolate_center`` the fit is pinned to the
     sample value at the cube center (which must itself be a sample point).
-    ``captured``, the sample points in the cube, is found when not given.
+    ``captured``, the cube's sample indices in ascending order, is found when not given.
     """
     if sample.values is None:
         raise ValueError("scalar sample data required (use jet_fit for jet data)")
-    pts = _captured(sample, [cube])[0] if captured is None else captured
-    value = lambda y: [sample.value_at(y)]
-    return _sup_fit(cube, degree, [(0,) * sample.n], [1.0], value, pts, interpolate_center)
+    idx, offsets, center = _fit_points(sample, cube, captured, interpolate_center)
+    targets = np.array([[sample.values[i]] for i in idx])
+    return _sup_fit(cube, degree, [(0,) * sample.n], [1.0], offsets, targets, center)
 
 
 def jet_fit(
@@ -348,7 +348,7 @@ def jet_fit(
     mod: Modulus,
     interpolate_center: bool = False,
     *,
-    captured: Sequence[Point] | None = None,
+    captured: Sequence[int] | None = None,
 ) -> Poly:
     """Best fit to jet data inside the cube: minimizes the largest scaled
     deviation |D^a(P - P_y)(y)| / (r^(k-|a|) w(r)) over captured points y and
@@ -357,19 +357,16 @@ def jet_fit(
     in ``local_fit``."""
     if sample.jets is None:
         raise ValueError("jet sample data required")
-    pts = _captured(sample, [cube])[0] if captured is None else captured
+    idx, offsets, center = _fit_points(sample, cube, captured, interpolate_center)
     low_orders = multi_indices(sample.n, k)
     r = cube.radius
     wr = mod.eval(r)
     if wr == 0.0:
         raise ValueError("modulus vanishes at the cube radius")
     weights = [r ** (k - mi_order(alpha)) * wr for alpha in low_orders]
-
-    def derivs(y: Point) -> list[float]:
-        data = sample.jet_at(y)
-        return [data.deriv_eval(alpha, y) for alpha in low_orders]
-
-    return _sup_fit(cube, degree, low_orders, weights, derivs, pts, interpolate_center)
+    jets, points = sample.jets, sample.points
+    targets = np.array([[jets[i].deriv_eval(alpha, points[i]) for alpha in low_orders] for i in idx])
+    return _sup_fit(cube, degree, low_orders, weights, offsets, targets, center)
 
 
 def fit_field(
@@ -381,15 +378,17 @@ def fit_field(
     interpolate_center: bool = False,
 ) -> PolyField:
     """Fit one polynomial per cube and assemble the field."""
+    if k < 0 or m < 1:
+        raise ValueError("need k >= 0 and m >= 1")
+    if sample.values is None and mod is None:
+        raise ValueError("jet data fitting needs the modulus")
     degree = k + m - 1
     entries = []
-    for cube, pts in zip(cubes, _captured(sample, cubes)):
+    for cube, idx in zip(cubes, _captured(sample, cubes)):
         if sample.values is not None:
-            poly = local_fit(sample, cube, degree, interpolate_center, captured=pts)
+            poly = local_fit(sample, cube, degree, interpolate_center, captured=idx)
         else:
-            if mod is None:
-                raise ValueError("jet data fitting needs the modulus")
-            poly = jet_fit(sample, cube, k, degree, mod, interpolate_center, captured=pts)
+            poly = jet_fit(sample, cube, k, degree, mod, interpolate_center, captured=idx)
         entries.append((cube, poly))
     return PolyField(n=sample.n, k=k, m=m, entries=tuple(entries))
 
@@ -525,10 +524,11 @@ def check_conditions(
 
     interpolation = None
     if sample is not None and sample.values is not None:
-        interpolation = tuple(
-            (cube, abs(poly.eval(cube.center) - sample.value_at(cube.center)))
-            for cube, poly in field.entries
-        )
+        values = dict(zip(sample.points, sample.values))
+        missing = [q.center for q, _ in field.entries if q.center not in values]
+        if missing:
+            raise ValueError(f"cube center {missing[0]} is not a sample point")
+        interpolation = tuple((q, abs(p.eval(q.center) - values[q.center])) for q, p in field.entries)
 
     notes = (
         "field polynomials are best-fit surrogates over cube captures",

@@ -193,6 +193,18 @@ def test_check_jet_data(tmp_path):
     assert "interpolation" not in data["report"]
 
 
+def test_check_negative_k_exits_2_before_fitting(tmp_path, capsys):
+    # this once exited 2 with "cannot reshape array of size 0 into shape (0)"
+    # from the fit, since the field's context check ran only after the fits
+    payload = {
+        "n": 1, "k": -1, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1},
+        "points": [{"x": [0.0], "f": 0.0}, {"x": [1.0], "f": 1.0}],
+        "radii": [1.0, 0.5],
+    }
+    assert main(["check", "--input", _write(tmp_path, "in.json", payload)]) == 2
+    assert _error(capsys) == {"type": "ValueError", "message": "need k >= 0 and m >= 1"}
+
+
 def test_select_singleton(tmp_path):
     def sing(c0, c1, x, r):
         return {

@@ -323,12 +323,11 @@ def _oracle_local_fit(
         raise ValueError("cube captures no sample points")
     basis = _oracle_scaled_basis(sample.n, degree, cube)
     rows = [[base.eval(p) for base in basis] for p in pts]
-    targets = [sample.value_at(p) for p in pts]
+    targets = [sample.values[sample.points.index(p)] for p in pts]
     eq_rows = []
     if interpolate_center:
-        eq_rows.append(
-            ([base.eval(cube.center) for base in basis], sample.value_at(cube.center))
-        )
+        value = sample.values[sample.points.index(cube.center)]
+        eq_rows.append(([base.eval(cube.center) for base in basis], value))
     return _oracle_two_stage_sup_fit(
         sample.n, degree, basis, rows, targets, [1.0] * len(rows), eq_rows
     )
@@ -359,14 +358,14 @@ def _oracle_jet_fit(
     basis = _oracle_scaled_basis(sample.n, degree, cube)
     rows, targets, weights = [], [], []
     for p in pts:
-        data = sample.jet_at(p)
+        data = sample.jets[sample.points.index(p)]
         for alpha in low_orders:
             rows.append([base.deriv_eval(alpha, p) for base in basis])
             targets.append(data.deriv_eval(alpha, p))
             weights.append(r ** (k - mi_order(alpha)) * wr)
     eq_rows = []
     if interpolate_center:
-        data = sample.jet_at(cube.center)
+        data = sample.jets[sample.points.index(cube.center)]
         for alpha in low_orders:
             eq_rows.append(
                 (
@@ -456,8 +455,9 @@ def test_captured_matches_cube_contains():
     # on the corpus' own cubes and on cubes at every sample point
     for _, sample, cube, *_ in _fit_corpus():
         cubes = [cube, *cube_family(sample.points, [cube.radius, 0.5 * cube.radius])]
-        want = [[p for p in sample.points if q.contains(p)] for q in cubes]
-        assert whitney._captured(sample, cubes) == want
+        want = [[i for i, p in enumerate(sample.points) if q.contains(p)] for q in cubes]
+        got = whitney._captured(sample, cubes)
+        assert got == want and all(type(i) is int for idx in got for i in idx)
 
 
 def test_fits_match_basis_poly_oracle(monkeypatch):
@@ -493,6 +493,51 @@ def test_fits_match_basis_poly_oracle(monkeypatch):
         skipped += _assert_fit_starts(problems)
         cases += 1
     assert cases == (6 + 8) * 2 * 5 and skipped > cases / 2
+
+
+def test_fit_field_matches_single_cube_fits():
+    # fit_field passes each cube its captured indices; a fit that finds them
+    # itself gives the same polynomial, bit for bit
+    for kind, sample, cube, degree, k, mod, interp in _fit_corpus():
+        m = degree - k + 1
+        cubes = [cube, *cube_family(sample.points, [cube.radius, 0.5 * cube.radius])]
+        cubes = list(dict.fromkeys(cubes))
+        field = fit_field(sample, cubes, k, m, mod, interp)
+        assert [q for q, _ in field.entries] == cubes
+        for q, poly in field.entries:
+            if kind == "scalar":
+                alone = local_fit(sample, q, degree, interp)
+            else:
+                alone = jet_fit(sample, q, k, degree, mod, interp)
+            assert poly.coef == alone.coef and poly.degree == alone.degree, (kind, interp)
+
+
+@pytest.mark.parametrize("route", ["local_fit", "jet_fit", "check_conditions"])
+def test_center_off_the_samples_is_named(route):
+    # these once raised "tuple.index(x): x not in tuple"
+    pts, cube, mod = [(0.0,), (1.0,)], Cube((0.5,), 1.0), Modulus.power(1, 1)
+    sample = SampleSet(1, pts, values=[0, 1])
+    with pytest.raises(ValueError, match=r"cube center \(0\.5,\) is not a sample point"):
+        if route == "local_fit":
+            local_fit(sample, cube, 0, interpolate_center=True)
+        elif route == "jet_fit":
+            jets = SampleSet(1, pts, jets=[Poly(1, 0, {(0,): v}) for v in (0.0, 1.0)])
+            jet_fit(jets, cube, 0, 0, mod, interpolate_center=True)
+        else:
+            # an unpinned fit needs no sample point at the center
+            check_conditions(sample, fit_field(sample, [cube], k=0, m=1), mod)
+
+
+def test_fit_field_checks_context_before_fitting(monkeypatch):
+    sample = SampleSet(1, [(0.0,), (1.0,)], values=[0, 1])
+    jets = SampleSet(1, [(0.0,), (1.0,)], jets=[Poly(1, 0, {}), Poly(1, 0, {})])
+    cubes = cube_family(sample.points, [1.0])
+    monkeypatch.setattr(whitney, "_captured", None)  # any fit would fail on this
+    for k, m in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="need k >= 0 and m >= 1"):
+            fit_field(sample, cubes, k, m)
+    with pytest.raises(ValueError, match="jet data fitting needs the modulus"):
+        fit_field(jets, cubes, 0, 1)
 
 
 @pytest.mark.parametrize("op", [2, 6])
