@@ -20,6 +20,8 @@ import stat
 import sys
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from . import serialize as ser
 from .cubes import (
     cube_distance,
@@ -32,7 +34,7 @@ from .geodesic import d_lower, d_upper, interpolating_candidates
 from .jets import jet_distance
 from .selection import SUBSET_BUDGET, best_selection, counterexample_family, finiteness_experiment
 from .suites import DEFAULT_SEED, run_all
-from .whitney import check_conditions, fit_field, limit_jet, lo_seminorm, star_norm
+from .whitney import check_conditions, fit_field, limit_jet, lo_seminorm, pairwise_sweep, star_norm
 
 
 def _finite_float(text: str) -> float:
@@ -135,7 +137,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     field = fit_field(sample, cubes, k=k, m=m, mod=mod, interpolate_center=interp)
     mode = "center-interpolating best fit" if interp else "unconstrained best fit"
     report = check_conditions(sample, field, mod, fit_mode=mode)
-    lo = lo_seminorm(field, mod, report.pair_ratios)
+    lo = lo_seminorm(field, mod)
     sn = star_norm(field)
     limits = []
     if len(set(radii)) >= 3:  # cube_family drops a repeated radius
@@ -159,7 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # CSV projection: one row per ordered cube pair with its worst ratio
     rows = (
         (i, j, worst)
-        for i, row in enumerate(report.pair_ratios.tolist())
+        for i, row in enumerate(pairwise_sweep(field, mod)[0].tolist())
         for j, worst in enumerate(row)
         if i != j
     )
@@ -315,6 +317,7 @@ _COMMANDS = {
 }
 
 
+@np.errstate(all="ignore")  # no numpy warning on stderr; "raise" contexts inside still raise
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:

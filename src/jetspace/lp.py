@@ -255,16 +255,16 @@ def _excess(resid: np.ndarray) -> float:
 
 
 def _check_optimal(c, a, b, x, w) -> None:
-    """x primal feasible, w dual feasible and c.x = -b.w, each within
-    _CERT_TOL of the magnitude of the terms it is computed from (rows of a
-    are at most 1 in size).  Every test is written so that NaN fails it."""
+    """x primal feasible, w dual feasible and c.x = -b.w, each within _CERT_TOL
+    of the size of its terms (rows of a are at most 1; the gap's size is the
+    finite larger of |c|.|x| and |b|.|w|).  Every test is written so that NaN fails it."""
     if not _excess(a @ x - b) <= _CERT_TOL * max(1.0, _amax(x)):
         raise ArithmeticError("simplex lost primal feasibility")
     tol = _CERT_TOL * max(1.0, _amax(w), _amax(c))
     if not (float(np.min(w, initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
         raise ArithmeticError("simplex lost dual feasibility")
-    size = float(np.abs(c) @ np.abs(x) + np.abs(b) @ np.abs(w))
-    if not abs(float(c @ x + b @ w)) <= _CERT_TOL * max(1.0, size):
+    size = max(float(np.abs(c) @ np.abs(x)), float(np.abs(b) @ np.abs(w)))
+    if not abs(float(c @ x) + float(b @ w)) <= _CERT_TOL * max(1.0, size) < math.inf:
         raise ArithmeticError("simplex left a duality gap")
 
 

@@ -11,6 +11,9 @@ function; reports are labeled accordingly.
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -26,7 +29,7 @@ from .cubes import (
     weighted_cube_distance,
 )
 # gauge is unused here, but the benchmark tracer patches it by this name
-from .jets import Jet, _JetRows, gauge, scale  # noqa: F401
+from .jets import Jet, _JetRows, gauge  # noqa: F401
 from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import MultiIndex, Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
@@ -80,15 +83,13 @@ class PolyField:
             raise ValueError("need k >= 0 and m >= 1")
         ents = tuple(self.entries)
         object.__setattr__(self, "entries", ents)
-        seen = set()
         for cube, poly in ents:
             if cube.dim != self.n or poly.n != self.n:
                 raise ValueError("field entry dimension mismatch")
             if poly.degree != self.top_degree:
                 raise ValueError("field polynomials must carry the context degree bound")
-            if cube in seen:
-                raise ValueError("duplicate cube in field")
-            seen.add(cube)
+        if len({cube for cube, _ in ents}) != len(ents):
+            raise ValueError("duplicate cube in field")
 
     @property
     def top_degree(self) -> int:
@@ -168,19 +169,11 @@ def seminorm_estimate(
     highs = np.array([hi for _, hi in box], dtype=float)
     sizes = highs - lows
 
-    corners = (
-        [tuple(pt) for pt in _corner_points(lows, highs)] if n <= 12 else []
-    )
-    xs = corners + [
-        tuple(lows + rng.uniform(size=n) * sizes) for _ in range(n_x)
-    ]
-    h_corners = (
-        [tuple(pt) for pt in _corner_points(-sizes, sizes)] if n <= 12 else []
-    )
-    hs = [h for h in h_corners if any(c != 0.0 for c in h)]
-    hs += [
-        tuple(rng.uniform(-1.0, 1.0, size=n) * sizes) for _ in range(n_h)
-    ]
+    corners = n <= 12  # 2^n of them
+    xs = list(itertools.product(*zip(lows, highs))) if corners else []
+    xs += [tuple(lows + rng.uniform(size=n) * sizes) for _ in range(n_x)]
+    hs = list(itertools.product(*zip(-sizes, sizes))) if corners else []
+    hs += [tuple(rng.uniform(-1.0, 1.0, size=n) * sizes) for _ in range(n_h)]
     hs = [h for h in hs if any(c != 0.0 for c in h)]
 
     sup_term = 0.0
@@ -205,14 +198,6 @@ def seminorm_estimate(
                 worst = max(worst, abs(diff) / wh)
         diff_term += worst
     return SeminormEstimate(sup_term=sup_term, diff_term=diff_term)
-
-
-def _corner_points(lows: np.ndarray, highs: np.ndarray):
-    n = lows.size
-    for mask in range(2**n):
-        yield np.array(
-            [highs[i] if (mask >> i) & 1 else lows[i] for i in range(n)]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +367,8 @@ def fit_field(
         raise ValueError("need k >= 0 and m >= 1")
     if sample.values is None and mod is None:
         raise ValueError("jet data fitting needs the modulus")
+    if len(set(cubes)) != len(cubes):
+        raise ValueError("duplicate cube in field")
     degree = k + m - 1
     entries = []
     for cube, idx in zip(cubes, _captured(sample, cubes)):
@@ -395,6 +382,20 @@ def fit_field(
 
 # ---------------------------------------------------------------------------
 # condition sweeps
+
+
+def _once_per_field(fn):
+    """``fn(field, *args)`` once per field and equal ``args``, kept in the field's ``__dict__``:
+    eq, repr and ``asdict`` skip it, a frozen field cannot outdate it, a raise keeps nothing."""
+
+    @functools.wraps(fn)
+    def once(field: PolyField, *args):
+        kept, key = field.__dict__.setdefault("_kept", {}), (fn.__name__, *args)
+        if key not in kept:
+            kept[key] = fn(field, *args)
+        return kept[key]
+
+    return once
 
 
 def pair_gauges(
@@ -418,33 +419,40 @@ def pair_gauges(
     return out
 
 
+@_once_per_field
+def _rows(field: PolyField) -> _JetRows:
+    """The field's jets as ``_JetRows``, at their cube centers."""
+    return _JetRows(field.jets())
+
+
+@_once_per_field
 def pairwise_sweep(field: PolyField, mod: Modulus) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered cube pair's worst derivative discrepancy at the first
-    center divided by its gauge, in one sweep.
+    center divided by its gauge: one sweep per field and modulus, read-only.
 
     Returns (ratio, order): ratio[i, j] is the maximum over orders alpha of
     |D^alpha(P_i - P_j)(x_i)| / gauge(t, v), and order[i, j] the position in
     ``multi_indices(n, top)`` of the first order reaching it; the diagonal is
     zero.  The discrepancies are ``jets._JetRows`` rows at x_i, the gauges
     ``pair_gauges``.  A zero gauge (it can underflow for tiny, close cubes)
-    raises FloatingPointError.
+    or an overflowing ratio raises FloatingPointError.
     """
     if mod.m != field.m:
         raise ValueError("modulus order does not match the field context")
-    jets = field.jets()
-    rows = _JetRows(jets)
+    rows = _rows(field)
     top = field.top_degree
     # the infinite diagonal gauge gives a cube's zero self-discrepancy ratio 0
-    gauges = pair_gauges(mod, top, multi_indices(field.n, top), [jet.cube for jet in jets])
-    size = len(jets)
+    gauges = pair_gauges(mod, top, multi_indices(field.n, top), [q for q, _ in field.entries])
+    size = len(field.entries)
     ratio = np.zeros((size, size))
     order = np.zeros((size, size), dtype=int)
     everyone = np.arange(size)
-    with np.errstate(divide="raise", invalid="raise"):
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
         for i in range(size):
             ratios = rows.discrepancies(i, everyone) / gauges[i]
             order[i] = ratios.argmax(axis=1)
             ratio[i] = ratios[everyone, order[i]]
+    ratio.flags.writeable = order.flags.writeable = False
     return ratio, order
 
 
@@ -461,8 +469,7 @@ class ConditionStat:
 class CheckReport:
     """Aggregated trace-condition report; lambda_hat is the smallest
     multiplier making every checked inequality hold (max of the family
-    maxima).  ``pair_ratios`` holds the worst ratio of every ordered cube
-    pair (see ``pairwise_sweep``)."""
+    maxima)."""
 
     lambda_hat: float
     pointwise: ConditionStat
@@ -470,27 +477,25 @@ class CheckReport:
     interpolation: tuple[tuple[Cube, float], ...] | None
     fit_mode: str | None
     notes: tuple[str, ...]
-    pair_ratios: np.ndarray
 
 
-def _pointwise_bound(field: PolyField) -> tuple[float, dict | None, bool]:
+@_once_per_field
+def _pointwise_bound(field: PolyField) -> tuple[float, dict | None]:
     """Worst center derivative scaled by the radius power it may legally grow
-    with, over cubes of radius <= 1; its witness; whether any cube
-    qualified."""
+    with, over cubes of radius <= 1, and its witness.  Computed once per
+    field, so callers copy the witness."""
     worst = 0.0
     witness = None
-    any_small = False
     for idx, (cube, poly) in enumerate(field.entries):
         if cube.radius > 1.0:
             continue
-        any_small = True
         for gamma in multi_indices(field.n, field.top_degree):
             e = max(0, mi_order(gamma) - field.k)
             ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
             if ratio > worst:
                 worst = ratio
                 witness = {"cube_index": idx, "order": gamma, "ratio": ratio}
-    return worst, witness, any_small
+    return worst, witness
 
 
 def check_conditions(
@@ -509,11 +514,10 @@ def check_conditions(
       discrepancy at the first center divided by its gauge;
     * interpolation residuals |P_Q(x_Q) - f(x_Q)| when scalar data is given.
 
-    The gauge of distinct cubes is positive in exact arithmetic, but it can
-    underflow to 0.0 for tiny, close cubes; ``pairwise_sweep`` then raises
-    FloatingPointError rather than report an indeterminate ratio.
+    A gauge can underflow to 0.0 for tiny, close cubes, and a ratio can
+    overflow; ``pairwise_sweep`` then raises FloatingPointError.
     """
-    worst_pt, wit_pt, _ = _pointwise_bound(field)
+    worst_pt, wit_pt = _pointwise_bound(field)
     pair_ratios, pair_orders = pairwise_sweep(field, mod)
     worst_pair = float(pair_ratios.max(initial=0.0))
     wit_pair = None
@@ -536,12 +540,11 @@ def check_conditions(
     )
     return CheckReport(
         lambda_hat=max(worst_pt, worst_pair),
-        pointwise=ConditionStat("pointwise_bounds", worst_pt, wit_pt),
+        pointwise=ConditionStat("pointwise_bounds", worst_pt, wit_pt and dict(wit_pt)),
         pairwise=ConditionStat("pairwise_growth", worst_pair, wit_pair),
         interpolation=interpolation,
         fit_mode=fit_mode,
         notes=notes,
-        pair_ratios=pair_ratios,
     )
 
 
@@ -556,8 +559,10 @@ def lipschitz_forms(field: PolyField, mod: Modulus, lam: float) -> tuple[bool, b
     if lam <= 0:
         raise ValueError("scale must be positive")
     ratio_ok = bool(pairwise_sweep(field, mod)[0].max(initial=0.0) <= lam)
-    jets = field.jets()
-    scaled = _JetRows([scale(1.0 / lam, jet) for jet in jets])
+    # the 1/lam-scaled jets' rows, as ``jets.scale`` rounds them, on the same distinct cubes
+    scaled = copy.copy(_rows(field))
+    coef, jets = scaled.coef, scaled.jets
+    scaled.coef = np.multiply(coef, 1.0 / lam, out=np.zeros_like(coef), where=coef != 0.0)
     # stops at the first violation; a NaN distance fails no comparison
     metric_ok = not any(
         scaled.distances(mod, i, [j])[0]
@@ -581,19 +586,11 @@ class LoSeminorm:
     upper: float
 
 
-def lo_seminorm(
-    field: PolyField, mod: Modulus, pair_ratios: np.ndarray | None = None
-) -> LoSeminorm:
+def lo_seminorm(field: PolyField, mod: Modulus) -> LoSeminorm:
     """Smallest multiplier whose reciprocal scaling makes the field
     1-Lipschitz in the quasi-distance sense: the maximum over cube pairs,
-    derivative orders and both centers of discrepancy / gauge.
-
-    ``pair_ratios``, when given, are the field's per-pair ratios from
-    ``pairwise_sweep`` (a ``CheckReport`` carries them), not swept again.
-    """
-    if pair_ratios is None:
-        pair_ratios = pairwise_sweep(field, mod)[0]
-    worst = float(pair_ratios.max(initial=0.0))
+    derivative orders and both centers of discrepancy / gauge."""
+    worst = float(pairwise_sweep(field, mod)[0].max(initial=0.0))
     return LoSeminorm(value=worst, lower=worst * math.exp(-field.n), upper=worst)
 
 
@@ -607,8 +604,8 @@ class StarNorm:
 
 
 def star_norm(field: PolyField) -> StarNorm:
-    value, _, any_small = _pointwise_bound(field)
-    return StarNorm(value=value, empty_sup=not any_small)
+    empty = all(cube.radius > 1.0 for cube, _ in field.entries)
+    return StarNorm(value=_pointwise_bound(field)[0], empty_sup=empty)
 
 
 def lo_norm_full(field: PolyField, mod: Modulus) -> float:

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jetspace
 from jetspace.cli import main
 from jetspace.cubes import pair_scales
 from jetspace.jets import jet_distance, zygmund_distance
@@ -457,6 +461,39 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
         error = _error(capsys)
         assert error["type"] == "OverflowError"
         assert error["message"] == f"fit basis of order 2 overflows on a cube of radius {radius!r}"
+
+
+def test_check_overflowing_pair_ratio_exits_3(tmp_path, capsys):
+    # two points 1e-320 apart: the pair ratio overflowed, and check printed
+    # "lambda_hat": Infinity with exit 0
+    payload = {
+        "n": 1, "k": 0, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1},
+        "points": [{"x": [0.0], "f": 0.0}, {"x": [1e-320], "f": 1.0}],
+        "radii": [1e-320],
+    }
+    code, text = _run(tmp_path, ["check", "--input", _write(tmp_path, "in.json", payload)])
+    assert code == 3 and not text
+    error = _error(capsys)
+    assert error == {"type": "FloatingPointError", "message": "overflow encountered in divide"}
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    # its own process, since pytest captures warnings: slopes of +-1e308
+    # overflow inside the fitting LP, which once printed five RuntimeWarning
+    # lines ahead of the JSON error object
+    point = lambda x, slope: {"x": [x], "jet": {"n": 1, "L": 1, "coef": {"[1]": slope}}}
+    payload = {
+        "n": 1, "k": 1, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1},
+        "points": [point(0.0, 1e308), point(1.0, -1e308)],
+        "radii": [0.5, 1.0, 2.0],
+    }
+    src = os.path.dirname(os.path.dirname(jetspace.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; from jetspace.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", script, "check", "--input", _write(tmp_path, "in.json", payload)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert list(json.loads(proc.stderr)) == ["error"]
 
 
 def test_metric_powerlog_wide_span_is_exact(tmp_path):

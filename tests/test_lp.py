@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -805,6 +806,27 @@ def _bound_and_pin():
     )
 
 
+def _scaled_bound():
+    """min 1e300 x subject to x >= -1.5e8: optimum at x = -1.5e8, where c.x
+    and b.w are -1.5e308 and 1.5e308."""
+    return LPProblem(
+        np.array([1e300]), np.array([[-1.0]]), np.array([1.5e8]), np.zeros((0, 1)), np.zeros(0)
+    )
+
+
+def test_huge_bounds_solve_without_warnings():
+    # |c|.|x| + |b|.|w| overflowed here, with a warning, and made the
+    # duality-gap tolerance infinite
+    problem = LPProblem(
+        np.array([1.0]), np.array([[-1.0], [1.0]]), np.array([-1e308, 1.5e308]),
+        np.zeros((0, 1)), np.zeros(0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = lp_solve(problem)
+    assert sol.status == "optimal" and sol.x.tolist() == [1e308]
+
+
 @pytest.mark.parametrize(
     "check, problem, status, corrupt, message",
     [
@@ -837,6 +859,10 @@ def _bound_and_pin():
          lambda a, b, w: (a * math.nan, b, w), "not a Farkas ray"),
         ("_check_primal_ray", _UNBOUNDED, "unbounded",
          lambda c, a, d: (c, a * math.nan, d), "not a primal ray"),
+        # a feasible x that is not optimal: the gap c.x + b.w overflows to
+        # inf, which an infinite tolerance once accepted
+        ("_check_optimal", _scaled_bound(), "optimal",
+         lambda c, a, b, x, w: (c, a, b, -x, w), "duality gap"),
     ],
 )
 def test_corrupted_certificate_raises(monkeypatch, check, problem, status, corrupt, message):

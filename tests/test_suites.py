@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from jetspace import suites
+from jetspace import suites, whitney
 from jetspace.cubes import uniform_norm
 from jetspace.modulus import Modulus
 from jetspace.numerics import within_slack
@@ -412,6 +412,20 @@ def test_lipschitz_forms_matches_own_books_oracle(seed):
     got = suites.suite_lipschitz_forms(seed, trials=300)
     assert got.passed and got.trials > 0
     assert got == _oracle_lipschitz_forms(seed, fields=30)
+
+
+def test_lipschitz_forms_sweeps_each_field_once(monkeypatch):
+    # the seminorm and the twelve form checks of a field read one sweep;
+    # each once swept again, 13 sweeps per field
+    sweeps, fields = [], []
+    pair_gauges, random_field = whitney.pair_gauges, suites._random_field
+    monkeypatch.setattr(whitney, "pair_gauges", lambda *a: sweeps.append(a) or pair_gauges(*a))
+    monkeypatch.setattr(
+        suites, "_random_field", lambda *a, **k: fields.append(a) or random_field(*a, **k)
+    )
+    got = suites.suite_lipschitz_forms(1, 100)
+    assert got.passed and got.trials > 0
+    assert len(fields) == 10 and len(sweeps) == 10
 
 
 def test_lipschitz_forms_counts_each_threshold_side(monkeypatch):

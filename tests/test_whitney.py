@@ -1,5 +1,6 @@
 """Trace machinery: differences, norms, fits, condition sweeps, limit jets."""
 
+import dataclasses
 import math
 import sys
 
@@ -540,6 +541,17 @@ def test_fit_field_checks_context_before_fitting(monkeypatch):
         fit_field(jets, cubes, 0, 1)
 
 
+def test_fit_field_rejects_duplicate_cubes_before_fitting(monkeypatch):
+    # the repeated cube was once found by PolyField, after every cube's fit
+    sample = SampleSet(1, [(0.0,), (1.0,)], values=[0, 1])
+    fits = []
+    monkeypatch.setattr(whitney, "local_fit", lambda *args, **kwargs: fits.append(args))
+    cube = Cube((0.0,), 1.5)
+    with pytest.raises(ValueError, match="duplicate cube in field"):
+        fit_field(sample, [cube, cube, cube], k=0, m=1)
+    assert fits == []
+
+
 @pytest.mark.parametrize("op", [2, 6])
 def test_check_sample_fits_match_primal_tableau(monkeypatch, op):
     # inputs of the check benchmark workload (op seeds 2 and 6 of workload
@@ -899,7 +911,6 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
         assert ratio.tobytes() == old_ratio.tobytes()
         assert order.tobytes() == old_order.tobytes()
         rep = check_conditions(None, field, mod)
-        assert rep.pair_ratios.tobytes() == ratio.tobytes()
         scale = max(ratio.max(), 1e-300)
 
         for i, j, worst in _oracle_csv_rows(field, mod):
@@ -923,6 +934,33 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
             got = (metric_ok, seen[:])  # the oracle's jet_distance calls record too
             assert ratio_ok == _oracle_ratio_form(field, mod, lam)
             assert got == _oracle_metric_form(field, mod, lam)
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-310, math.nan, 2.0])
+def test_metric_form_scales_sparse_jets_as_scale_does(lam, monkeypatch):
+    # the metric form scales the field's kept rows, not the jets: a zero
+    # coefficient must stay zero where 1/lam is inf or NaN, as ``scale``
+    # drops it, or the form reads 1/lam * 0 = NaN and passes
+    field = PolyField(
+        n=1, k=0, m=2,
+        entries=(
+            (Cube((0.0,), 1.0), Poly(1, 1, {(1,): 1.0})),
+            (Cube((1.0,), 0.5), Poly(1, 1, {(0,): 2.0})),
+            (Cube((3.0,), 2.0), Poly.zero(1, 1)),
+        ),
+    )
+    seen = []
+    row_distances = _JetRows.distances
+
+    def recorded(self, mod, i, js):
+        out = row_distances(self, mod, i, js)
+        seen.extend(d.hex() for d in out)
+        return out
+
+    monkeypatch.setattr(_JetRows, "distances", recorded)
+    metric_ok = lipschitz_forms(field, MOD, lam)[1]
+    got = (metric_ok, seen[:])
+    assert got == _oracle_metric_form(field, MOD, lam)
 
 
 def _oracle_pair_gauges(mod, top, orders, cubes):
@@ -986,6 +1024,104 @@ def test_underflowing_gauge_raises_rather_than_divides():
         pairwise_sweep(field, mod)
     with pytest.raises(FloatingPointError):
         check_conditions(None, field, mod)
+
+
+def test_overflowing_ratio_raises_rather_than_prints_inf():
+    # cubes of radius 1e-320 one radius apart: the gauge is a few subnormal
+    # ulps, so a unit discrepancy over it overflows to inf
+    field = PolyField(
+        n=1,
+        k=0,
+        m=1,
+        entries=(
+            (Cube((0.0,), 1e-320), Poly.zero(1, 0)),
+            (Cube((1e-320,), 1e-320), Poly(1, 0, {(0,): 1.0})),
+        ),
+    )
+    mod = Modulus.power(1.0, 1)
+    cubes = [q for q, _ in field.entries]
+    assert 0.0 < whitney.pair_gauges(mod, 0, multi_indices(1, 0), cubes)[0, 1, 0] < 1e-300
+    for _ in range(2):  # a sweep that raises keeps nothing, so it raises again
+        with pytest.raises(FloatingPointError, match="overflow"):
+            pairwise_sweep(field, mod)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        lo_seminorm(field, mod)
+
+
+# -- kept sweeps and pointwise bounds ------------------------------------------------------
+
+
+def _count_pair_gauges(monkeypatch):
+    calls = []
+    real = whitney.pair_gauges
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(whitney, "pair_gauges", counted)
+    return calls
+
+
+def test_pairwise_sweep_is_kept_per_field_and_modulus(monkeypatch):
+    calls = _count_pair_gauges(monkeypatch)
+    field = _random_field(np.random.default_rng(27), 1, 0, 2, 3)
+    ratio, order = pairwise_sweep(field, MOD)
+    again = pairwise_sweep(field, MOD)
+    assert again[0] is ratio and again[1] is order and len(calls) == 1
+    for kept in (ratio, order):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 1] = 0
+    # an equal modulus shares the sweep; another modulus sweeps again
+    equal = Modulus.power(1.0, 2)
+    assert equal == MOD and equal is not MOD
+    assert pairwise_sweep(field, equal)[0] is ratio and len(calls) == 1
+    other = pairwise_sweep(field, Modulus.power(0.5, 2))[0]
+    assert other is not ratio and len(calls) == 2
+    assert pairwise_sweep(field, Modulus.power(0.5, 2))[0] is other and len(calls) == 2
+    # a field that kept sweeps keeps its equality, repr and asdict
+    twin = PolyField(n=field.n, k=field.k, m=field.m, entries=field.entries)
+    assert twin == field and repr(twin) == repr(field)
+    assert dataclasses.asdict(twin) == dataclasses.asdict(field)
+
+
+def test_seminorm_and_bisection_on_the_forms_sweep_once(monkeypatch):
+    # the pattern of acceptance criterion 7: the seminorm, then a bisection
+    # on the metric form, each query also evaluating the ratio form
+    calls = _count_pair_gauges(monkeypatch)
+    field = _random_field(np.random.default_rng(28), 1, 0, 2, 3)
+    lam = lo_seminorm(field, MOD).value
+    lo_b, hi_b = lam / 16, lam * 16
+    for _ in range(80):
+        mid = 0.5 * (lo_b + hi_b)
+        if lipschitz_forms(field, MOD, mid)[1]:
+            hi_b = mid
+        else:
+            lo_b = mid
+    assert 0.5 * (lo_b + hi_b) == pytest.approx(lam, rel=1e-6)
+    check_conditions(None, field, MOD)
+    assert len(calls) == 1
+
+
+def test_star_norm_after_check_reads_the_kept_bound(monkeypatch):
+    field = _random_field(np.random.default_rng(29), 2, 1, 2, 4)
+    field = PolyField(
+        n=2, k=1, m=2, entries=tuple((Cube(q.center, 0.5 * q.radius), p) for q, p in field.entries)
+    )
+    rep = check_conditions(None, field, MOD)
+    evals = []
+    real = Poly.deriv_eval
+
+    def counted(self, *args):
+        evals.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Poly, "deriv_eval", counted)
+    res = star_norm(field)
+    assert res.value == rep.pointwise.lambda_hat > 0.0 and not res.empty_sup
+    assert lo_norm_full(field, MOD) == res.value + rep.pairwise.lambda_hat
+    assert evals == []
 
 
 # -- star norm -----------------------------------------------------------------------------
