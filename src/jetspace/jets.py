@@ -8,8 +8,8 @@ modulus.  Three independent computation routes are provided:
 * ``jet_distance`` -- find the discrepancy scale of the orders below the
   top (the largest admissible spatial scale), integrate the modulus kernel
   up to it, and take the top-order discrepancy as a distance;
-* ``jet_distance_componentwise`` -- integrate each discrepancy component
-  separately and take the maximum;
+* ``jet_distance_componentwise`` -- integrate the gauge-inverse of each
+  order's discrepancy separately and take the maximum;
 * ``jet_distance_via_value_gauge`` -- solve directly for the distance value
   from the derivative discrepancy (pointwise variant only).
 
@@ -18,16 +18,16 @@ free derivative orders) and ``sobolev_distance`` (w(t) = t, order 1) specialize
 them.  ``jet_distance``, ``jet_gap``, ``geodesic.d_upper``, the
 ``geodesic`` chain sums, ``whitney.pairwise_sweep`` and the metric form of
 ``whitney.lipschitz_forms`` take the derivative discrepancies as array rows
-(``_JetRows``); the other routes take them through ``Poly.deriv_eval``
-(``_discrepancies``), so that a cross-check compares two independent
-computations.
+(``_JetRows``); the other four routes share one scaffold over each order's
+peak discrepancy through ``Poly.deriv_eval`` (``_reference_distance``), so
+that a cross-check compares two independent computations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -163,18 +163,19 @@ def _context(jets: Sequence[Jet], at: Sequence[float] | None) -> tuple[int, int,
     return n, top, [tuple(float(c) for c in at)]
 
 
-def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> tuple[int, list]:
-    """The shared degree bound and, alpha-major over all multi-indices alpha
-    and evaluation points y (``at`` alone, else both cube centers), the pairs
-    (|alpha|, |D^alpha(P1 - P2)(y)|), through ``Poly.deriv_eval``: the
-    verification routes' discrepancies."""
+def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> list[float]:
+    """The largest |D^alpha(P1 - P2)(y)| of each order |alpha| = 0..top over
+    the evaluation points y (``at`` alone, else both cube centers), through
+    ``Poly.deriv_eval`` and a running Python max, which skips NaN: the
+    reference routes' per-order peaks, the shape of ``_JetRows.peaks``."""
     n, top, points = _context((t1, t2), at)
     diff = t1.poly - t2.poly
-    return top, [
-        (mi_order(alpha), abs(diff.deriv_eval(alpha, y)))
-        for alpha in multi_indices(n, top)
-        for y in points
-    ]
+    peak = [0.0] * (top + 1)
+    for alpha in multi_indices(n, top):
+        a = mi_order(alpha)
+        for y in points:
+            peak[a] = max(peak[a], abs(diff.deriv_eval(alpha, y)))
+    return peak
 
 
 @lru_cache(maxsize=None)
@@ -319,21 +320,31 @@ def jet_distance(
     return out
 
 
+def _reference_distance(t1: Jet, t2: Jet, at: Sequence[float] | None, cube_term, term) -> float:
+    """The reference routes: 0 for equal jets, else the maximum of
+    ``cube_term(v, span, reach)`` and ``term(top, a, u, v)`` over the orders a
+    whose peak discrepancy u (``_discrepancies``) is positive."""
+    if t1 == t2:
+        return 0.0
+    peak = _discrepancies(t1, t2, at)
+    top = len(peak) - 1
+    v, span, reach = pair_scales(t1.cube, t2.cube)
+    best = cube_term(v, span, reach)
+    for a, u in enumerate(peak):
+        if u > 0.0:
+            best = max(best, term(top, a, u, v))
+    return best
+
+
 def jet_distance_componentwise(
     mod: Modulus, t1: Jet, t2: Jet, at: Sequence[float] | None = None
 ) -> float:
-    """Same distance, computed component by component: the maximum of the
-    cube term, the raw top-order discrepancies, and the integrated
-    gauge-inverses of the lower-order discrepancies."""
-    if t1 == t2:
-        return 0.0
-    top, disc = _discrepancies(t1, t2, at)
-    v, span, reach = pair_scales(t1.cube, t2.cube)
-    best = reach_integral(mod, v, span, reach)
-    for a, u in disc:
-        if u > 0.0:
-            best = max(best, gauge_integral(mod, top, a, u, v))
-    return best
+    """Same distance, computed order by order: the maximum of the cube term,
+    the top order's peak discrepancy (capped at the tail mass), and the
+    integrated gauge-inverses of the lower orders' peaks."""
+    return _reference_distance(
+        t1, t2, at, partial(reach_integral, mod), partial(gauge_integral, mod)
+    )
 
 
 def jet_distance_via_value_gauge(
@@ -342,15 +353,9 @@ def jet_distance_via_value_gauge(
     """Pointwise jet distance computed through the value gauge: the maximum of
     the cube term and, per derivative order, the directly solved distance
     contribution of the discrepancy at y."""
-    if t1 == t2:
-        return 0.0
-    top, disc = _discrepancies(t1, t2, y)
-    v, span, reach = pair_scales(t1.cube, t2.cube)
-    best = reach_integral(mod, v, span, reach)
-    for a, u in disc:
-        if u > 0.0:
-            best = max(best, value_gauge(mod, top, a, u, v))
-    return best
+    return _reference_distance(
+        t1, t2, y, partial(reach_integral, mod), partial(value_gauge, mod)
+    )
 
 
 def _zygmund_gauge_inverse(u: float, j: int) -> float:
@@ -374,17 +379,13 @@ def zygmund_distance(t1: Jet, t2: Jet, m: int) -> float:
     discrepancies at both centers."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    top, disc = _discrepancies(t1, t2, None)
-    if top != m - 1:
+    if _context((t1, t2), None)[1] != m - 1:
         raise ValueError("degree bound must equal m - 1")
-    if t1 == t2:
-        return 0.0
-    v, span, _ = pair_scales(t1.cube, t2.cube)
-    best = math.log1p(span / v)
-    for a, u in disc:
-        if u > 0.0:
-            best = max(best, _zygmund_gauge_inverse(u / v ** (m - 1 - a), m - 1 - a))
-    return best
+    return _reference_distance(
+        t1, t2, None,
+        lambda v, span, reach: math.log1p(span / v),
+        lambda top, a, u, v: _zygmund_gauge_inverse(u / v ** (top - a), top - a),
+    )
 
 
 def sobolev_distance(t1: Jet, t2: Jet, k: int) -> float:
@@ -393,15 +394,8 @@ def sobolev_distance(t1: Jet, t2: Jet, k: int) -> float:
     discrepancies raised to 1/(k + 1 - |alpha|)."""
     if k < 0:
         raise ValueError("degree bound must be non-negative")
-    top, disc = _discrepancies(t1, t2, None)
-    if top != k:
+    if _context((t1, t2), None)[1] != k:
         raise ValueError("degree bound mismatch")
-    if t1 == t2:
-        return 0.0
-    _, best, _ = pair_scales(t1.cube, t2.cube)
-    for a, u in disc:
-        if u > 0.0:
-            best = max(best, u ** (1.0 / (k + 1 - a)))
-    return best
-
-
+    return _reference_distance(
+        t1, t2, None, lambda v, span, reach: span, lambda top, a, u, v: u ** (1.0 / (top + 1 - a))
+    )

@@ -360,8 +360,8 @@ def _power_mass(a: float, c: float, x: float, end: float) -> float:
     """Integral of s^(a-1) over [c, end], given x = ln(end / c): as
     c^a expm1(a x) / a while |a x| <= 1/2, else as (end^a - c^a) / a, which
     then cannot cancel.  end = 0 (x = -inf) integrates down to 0: -c^a / a,
-    or -inf where that diverges."""
-    if a == 0.0:
+    or -inf where that diverges; x = 0 gives 0, also where c^a overflows."""
+    if a == 0.0 or x == 0.0:
         return x
     if abs(a * x) <= 0.5:
         return c**a * math.expm1(a * x) / a
@@ -373,7 +373,9 @@ def _power_mass(a: float, c: float, x: float, end: float) -> float:
 def _log_mass(a: float, c: float, x: float, end: float) -> float:
     """Integral of s^(a-1) ln(1+s) over [c, end] inside one of (0, 1/2],
     [1/2, 1], [1, 2] and [2, inf), given x = ln(end / c); end = 0 (x = -inf)
-    integrates down to 0."""
+    integrates down to 0, and an empty step (x = 0) to 0."""
+    if x == 0.0:
+        return x
     if abs(x) <= _LN2:  # s = c e^(x u), u in [0, 1]
         return x * c**a * sum(
             w * math.exp(a * x * u) * math.log1p(c * math.exp(x * u)) for u, w in _GL
@@ -404,7 +406,7 @@ def _power_masses(a, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarra
     """``_power_mass`` over arrays with end > 0; a may be an array too."""
     ax, ca = a * x, c**a
     out = np.where(np.abs(ax) <= 0.5, ca * np.expm1(ax) / a, (end**a - ca) / a)
-    return np.where(a == 0.0, x, out)
+    return np.where((a == 0.0) | (x == 0.0), x, out)
 
 
 def _log_masses(a: float, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -414,7 +416,7 @@ def _log_masses(a: float, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.n
     gl = np.abs(x) <= _LN2
     xg, cg = x[gl], c[gl]
     quad = np.exp(a * xg[:, None] * _GL_U) * np.log1p(cg[:, None] * np.exp(xg[:, None] * _GL_U))
-    out[gl] = xg * cg**a * (quad @ _GL_W)
+    out[gl] = np.where(xg == 0.0, xg, xg * cg**a * (quad @ _GL_W))
     c, x, end = c[~gl], x[~gl], end[~gl]
     ca, low, z = c**a, c < 1.0, a * x if a else np.zeros_like(x)
     near = ca * x * x * (np.exp(z[:, None] * _GL_U) @ (_GL_W * _GL_U))

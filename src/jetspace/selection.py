@@ -228,13 +228,15 @@ def _selection_lp(inst: SelectionInstance, lam: float | None) -> tuple[LPProblem
 
 def _extract_polys(
     inst: SelectionInstance, sol_x: np.ndarray, starts: list[int]
-) -> tuple[Poly, ...]:
+) -> tuple[tuple[Poly, ...], bool]:
+    """The node polynomials, and whether a node column is at its COEF_BOX bound."""
     degree = inst.top_degree
     alphas = multi_indices(inst.n, degree)
-    return tuple(
+    polys = tuple(
         Poly(inst.n, degree, dict(zip(alphas, sol_x[start : start + len(alphas)].tolist())))
         for start in starts
     )
+    return polys, bool(np.max(np.abs(sol_x[starts[0] :])) >= COEF_BOX * (1 - 1e-6))
 
 
 def best_selection(inst: SelectionInstance) -> SelectionResult:
@@ -250,8 +252,7 @@ def best_selection(inst: SelectionInstance) -> SelectionResult:
     sol = lp_solve(problem)
     if sol.status != "optimal":
         return SelectionResult(polys=(), lam=math.nan, status=sol.status, box_active=False)
-    polys = _extract_polys(inst, sol.x, starts)
-    box_active = bool(np.max(np.abs(sol.x[1:])) >= COEF_BOX * (1 - 1e-6))
+    polys, box_active = _extract_polys(inst, sol.x, starts)
     return SelectionResult(
         polys=polys, lam=float(sol.x[0]), status="optimal", box_active=box_active
     )
@@ -261,13 +262,13 @@ def relaxed_feasible(inst: SelectionInstance, lam: float) -> SelectionResult:
     """Feasibility query at a fixed scale: is there one polynomial per node
     within the lam-relaxed set membership whose field satisfies the pairwise
     seminorm bound lam?  Raises ValueError unless lam is finite and
-    non-negative."""
+    non-negative.  An active coefficient box is flagged in the result."""
     problem, starts = _selection_lp(inst, lam)
     sol = lp_solve(problem)
     if sol.status != "optimal":
         return SelectionResult(polys=(), lam=lam, status=sol.status, box_active=False)
-    polys = _extract_polys(inst, sol.x, starts)
-    return SelectionResult(polys=polys, lam=lam, status="optimal", box_active=False)
+    polys, box_active = _extract_polys(inst, sol.x, starts)
+    return SelectionResult(polys=polys, lam=lam, status="optimal", box_active=box_active)
 
 
 def selection_field(inst: SelectionInstance, polys: Sequence[Poly]) -> PolyField:

@@ -8,7 +8,6 @@ reports.  Multi-index keys serialize as JSON arrays of exponents
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import io
 import json
@@ -82,8 +81,6 @@ def _write(obj: Any, out: io.StringIO, level: int) -> None:
         out.write(str(obj))
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
-    elif dataclasses.is_dataclass(obj):
-        _write(dataclasses.asdict(obj), out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -404,6 +404,10 @@ def suite_derivative_chain(
         )
         end_to_end = polys[0] - polys[-1]
         links = [(polys[i] - polys[i + 1], xs[i]) for i in range(length)]
+        acc = {  # the links' |D^gamma| summed along the chain, once per gamma
+            gamma: sum(abs(diff.deriv_eval(gamma, x)) for diff, x in links)
+            for gamma in multi_indices(n, degree)
+        }
         ok_all = True
         slack_min = math.inf
         for alpha in multi_indices(n, degree):
@@ -411,8 +415,7 @@ def suite_derivative_chain(
             rhs = 0.0
             for beta in multi_indices(n, degree - mi_order(alpha)):
                 gamma = tuple(a + b for a, b in zip(alpha, beta))
-                acc = sum(abs(diff.deriv_eval(gamma, x)) for diff, x in links)
-                rhs = max(rhs, acc * step_sum ** mi_order(beta))
+                rhs = max(rhs, acc[gamma] * step_sum ** mi_order(beta))
             rhs *= math.exp(n)
             slack_min = min(slack_min, rhs - lhs)
             if not within_slack(lhs, rhs, slack):

@@ -96,6 +96,22 @@ def test_metric_worked_jet_pair(tmp_path):
     assert data["geodesic_lower"] <= data["geodesic_upper"] <= data["jet_distance"]
 
 
+def test_metric_exits_3_when_the_jet_distance_routes_disagree(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("jetspace.jets.jet_distance_componentwise", lambda *a, **kw: 2.0)
+    path = _write(tmp_path, "in.json", {"omega": MOD_D, "jets": [JET1, JET0]})
+    assert _run(tmp_path, ["metric", "--input", path]) == (3, None)
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "AssertionError"
+
+
+@pytest.mark.parametrize(
+    "key, items", [("jets", [JET1]), ("cubes", [{"x": [0.0], "r": 1.0}] * 3)]
+)
+def test_metric_needs_exactly_two_jets_or_cubes(tmp_path, capsys, key, items):
+    path = _write(tmp_path, "in.json", {"omega": MOD_D, key: items})
+    assert _run(tmp_path, ["metric", "--input", path]) == (2, None)
+    assert "exactly two" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_metric_same_poly_jets_collapse(tmp_path):
     jet_a = {"poly": {"n": 1, "L": 1, "coef": {"[1]": 2.0}}, "cube": {"x": [0.0], "r": 1.0}}
     jet_b = {"poly": {"n": 1, "L": 1, "coef": {"[1]": 2.0}}, "cube": {"x": [1.5], "r": 0.5}}

@@ -215,6 +215,8 @@ def test_dyadic_radii():
     pts = [(0.0,), (4.0,)]
     assert dyadic_radii(pts, 2) == [4.0, 2.0, 1.0]
     assert dyadic_radii([(7.0,)], 1) == [1.0, 0.5]
+    with pytest.raises(ValueError, match="levels must be non-negative"):
+        dyadic_radii(pts, -1)
 
 
 def _pairwise_diameter(points):

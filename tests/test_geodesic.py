@@ -352,6 +352,26 @@ def test_interval_chain_equal_scales():
     assert res.ok
 
 
+def test_chain_inequality_argument_checks():
+    for b, a, c, message in (
+        ([1.0], [], [], r"need l\+1 scales"),
+        ([1.0, 1.0], [0.0], [], r"need l\+1 scales"),
+        ([1.0, 0.0], [0.0], [0.0], "scales must be positive"),
+        ([1.0, 1.0], [-1.0], [0.0], "steps must be non-negative"),
+        ([1.0, 1.0], [0.0], [-1.0], "steps must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            interval_chain_inequality(MOD, b, a, c)
+    for b, u, message in (
+        ([1.0], [], r"need l\+1 scales"),
+        ([1.0, 1.0], [0.0, 0.0], r"need l\+1 scales"),
+        ([1.0, -1.0], [0.0], "scales must be positive"),
+        ([1.0, 1.0], [-1.0], "discrepancies must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            gauge_chain_inequality(MOD, 1, 0, b, u)
+
+
 def test_interval_chain_random():
     rng = np.random.default_rng(14)
     for _ in range(500):

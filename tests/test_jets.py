@@ -179,16 +179,6 @@ def test_jet_gap_inverts_each_order_once():
     assert compared >= 90
 
 
-def _poly_route_peaks(t1, t2, at=None):
-    """The largest discrepancy of each order through ``Poly.deriv_eval``, as
-    a running Python max (which skips NaN)."""
-    top, disc = _discrepancies(t1, t2, at)
-    peak = [0.0] * (top + 1)
-    for a, u in disc:
-        peak[a] = max(peak[a], u)
-    return peak
-
-
 def test_array_discrepancies_match_the_poly_route():
     rng = np.random.default_rng(23)
     for n in (1, 2, 3):
@@ -197,7 +187,7 @@ def test_array_discrepancies_match_the_poly_route():
                 t1, t2 = _random_jet(rng, n, degree), _random_jet(rng, n, degree)
                 at = None if trial < 2 else tuple(rng.uniform(-1, 1, n).tolist())
                 assert _JetRows([t1, t2], at).peaks(0, [1])[0] == pytest.approx(
-                    _poly_route_peaks(t1, t2, at), rel=1e-12, abs=1e-12
+                    _discrepancies(t1, t2, at), rel=1e-12, abs=1e-12
                 )
 
 
@@ -207,7 +197,7 @@ def test_array_discrepancies_of_an_infinite_difference():
     betas = multi_indices(2, 2)
     t1 = Jet(Poly(2, 2, {a: 1.7e308 for a in betas}), Cube((0.25, -0.24), 0.94))
     t2 = Jet(Poly(2, 2, {a: -1.7e308 for a in betas}), Cube((0.99, -0.07), 0.74))
-    assert _JetRows([t1, t2]).peaks(0, [1])[0] == _poly_route_peaks(t1, t2)
+    assert _JetRows([t1, t2]).peaks(0, [1])[0] == _discrepancies(t1, t2, None)
     mod = Modulus.power(1.5, 2)
     assert jet_distance(mod, t1, t2) == jet_distance_componentwise(mod, t1, t2) == math.inf
 
@@ -371,6 +361,29 @@ def test_degree_mismatch_errors():
         zygmund_distance(t1, t2, 3)
     with pytest.raises(ValueError):
         sobolev_distance(t1, t2, 2)
+    # the reference routes check their arguments in this order
+    t0 = Jet(Poly.zero(1, 0), Cube((1.0,), 1.0))
+    for route, bad, good in ((zygmund_distance, 0, 2), (sobolev_distance, -1, 1)):
+        with pytest.raises(ValueError, match="must be"):
+            route(t1, t0, bad)  # the order or degree check comes first
+        with pytest.raises(ValueError, match="jet degree bounds differ"):
+            route(t1, t0, good)
+        with pytest.raises(ValueError, match="degree bound"):
+            route(t1, t1, good + 1)  # also for equal jets
+        assert route(t1, t1, good) == 0.0
+    with pytest.raises(ValueError, match="jet degree bounds differ"):
+        jet_distance_componentwise(MOD_LIN_2, t1, t0)
+    with pytest.raises(ValueError, match="evaluation point dimension mismatch"):
+        jet_distance_via_value_gauge(MOD_LIN_2, t1, t2, (0.0, 0.0))
+    assert jet_distance_componentwise(MOD_LIN_2, t1, t1, at=(0.0, 0.0)) == 0.0
+
+
+def test_cross_check_raises_when_the_routes_disagree(monkeypatch):
+    t1, t2 = _unit_jets()
+    monkeypatch.setattr("jetspace.jets.jet_distance_componentwise", lambda *a, **kw: 2.0)
+    assert jet_distance(MOD_LIN_2, t1, t2) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        jet_distance(MOD_LIN_2, t1, t2, cross_check=True)
 
 
 # -- integrable-tail cap --------------------------------------------------------

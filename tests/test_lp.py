@@ -58,6 +58,13 @@ def test_unconstrained_cases():
     assert sol.status == "unbounded"
 
 
+def test_problem_shape_check():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LPProblem(np.zeros(2), np.zeros((1, 2)), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LPProblem(np.zeros(2), np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(0))
+
+
 def test_degenerate_redundant_rows():
     b = LPBuilder()
     x = b.var("x")

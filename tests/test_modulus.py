@@ -269,6 +269,18 @@ def test_core_integral_inverse_beyond_mass_is_inf():
     assert math.isinf(mod.core_integral_inverse(mod.tail_mass(v) * 1.5, v))
 
 
+def test_tail_mass_and_core_inverse_argument_checks():
+    mod = Modulus.power(0.2, 2)
+    for v in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lower bound must be positive"):
+            mod.tail_mass(v)
+        with pytest.raises(ValueError, match="base point must be positive"):
+            mod.core_integral_inverse(1.0, v)
+    assert mod.core_integral_inverse(0.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match="target must be non-negative"):
+        mod.core_integral_inverse(-1.0, 1.0)
+
+
 def test_core_integral_inverse_beyond_float_range_is_inf():
     # p = q - m + 1 == 0: v * expm1(w) overflows past w = 709.78
     assert Modulus.power(1.0, 2).core_integral_inverse(800.0, 1.0) == math.inf
@@ -519,4 +531,8 @@ def test_core_integrals_match_the_scalar_route():
             with pytest.raises((ValueError, OverflowError)):
                 mod.core_integrals(v, t)
         compared += v.size
+        # an empty step integrates to 0, also where v^(k+1) overflows
+        v = np.minimum([1e-300, 1.0, 1e200, 1e300], mod.domain_max)
+        want = [_scalar_or_error(mod, a, 0.0) for a in v.tolist()]
+        assert mod.core_integrals(v, 0.0 * v).tolist() == want == [0.0] * 4, mod
     assert compared >= 10_000

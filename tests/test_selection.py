@@ -795,3 +795,58 @@ def test_degenerate_stalls_match_highs(monkeypatch, lift, branch):
         assert res.lam == pytest.approx(fun, rel=1e-9)
         taken += getattr(sol, branch)
     assert taken > 0
+
+
+# -- coefficient box ----------------------------------------------------------------------
+
+
+def _unbounded_instance():
+    """Three constant lines base + span(1): nothing but the box bounds the
+    coefficients, and the LP optimum sits on it."""
+    bases = (0.2739233746429086, -0.4604265724722594, -0.9180529521276106)
+    line = (Poly(1, 0, {(0,): 1.0}),)
+    nodes = tuple(
+        (ConvexSetSpec(base=Poly(1, 0, {(0,): b}), directions=line), Cube((float(i),), 0.5))
+        for i, b in enumerate(bases)
+    )
+    return SelectionInstance(n=1, k=0, m=1, modulus=Modulus.power(1.0, 1), nodes=nodes)
+
+
+def test_best_selection_flags_an_active_box():
+    assert best_selection(_unbounded_instance()).box_active
+    assert not best_selection(_singleton_instance()).box_active
+
+
+def test_relaxed_feasible_flags_an_active_box():
+    res = relaxed_feasible(_unbounded_instance(), 0.1)
+    assert res.status == "optimal" and res.box_active
+    assert max(abs(c) for p in res.polys for c in p.coef.values()) > 0.99 * selection.COEF_BOX
+    assert not relaxed_feasible(_singleton_instance(), 10.0).box_active
+
+
+def test_finiteness_when_every_subset_optimum_is_zero():
+    same = singleton(1, 0, {(0,): 0.5})
+    nodes = tuple((same, Cube((float(x),), 1.0)) for x in range(3))
+    rep = finiteness_experiment(SelectionInstance(n=1, k=0, m=1, modulus=MOD1, nodes=nodes))
+    assert rep.lam_full == rep.max_subset_lam == 0.0
+    assert rep.gamma_hat == 1.0
+
+
+def test_instance_and_set_dimension_and_degree_checks():
+    cube = Cube((0.0,), 1.0)
+    with pytest.raises(ValueError, match="node dimension mismatch"):
+        SelectionInstance(n=2, k=0, m=1, modulus=MOD1, nodes=((singleton(1, 0, {}), cube),))
+    with pytest.raises(ValueError, match="node dimension mismatch"):
+        SelectionInstance(n=1, k=0, m=1, modulus=MOD1, nodes=((singleton(2, 0, {}), cube),))
+    with pytest.raises(ValueError, match="exceed the context degree bound"):
+        SelectionInstance(n=1, k=0, m=1, modulus=MOD1, nodes=((singleton(1, 1, {}), cube),))
+    with pytest.raises(ValueError, match="modulus order does not match"):
+        SelectionInstance(n=1, k=0, m=2, modulus=MOD1, nodes=((singleton(1, 1, {}), cube),))
+    with pytest.raises(ValueError, match="direction dimension mismatch"):
+        ConvexSetSpec(base=Poly.zero(1, 0), directions=(Poly(2, 0, {(0, 0): 1.0}),))
+    with pytest.raises(ValueError, match="row length"):
+        ConvexSetSpec(
+            base=Poly.zero(1, 0),
+            directions=(Poly(1, 0, {(0,): 1.0}),),
+            inequalities=(((1.0, 0.0), 1.0),),
+        )

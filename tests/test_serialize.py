@@ -85,6 +85,15 @@ def test_sample_set_round_trip_jets():
     assert back == sample
 
 
+def test_sample_set_rejects_mixed_scalar_and_jet_data():
+    d = ser.sample_set_to_dict(
+        SampleSet(n=1, points=((0.0,), (1.0,)), values=(0.5, -2.0)), Modulus.power(1, 1), 0, 1
+    )
+    d["points"][1] = {"x": [1.0], "jet": ser.poly_to_dict(Poly.zero(1, 0))}
+    with pytest.raises(ValueError, match="mixing scalar and jet sample data"):
+        ser.sample_set_from_dict(d)
+
+
 def test_selection_instance_round_trip():
     spec = ConvexSetSpec(
         base=Poly.zero(1, 0),
@@ -104,3 +113,8 @@ def test_csv_projection():
     lines = text.strip().split("\n")
     assert lines[0] == "a,b"
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+
+
+def test_dumps_rejects_objects_outside_the_json_types():
+    with pytest.raises(TypeError, match="cannot serialize Cube"):
+        ser.dumps({"cube": Cube((0.0,), 1.0)})

@@ -132,6 +132,20 @@ def test_local_fit_single_point_interpolates():
     assert p.eval((0.5,)) == pytest.approx(3.25, abs=1e-9)
 
 
+def test_sample_set_and_fit_data_checks():
+    pts = ((0.0,), (1.0,))
+    with pytest.raises(ValueError, match="values misaligned"):
+        SampleSet(n=1, points=pts, values=(1.0,))
+    with pytest.raises(ValueError, match="jet data misaligned"):
+        SampleSet(n=1, points=pts, jets=(Poly.zero(1, 0),))
+    scalar = SampleSet(n=1, points=pts, values=(1.0, 2.0))
+    jets = SampleSet(n=1, points=pts, jets=(Poly.zero(1, 0), Poly.zero(1, 0)))
+    with pytest.raises(ValueError, match="scalar sample data required"):
+        local_fit(jets, Cube((0.0,), 1.0), 0)
+    with pytest.raises(ValueError, match="jet sample data required"):
+        jet_fit(scalar, Cube((0.0,), 1.0), 0, 0, Modulus.power(1, 1))
+
+
 def test_local_fit_sup_norm_center():
     # two points, constant fit: the best sup-norm constant is the midpoint value
     s = SampleSet(n=1, points=((-1.0,), (1.0,)), values=(0.0, 2.0))
@@ -652,6 +666,9 @@ def test_lipschitz_forms_constant_field_always_holds():
     for lam in (1e-6, 1.0, 1e6):
         assert lipschitz_forms(field, MOD, lam) == (True, True)
     assert lo_seminorm(field, MOD).value == 0.0
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            lipschitz_forms(field, MOD, lam)
 
 
 def test_lo_seminorm_is_threshold_of_forms():
