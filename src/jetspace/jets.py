@@ -72,9 +72,9 @@ def _excess(top: int, alpha, v: float, x: float, name: str) -> int:
         raise ValueError("derivative order must be non-negative")
     if a > top:
         raise ValueError("derivative order exceeds the degree bound")
-    if v <= 0:
+    if not v > 0:
         raise ValueError("base scale must be positive")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"{name} must be non-negative")
     return top - a
 

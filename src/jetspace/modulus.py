@@ -124,7 +124,7 @@ class Modulus:
 
     def eval(self, t: float) -> float:
         """Value of the modulus at t >= 0; zero at the origin by definition."""
-        if t < 0:
+        if not t >= 0:
             raise ValueError("modulus argument must be non-negative")
         if t == 0.0:
             return 0.0
@@ -216,9 +216,9 @@ class Modulus:
         return self._integral(a, b, p + 1)
 
     def _integral(self, a: float, b: float, weight: float | None) -> float:
-        if a <= 0:
+        if not a > 0:
             raise ValueError("lower integration bound must be positive")
-        if b < a:
+        if not b >= a:
             raise ValueError("integration bounds out of order")
         return self._increment(a, b - a, weight)[0]
 
@@ -230,7 +230,7 @@ class Modulus:
         faster than 1/s.  Either way it is the supremum any core integral
         from v can reach.
         """
-        if v <= 0:
+        if not v > 0:
             raise ValueError("lower bound must be positive")
         return self._increment(v, math.inf)[0]
 
@@ -241,9 +241,9 @@ class Modulus:
         beyond the float range.  A kernel that is one power law on (0, inf)
         is inverted in closed form, any other by ``invert_increasing``.
         """
-        if v <= 0:
+        if not v > 0:
             raise ValueError("base point must be positive")
-        if w < 0:
+        if not w >= 0:
             raise ValueError("target must be non-negative")
         if w == 0.0:
             return 0.0

@@ -90,7 +90,7 @@ def invert_increasing(
     functions that blow up at a finite argument.  Raises ArithmeticError when
     the bracket cannot be found or does not close within 200 steps.
     """
-    if u < 0:
+    if not u >= 0:
         raise ValueError("target must be non-negative")
     if u == 0.0:
         return 0.0

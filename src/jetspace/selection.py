@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence
 
 import numpy as np
@@ -203,8 +203,7 @@ def _selection_lp(inst: SelectionInstance, lam: float | None) -> tuple[LPProblem
     i, j = np.triu_indices(len(cubes), 1)
     deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
     vals = np.concatenate([deriv[i], deriv[j][:, low]], axis=1) + 0.0
-    gauges = pair_gauges(inst.modulus, degree, alphas, cubes)[i, j]
-    gauges = np.concatenate([gauges, gauges[:, low]], axis=1)
+    gauges = pair_gauges(inst.modulus, degree, [*alphas, *compress(alphas, low)], cubes)(i, j)
     pairs = np.zeros((*gauges.shape, 2, cols))  # [pair, order, sign, column]
     pair, order = np.arange(len(i))[:, None, None], np.arange(gauges.shape[1])[:, None]
     coef_i = starts[i][:, None, None] + np.arange(len(alphas))

@@ -319,13 +319,7 @@ def poly_field_to_dict(field: PolyField) -> dict:
 
 def check_report_to_dict(report: CheckReport) -> dict:
     def stat(s):
-        witness = None
-        if s.witness is not None:
-            witness = {
-                key: list(val) if isinstance(val, tuple) else val
-                for key, val in s.witness.items()
-            }
-        return {"name": s.name, "lambda_hat": s.lambda_hat, "witness": witness}
+        return {"name": s.name, "lambda_hat": s.lambda_hat, "witness": s.witness}
 
     out: dict[str, Any] = {
         "lambda_hat": report.lambda_hat,

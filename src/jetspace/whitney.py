@@ -400,23 +400,28 @@ def _once_per_field(fn):
 
 def pair_gauges(
     mod: Modulus, top: int, orders: Sequence[MultiIndex], cubes: Sequence[Cube]
-) -> np.ndarray:
-    """gauge(mod, top, alpha, t, v) of every ordered cube pair: entry [i, j, a]
-    for alpha = orders[a], and +inf on the diagonal.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``gauges(i, j)``: gauge(mod, top, alpha, t, v) of the pairs of index
+    arrays i, j (they broadcast), entry [..., a] for alpha = orders[a]; +inf if i == j.
 
-    The gauge is symmetric in the pair and its core integral does not depend
-    on alpha, so the unordered pairs' scales (as ``pair_scales`` rounds them)
-    take one ``Modulus.core_integrals`` call.
+    The gauge is symmetric in the pair and sees alpha only through
+    t^(top - |alpha|), so each unordered pair keeps its span t and core
+    integral: one ``Modulus.core_integrals`` call, at ``pair_scales``' rounding.
     """
     powers = np.array([top - mi_order(alpha) for alpha in orders], dtype=float)
-    out = np.full((len(cubes), len(cubes), len(orders)), np.inf)
+    span, core = np.ones((len(cubes), len(cubes))), np.full((len(cubes), len(cubes)), np.inf)
     i, j = np.triu_indices(len(cubes), 1)
     centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
     v = np.minimum(radii[i], radii[j])
     t = np.maximum(radii[i], radii[j]) + np.abs(centers[i] - centers[j]).max(axis=1, initial=0.0)
-    with np.errstate(over="ignore"):  # a gauge beyond the float range is +inf
-        out[i, j] = out[j, i] = t[:, None] ** powers * mod.core_integrals(v, t)[:, None]
-    return out
+    span[i, j] = span[j, i] = t
+    core[i, j] = core[j, i] = mod.core_integrals(v, t)
+
+    @np.errstate(over="ignore")  # a gauge beyond the float range is +inf
+    def gauges(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return span[i, j][..., None] ** powers * core[i, j][..., None]
+
+    return gauges
 
 
 @_once_per_field
@@ -447,11 +452,12 @@ def pairwise_sweep(field: PolyField, mod: Modulus) -> tuple[np.ndarray, np.ndarr
     ratio = np.zeros((size, size))
     order = np.zeros((size, size), dtype=int)
     everyone = np.arange(size)
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        for i in range(size):
-            ratios = rows.discrepancies(i, everyone) / gauges[i]
-            order[i] = ratios.argmax(axis=1)
-            ratio[i] = ratios[everyone, order[i]]
+    for i in range(size):
+        row = gauges(i, everyone)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            ratios = rows.discrepancies(i, everyone) / row
+        order[i] = ratios.argmax(axis=1)
+        ratio[i] = ratios[everyone, order[i]]
     ratio.flags.writeable = order.flags.writeable = False
     return ratio, order
 
@@ -556,7 +562,7 @@ def lipschitz_forms(field: PolyField, mod: Modulus, lam: float) -> tuple[bool, b
     compares the jet distance of the 1/lam-scaled jets against the weighted
     cube distance.  The two booleans agree for every field and lam > 0.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("scale must be positive")
     ratio_ok = bool(pairwise_sweep(field, mod)[0].max(initial=0.0) <= lam)
     # the 1/lam-scaled jets' rows, as ``jets.scale`` rounds them, on the same distinct cubes

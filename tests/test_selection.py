@@ -423,12 +423,12 @@ def _oracle_pairwise_rows(builder, inst, node_cvars, lam_var, lam_fixed):
     alphas = multi_indices(inst.n, degree)
     cubes = [cube for _, cube in inst.nodes]
     deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes]).tolist()
-    gauges = pair_gauges(inst.modulus, degree, alphas, cubes).tolist()
+    gauges = pair_gauges(inst.modulus, degree, alphas, cubes)
     top = [mi_order(alpha) == degree for alpha in alphas]
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
             for at in (i, j):
-                for vals, w, is_top in zip(deriv[at], gauges[i][j], top):
+                for vals, w, is_top in zip(deriv[at], gauges(i, j).tolist(), top):
                     if is_top and at == j:
                         continue
                     row: dict[int, float] = {}

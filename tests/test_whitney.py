@@ -19,9 +19,10 @@ from jetspace.cubes import (
     uniform_norm,
     weighted_cube_distance,
 )
-from jetspace.jets import _JetRows, gauge, jet_distance, scale
+from jetspace.jets import _JetRows, gauge, gauge_inverse, jet_distance, scale, value_gauge
 from jetspace.lp import LPBuilder, lp_solve
 from jetspace.modulus import Modulus
+from jetspace.numerics import invert_increasing
 from jetspace.poly import Poly, add_shifted_power, deriv_matrix, mi_order, multi_indices
 from jetspace.whitney import (
     PolyField,
@@ -880,7 +881,7 @@ def _oracle_unmasked_sweep(field, mod):
     order = np.zeros((size, size), dtype=int)
     rows = np.arange(size)
     for i in range(size):
-        ratios = np.abs(((coef[i] - coef)[:, None, :] * deriv[i]).sum(axis=2)) / gauges[i]
+        ratios = np.abs(((coef[i] - coef)[:, None, :] * deriv[i]).sum(axis=2)) / gauges(i, rows)
         order[i] = ratios.argmax(axis=1)
         ratio[i] = ratios[rows, order[i]]
     return ratio, order
@@ -956,8 +957,8 @@ def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
 @pytest.mark.parametrize("lam", [5e-324, 1e-310, math.nan, 2.0])
 def test_metric_form_scales_sparse_jets_as_scale_does(lam, monkeypatch):
     # the metric form scales the field's kept rows, not the jets: a zero
-    # coefficient must stay zero where 1/lam is inf or NaN, as ``scale``
-    # drops it, or the form reads 1/lam * 0 = NaN and passes
+    # coefficient must stay zero where 1/lam is inf, as ``scale`` drops it,
+    # or the form reads 1/lam * 0 = NaN and passes; a NaN scale is rejected
     field = PolyField(
         n=1, k=0, m=2,
         entries=(
@@ -975,9 +976,49 @@ def test_metric_form_scales_sparse_jets_as_scale_does(lam, monkeypatch):
         return out
 
     monkeypatch.setattr(_JetRows, "distances", recorded)
+    if math.isnan(lam):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            lipschitz_forms(field, MOD, lam)
+        return
     metric_ok = lipschitz_forms(field, MOD, lam)[1]
     got = (metric_ok, seen[:])
     assert got == _oracle_metric_form(field, MOD, lam)
+
+
+_TWO_CUBES = PolyField(
+    n=1, k=0, m=2, entries=((Cube((0.0,), 1.0), Poly.zero(1, 1)), (Cube((1.0,), 0.5), Poly.zero(1, 1)))
+)
+
+
+@pytest.mark.parametrize(
+    "call, message, at_inf",
+    [
+        (lambda x: lipschitz_forms(_TWO_CUBES, MOD, x), "scale must be positive", (True, True)),
+        (lambda x: gauge(MOD, 1, 0, 1.0, x), "base scale must be positive", 0.0),
+        (lambda x: gauge(MOD, 1, 0, x, 1.0), "spatial scale must be non-negative", math.inf),
+        (lambda x: gauge_inverse(MOD, 1, 0, x, 1.0), "target must be non-negative", None),
+        (lambda x: value_gauge(MOD, 1, 0, x, 1.0), "target must be non-negative", None),
+        (lambda x: invert_increasing(lambda t: (t, 1.0), x), "target must be non-negative", None),
+        (MOD.eval, "modulus argument must be non-negative", math.inf),
+        (lambda x: MOD.integral_core(x, 2.0), "lower integration bound must be positive", None),
+        (lambda x: MOD.integral_core(1.0, x), "integration bounds out of order", math.inf),
+        (MOD.tail_mass, "lower bound must be positive", 0.0),
+        (lambda x: MOD.core_integral_inverse(x, 1.0), "target must be non-negative", math.inf),
+        (lambda x: MOD.core_integral_inverse(1.0, x), "base point must be positive", None),
+    ],
+    ids=[
+        "lipschitz_forms", "gauge-v", "gauge-t", "gauge_inverse", "value_gauge",
+        "invert_increasing", "eval", "integral_core-a", "integral_core-b", "tail_mass",
+        "core_integral_inverse-w", "core_integral_inverse-v",
+    ],
+)
+def test_nan_arguments_fail_their_checks(call, message, at_inf):
+    # each check is written so that NaN fails it, with its message; +inf
+    # passes where it passed before
+    with pytest.raises(ValueError, match=message):
+        call(math.nan)
+    if at_inf is not None:
+        assert call(math.inf) == at_inf
 
 
 def _oracle_pair_gauges(mod, top, orders, cubes):
@@ -1012,7 +1053,9 @@ def test_pair_gauges_match_the_scalar_loop(family, n, m, monkeypatch):
         pts = rng.uniform(-2.0, 2.0, size=(count, n))
         cubes = cube_family(pts.tolist(), rng.uniform(0.05, 1.5, size=2).tolist()) if count else []
         orders = multi_indices(n, m)
-        got, want = whitney.pair_gauges(mod, m, orders, cubes), _oracle_pair_gauges(mod, m, orders, cubes)
+        reader = whitney.pair_gauges(mod, m, orders, cubes)
+        got = reader(*np.indices((len(cubes), len(cubes))))
+        want = _oracle_pair_gauges(mod, m, orders, cubes)
         assert got.shape == want.shape
         off = ~np.eye(len(cubes), dtype=bool)
         assert np.all(np.diagonal(got) == np.inf)
@@ -1021,6 +1064,34 @@ def test_pair_gauges_match_the_scalar_loop(family, n, m, monkeypatch):
         v, t = scales.pop()
         assert v.tolist() == [pair_scales(cubes[a], cubes[b])[0] for a, b in zip(i, j)]
         assert t.tolist() == [pair_scales(cubes[a], cubes[b])[1] for a, b in zip(i, j)]
+
+
+@pytest.mark.parametrize("family", ["power", "powerlog", "table"])
+def test_pair_gauges_reader_reads_the_pairs_it_is_given(family):
+    rng = np.random.default_rng(40 + len(family))
+    mod = _sweep_modulus(family, 2)
+    cubes = cube_family(rng.uniform(-2.0, 2.0, size=(4, 2)).tolist(), [0.3, 1.1])
+    alphas = multi_indices(2, 2)
+    orders = [*alphas, *alphas[:3]]  # repeated multi-indices, as ``_selection_lp`` asks
+    gauges = whitney.pair_gauges(mod, 2, orders, cubes)
+    want = _oracle_pair_gauges(mod, 2, orders, cubes)
+    # both orientations, i == j, and a repeated pair
+    i, j = np.array([0, 5, 3, 3, 7, 2, 2, 6]), np.array([5, 0, 3, 1, 7, 6, 6, 2])
+    got = gauges(i, j)
+    assert got.shape == (len(i), len(orders))
+    same = i == j
+    assert np.all(got[same] == np.inf)
+    assert np.all(np.abs(got[~same] - want[i, j][~same]) <= 1e-14 * want[i, j][~same]), family
+    assert got[0].tobytes() == got[1].tobytes() and got[5].tobytes() == got[6].tobytes()
+    assert got[:, len(alphas):].tobytes() == got[:, :3].tobytes()
+    for a, b, row in zip(i, j, got):  # a pair reads the same, whatever pairs come with it
+        assert gauges(a, b).tobytes() == row.tobytes()
+    # a scalar i against an array j
+    everyone = np.arange(len(cubes))
+    row = gauges(3, everyone)
+    assert row.shape == (len(cubes), len(orders)) and np.all(row[3] == np.inf)
+    assert row.tobytes() == gauges(np.full(len(cubes), 3), everyone).tobytes()
+    assert np.all(np.abs(row[everyone != 3] - want[3][everyone != 3]) <= 1e-14 * want[3][everyone != 3])
 
 
 def test_underflowing_gauge_raises_rather_than_divides():
@@ -1036,7 +1107,7 @@ def test_underflowing_gauge_raises_rather_than_divides():
     )
     mod = Modulus.power(1.0, 2)
     cubes = [q for q, _ in field.entries]
-    assert whitney.pair_gauges(mod, 2, multi_indices(1, 2), cubes)[0, 1, 0] == 0.0
+    assert whitney.pair_gauges(mod, 2, multi_indices(1, 2), cubes)(0, 1)[0] == 0.0
     with pytest.raises(FloatingPointError):
         pairwise_sweep(field, mod)
     with pytest.raises(FloatingPointError):
@@ -1057,7 +1128,7 @@ def test_overflowing_ratio_raises_rather_than_prints_inf():
     )
     mod = Modulus.power(1.0, 1)
     cubes = [q for q, _ in field.entries]
-    assert 0.0 < whitney.pair_gauges(mod, 0, multi_indices(1, 0), cubes)[0, 1, 0] < 1e-300
+    assert 0.0 < whitney.pair_gauges(mod, 0, multi_indices(1, 0), cubes)(0, 1)[0] < 1e-300
     for _ in range(2):  # a sweep that raises keeps nothing, so it raises again
         with pytest.raises(FloatingPointError, match="overflow"):
             pairwise_sweep(field, mod)
