@@ -51,7 +51,7 @@ class Chain:
 def chain_length(mod: Modulus, chain: Chain) -> float:
     """Sum of quasi-distances along consecutive links."""
     rows = _JetRows(chain.jets)
-    return sum(rows.distances(mod, i, [i + 1])[0] for i in range(len(chain) - 1))
+    return sum(next(rows.distances(mod, i, [i + 1])) for i in range(len(chain) - 1))
 
 
 def d_upper(mod: Modulus, start: Jet, end: Jet, candidates: Sequence[Jet]) -> float:

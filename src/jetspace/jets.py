@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -241,12 +241,13 @@ class _JetRows:
             peak = np.fmax.reduceat(disc, self.order_starts, axis=1)
         return np.fmax(peak, 0.0).tolist()
 
-    def distances(self, mod: Modulus, i: int, js: Sequence[int]) -> list[float]:
-        """``jet_distance(mod, jets[i], jets[j])`` for each j in js."""
-        return [
+    def distances(self, mod: Modulus, i: int, js: Sequence[int]) -> Iterator[float]:
+        """``jet_distance(mod, jets[i], jets[j])`` for each j in js, in turn:
+        the peaks of all js at once, each distance only when it is reached."""
+        return (
             _distance(mod, self.jets[i], self.jets[j], peak)
             for j, peak in zip(js, self.peaks(i, js))
-        ]
+        )
 
 
 def _lower_gap(mod: Modulus, t1: Jet, t2: Jet, peak: list[float]) -> tuple:
@@ -312,7 +313,7 @@ def jet_distance(
     """
     if t1 == t2:
         return 0.0
-    out = _JetRows([t1, t2], at).distances(mod, 0, [1])[0]
+    out = next(_JetRows([t1, t2], at).distances(mod, 0, [1]))
     if cross_check:
         other = jet_distance_componentwise(mod, t1, t2, at=at)
         if not rel_close(out, other, 1e-8, abs_tol=1e-300):

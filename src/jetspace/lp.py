@@ -15,12 +15,20 @@ certificate is checked: primal and dual feasibility and the duality gap for
 "optimal", a Farkas ray for "infeasible", a feasible point and an improving
 ray for "unbounded".  A failed check raises ArithmeticError.  Exact vertex
 optima at the problem sizes used here (up to about ten thousand constraints).
+
+An LP with many more rows than bind can be solved by delayed constraint
+generation (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+section 6.3): ``lp_solve`` takes the rows to start from and a separation
+callback that names violated rows of the full LP.  A primal row added later
+is one new dual column, so the dual basis and its inverse stay valid and
+phase 2 resumes where it stopped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +68,9 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
+    # with "optimal": multipliers y of the rows of a_ub, then a_eq, then those a
+    # separation added, y >= 0 on inequalities, with a^T y = -c and c.x = -b.y
+    dual: np.ndarray | None = None
     pivots: tuple[int, int] = (0, 0)  # in phase 1 (artificials driven out too), phase 2
     reinversions: int = 0  # rebuilds of the basis inverse
     lifts: int = 0  # degenerate stalls broken by the seeded lift
@@ -120,30 +131,40 @@ class LPBuilder:
         return LPProblem(objective=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
-def lp_solve(problem: LPProblem) -> LPSolution:
+Separation = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def lp_solve(problem: LPProblem, separate: Separation | None = None) -> LPSolution:
     """Solve the problem through its dual and check the answer's certificate.
 
-    Raises ArithmeticError when an entry of the problem is not finite (an
-    overflowed coefficient, say), which no certificate could vouch for."""
+    With ``separate``, the problem's rows start a larger LP: after each
+    optimum x, ``separate(x)`` returns rows (a, b) of a x <= b that x
+    violates, and phase 2 resumes with them; the solve ends when it returns
+    none.  Then the certificate holds on every row taken, and an
+    "infeasible" status holds for the larger LP too.  The start rows must
+    bound the objective (ValueError otherwise): an unbounded start would say
+    nothing about the larger LP.  With "optimal", ``dual`` holds the
+    multipliers of the problem's rows, then of the added rows.
+
+    Raises ArithmeticError when an entry of the problem (or of an added row)
+    is not finite (an overflowed coefficient, say), which no certificate
+    could vouch for."""
     c, a_ub, a_eq = problem.objective, problem.a_ub, problem.a_eq
     n, m_ub, m_eq = c.size, a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
     # row equilibration: scale every constraint to unit max-norm so pivot
-    # tolerances are meaningful across badly mixed data scales.  A norm is
-    # NaN or infinite exactly when its row has such an entry
-    norms = np.concatenate(
-        [np.maximum(part.max(axis=1, initial=0.0), -part.min(axis=1, initial=0.0)) for part in (a_ub, a_eq)]
-    )
+    # tolerances are meaningful across badly mixed data scales
     b = np.concatenate([problem.b_ub, problem.b_eq])
-    if not (np.isfinite(c).all() and np.isfinite(norms).all() and np.isfinite(b).all()):
+    norms = _norms(b, a_ub, a_eq)
+    if not np.isfinite(c).all():
         raise ArithmeticError("LP data has a non-finite entry")
     if m == 0:
         # objective over free variables with no constraints
+        if separate is not None:
+            raise ValueError("a separation needs start rows that bound the objective")
         if np.any(c != 0.0):
             return LPSolution(status="unbounded")
         return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
-
-    norms[norms == 0.0] = 1.0
     b /= norms
     # the single form a x <= b: the equalities enter again, negated.  The
     # dual's columns are written straight from its rows, then room for the
@@ -153,14 +174,47 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     np.divide(a_ub.T, norms[:m_ub], out=original[:, :m_ub])
     np.divide(a_eq.T, norms[m_ub:], out=original[:, m_ub:m])
     np.negative(original[:, m_ub:m], out=original[:, m : b.size])
+    scales = [norms, norms[m_ub:]]  # of every row of the single form
+
+    def columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``separate`` adds at x, as dual columns and costs."""
+        a_new, b_new = separate(x)
+        a_new, b_new = np.asarray(a_new, dtype=float).reshape(-1, n), np.asarray(b_new, dtype=float)
+        scales.append(_norms(b_new, a_new))
+        return a_new.T / scales[-1], b_new / scales[-1]
+
     work = [0] * 6  # phase-1 pivots, phase-2 pivots, rebuilds, lifts, restarts, Bland pivots
-    solution = _solve_dual(c, original, b, work)
+    solution = _solve_dual(c, original, b, work, columns if separate else None)
+    if separate is not None and solution.status == "unbounded":
+        raise ValueError("a separation needs start rows that bound the objective")
     solution.pivots = (work[0], work[1])
     solution.reinversions, solution.lifts, solution.restarts, solution.bland_pivots = work[2:]
+    if solution.dual is not None:
+        w = solution.dual / np.concatenate(scales)
+        solution.dual = np.concatenate([w[:m_ub], w[m_ub:m] - w[m : m + m_eq], w[m + m_eq :]])
     return solution
 
 
-def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[int]) -> LPSolution:
+def _norms(b: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """The max-norm of each row of the stacked parts, 1 for a zero row.
+    Raises ArithmeticError if a row or b has an entry that is not finite:
+    exactly then is a norm, or b, NaN or infinite."""
+    norms = np.concatenate(
+        [np.maximum(part.max(axis=1, initial=0.0), -part.min(axis=1, initial=0.0)) for part in parts]
+    )
+    if not (np.isfinite(norms).all() and np.isfinite(b).all()):
+        raise ArithmeticError("LP data has a non-finite entry")
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+def _solve_dual(
+    c: np.ndarray,
+    original: np.ndarray,
+    b: np.ndarray,
+    work: list[int],
+    columns: Separation | None = None,
+) -> LPSolution:
     """min c.x over free x subject to a x <= b, a = original[:, :b.size].T,
     solved as its dual: min b.w subject to a^T w = -c, w >= 0.
 
@@ -175,6 +229,12 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[i
     out only the artificials still basic, is skipped when none is, and only
     drives them out when all start at zero.  The re-solve without objective
     reuses ``original`` and adds to ``work``.
+
+    ``columns(x)``, if given, returns the dual columns and costs of rows
+    that an optimum x violates.  Phase 2 holds no artificial, so they go in
+    before the artificials and the basis and B^-1 stay as they are; only
+    where phase 1 dropped a redundant row does the solve start again, with
+    every column taken so far.
     """
     n, n_core = c.size, b.size
     a = original[:, :n_core].T  # the certificate checks read the full rows
@@ -225,24 +285,35 @@ def _solve_dual(c: np.ndarray, original: np.ndarray, b: np.ndarray, work: list[i
             basis = np.delete(basis, redundant)
             original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
 
-    cost = np.zeros(n_core + n)
-    cost[:n_core] = b
-    status, entering = _simplex(inverse, basis, cost, n_core, original, work, 1)
-    if status == "unbounded":
-        # b.w falls without bound along the entering column's ray, which is
-        # a Farkas certificate that the primal has no feasible point
-        ray = np.zeros(n_core + n)
-        ray[entering] = 1.0
-        ray[basis] = -(inverse[:, :-1] @ original[:, entering])
-        _check_farkas_ray(a, b, ray[:n_core])
-        return LPSolution(status="infeasible")
+    while True:
+        cost = np.zeros(n_core + n)
+        cost[:n_core] = b
+        status, entering = _simplex(inverse, basis, cost, n_core, original, work, 1)
+        if status == "unbounded":
+            # b.w falls without bound along the entering column's ray, which is
+            # a Farkas certificate that the primal has no feasible point
+            ray = np.zeros(n_core + n)
+            ray[entering] = 1.0
+            ray[basis] = -(inverse[:, :-1] @ original[:, entering])
+            _check_farkas_ray(a, b, ray[:n_core])
+            return LPSolution(status="infeasible")
+        x = np.zeros(n)  # a variable whose row was dropped gets multiplier 0
+        x[rows] = cost[basis] @ inverse[:, :-1]
+        added, b_added = columns(x) if columns else (None, ())
+        if not len(b_added):
+            break
+        b = np.append(b, b_added)
+        if rows.size < n:
+            # B^-1 is of the reduced dual, which the new rows need not fit
+            return _solve_dual(c, np.hstack([a.T, added, np.empty((n, n + 1))]), b, work, columns)
+        original = np.hstack([original[:, :n_core], added, original[:, n_core:]])
+        n_core = b.size
+        a = original[:, :n_core].T
 
     w = np.zeros(n_core + n)
     w[basis] = inverse[:, -1]
-    x = np.zeros(n)  # a variable whose row was dropped gets multiplier 0
-    x[rows] = cost[basis] @ inverse[:, :-1]
     _check_optimal(c, a, b, x, w[:n_core])
-    return LPSolution(status="optimal", x=x, objective=float(c @ x))
+    return LPSolution(status="optimal", x=x, objective=float(c @ x), dual=w[:n_core])
 
 
 def _amax(v: np.ndarray) -> float:

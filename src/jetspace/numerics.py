@@ -88,7 +88,8 @@ def invert_increasing(
     lies strictly inside the bracket (a root among the subnormals).
     Overflowing evaluations count as +inf, which keeps the bracket valid for
     functions that blow up at a finite argument.  Raises ArithmeticError when
-    the bracket cannot be found or does not close within 200 steps.
+    the bracket cannot be found or does not close within 200 steps, and
+    OverflowError when it does not close because every evaluation overflowed.
     """
     if not u >= 0:
         raise ValueError("target must be non-negative")
@@ -99,11 +100,13 @@ def invert_increasing(
     t = 1.0
     step_old = step_prev = math.inf  # log-step lengths, once bracketed
     it = 0
+    returned, overflow = False, None  # whether an evaluation returned; the last overflow
     while True:
         try:
             f, df = fdf(t)
-        except OverflowError:
-            f, df = math.inf, math.nan
+            returned = True
+        except OverflowError as exc:
+            f, df, overflow = math.inf, math.nan, exc
         below = f < u
         if below:
             lo = t
@@ -129,6 +132,8 @@ def invert_increasing(
             if not lo < nxt < hi:
                 return 0.5 * (lo + hi)
         if it >= _INVERT_MAX_ITER:
+            if not returned:
+                raise OverflowError("monotone inverse: every evaluation overflowed") from overflow
             raise ArithmeticError("monotone inverse did not converge")
         if 0.0 < lo and hi < math.inf:
             step_old, step_prev = step_prev, abs(math.log(nxt / t))

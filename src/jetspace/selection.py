@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -162,71 +162,178 @@ def membership_block(
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """A selection and how its LP was solved.  ``rounds`` counts the
+    separation sweeps over all pairs, ``generated_rows`` the pairwise rows
+    the LP held at the end, and ``witness`` (with "optimal") the nodes whose
+    columns meet a row of nonzero dual: the LP on those nodes alone has the
+    same optimum."""
+
     polys: tuple[Poly, ...]
     lam: float
     status: str
     box_active: bool
+    rounds: int = 0
+    generated_rows: int = 0
+    witness: tuple[int, ...] = ()
 
 
-def _selection_lp(inst: SelectionInstance, lam: float | None) -> tuple[LPProblem, list[int]]:
-    """The selection LP, and the first column of each node.
+# the pairwise rows each node starts with: those of its nearest cubes
+_NEIGHBOURS = 2
+# a separation round adds, for each node, its most violated pairwise bounds
+_PER_NODE = 2
+# a pairwise row counts as violated beyond this excess over its max-norm,
+# relative to max(1, |x|), the measure of lp_solve's certificate
+_SEPARATION_TOL = 1e-12
+
+
+class _SelectionLP:
+    """The selection LP, with its pairwise rows generated where they bind.
 
     Columns: with lam None the scale, which the LP minimizes; then each
-    node's ``membership_block`` columns.  Rows, in order: the membership
-    blocks (exact with lam None, relaxed by lam otherwise); per cube pair
-    i < j, a +row and a -row bounding D^a(P_i - P_j) by the pair's gauge
-    times the scale (or lam) for every order a at x_i and every non-top order
-    at x_j (a top-order derivative is constant); with lam None, -scale <=
-    -0.0; a +row and a -row boxing each node column at COEF_BOX.  "+ 0.0"
-    and "0.0 -" store +0.0 wherever an entry vanishes.
+    node's ``membership_block`` columns, node k's from ``starts[k]``.  The
+    full LP's rows, in order: the membership blocks (exact with lam None,
+    relaxed by lam otherwise); per cube pair i < j, a +row and a -row
+    bounding D^a(P_i - P_j) by the pair's gauge times the scale (or lam) for
+    every order a at x_i and every non-top order at x_j (a top-order
+    derivative is constant); with lam None, -scale <= -0.0; a +row and a
+    -row boxing each node column at COEF_BOX.  ``problem`` holds all of them
+    but the pairwise rows, of which it holds those of each node's
+    _NEIGHBOURS nearest cubes in the cube distance; ``separate`` adds the
+    others as they are violated.  "+ 0.0" and "0.0 -" store +0.0 wherever
+    an entry vanishes.
     """
-    blocks = [
-        membership_block(spec, cube, inst.modulus, inst.k, inst.top_degree, lam or 0.0)
-        for spec, cube in inst.nodes
-    ]
-    degree = inst.top_degree
-    alphas = multi_indices(inst.n, degree)
-    cubes = [cube for _, cube in inst.nodes]
-    scale = int(lam is None)
-    starts = scale + np.cumsum([0] + [blk[0].shape[1] for blk in blocks])
-    cols = int(starts[-1])
 
-    def diagonal(part: int) -> np.ndarray:
-        out = np.zeros((sum(len(blk[part]) for blk in blocks), cols))
-        row = 0
-        for start, blk in zip(starts, blocks):
-            out[row : row + len(blk[part]), start : start + blk[part].shape[1]] = blk[part]
-            row += len(blk[part])
-        return out
+    def __init__(self, inst: SelectionInstance, lam: float | None) -> None:
+        blocks = [
+            membership_block(spec, cube, inst.modulus, inst.k, inst.top_degree, lam or 0.0)
+            for spec, cube in inst.nodes
+        ]
+        degree = inst.top_degree
+        alphas = multi_indices(inst.n, degree)
+        cubes = [cube for _, cube in inst.nodes]
+        scale = int(lam is None)
+        self.lam = lam
+        self.starts = scale + np.cumsum([0] + [blk[0].shape[1] for blk in blocks])
+        self.cols = cols = int(self.starts[-1])
+        # a bound's row order r is alphas[r] at x_i, or after them the non-top alphas at x_j
+        self.alpha = np.concatenate(
+            [np.arange(len(alphas)), np.flatnonzero([mi_order(a) < degree for a in alphas])]
+        )
+        self.deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
+        self.gauges = pair_gauges(inst.modulus, degree, alphas, cubes)
 
-    low = np.array([mi_order(alpha) < degree for alpha in alphas])
-    i, j = np.triu_indices(len(cubes), 1)
-    deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
-    vals = np.concatenate([deriv[i], deriv[j][:, low]], axis=1) + 0.0
-    gauges = pair_gauges(inst.modulus, degree, [*alphas, *compress(alphas, low)], cubes)(i, j)
-    pairs = np.zeros((*gauges.shape, 2, cols))  # [pair, order, sign, column]
-    pair, order = np.arange(len(i))[:, None, None], np.arange(gauges.shape[1])[:, None]
-    coef_i = starts[i][:, None, None] + np.arange(len(alphas))
-    coef_j = starts[j][:, None, None] + np.arange(len(alphas))
-    for sign, (on_i, on_j) in enumerate(((vals, 0.0 - vals), (0.0 - vals, vals))):
-        pairs[pair, order, sign, coef_i] = on_i
-        pairs[pair, order, sign, coef_j] = on_j
-    if lam is None:
-        pairs[..., 0] = -gauges[:, :, None]
-        b_pairs = np.zeros(2 * gauges.size)
-    else:
-        b_pairs = np.repeat(lam * gauges, 2)
-    eye = np.eye(cols)
-    box = _interleave(eye[scale:], 0.0 - eye[scale:])
-    a_ub = np.vstack([diagonal(2), pairs.reshape(-1, cols), 0.0 - eye[:scale], box])
-    b_box = np.full(len(box), COEF_BOX)
-    b_ub = np.concatenate([*(blk[3] for blk in blocks), b_pairs, np.full(scale, -0.0), b_box])
-    b_eq = np.concatenate([blk[1] for blk in blocks])
-    return LPProblem(scale * eye[0], a_ub, b_ub, diagonal(0), b_eq), starts[:-1].tolist()
+        # every bound of the full LP, pair-major as its rows: (i, j, order)
+        size, orders = len(cubes), len(self.alpha)
+        i, j = np.triu_indices(size, 1)
+        self.i, self.j = np.repeat(i, orders), np.repeat(j, orders)
+        self.order = np.tile(np.arange(orders), len(i))
+        self.vals, self.gauge = self._values(self.i, self.j, self.order)
+        bound = self.gauge * (1.0 if lam is None else lam)
+        if not (np.isfinite(self.vals).all() and np.isfinite(bound).all()):
+            raise ArithmeticError("LP data has a non-finite entry")
+        self.norm = np.abs(self.vals).max(axis=1, initial=0.0)
+        if lam is None:
+            np.maximum(self.norm, self.gauge, out=self.norm)
+        self.norm[self.norm == 0.0] = 1.0
+
+        # each node's nearest cubes: ln(1 + span / v) grows with span / v
+        centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
+        with np.errstate(over="ignore"):
+            span = np.maximum.outer(radii, radii) + np.abs(centers[:, None] - centers).max(axis=2)
+            ratio = span / np.minimum.outer(radii, radii)
+        np.fill_diagonal(ratio, np.inf)
+        near = np.argsort(ratio, axis=1, kind="stable")[:, : min(_NEIGHBOURS, size - 1)].ravel()
+        node = np.repeat(np.arange(size), len(near) // size)
+        near_pairs = np.minimum(node, near) * size + np.maximum(node, near)
+        self.present = np.isin(self.i * size + self.j, near_pairs)  # the bounds the LP holds
+        a_pairs, b_pairs = self.rows(self.i[self.present], self.j[self.present], self.order[self.present])
+
+        def diagonal(part: int) -> np.ndarray:
+            out = np.zeros((sum(len(blk[part]) for blk in blocks), cols))
+            row = 0
+            for start, blk in zip(self.starts, blocks):
+                out[row : row + len(blk[part]), start : start + blk[part].shape[1]] = blk[part]
+                row += len(blk[part])
+            return out
+
+        eye = np.eye(cols)
+        box = _interleave(eye[scale:], 0.0 - eye[scale:])
+        a_ub = np.vstack([diagonal(2), a_pairs, 0.0 - eye[:scale], box])
+        b_box = np.full(len(box), COEF_BOX)
+        b_ub = np.concatenate([*(blk[3] for blk in blocks), b_pairs, np.full(scale, -0.0), b_box])
+        b_eq = np.concatenate([blk[1] for blk in blocks])
+        self.problem = LPProblem(scale * eye[0], a_ub, b_ub, diagonal(0), b_eq)
+        self.added: list[np.ndarray] = []
+        self.rounds = 0
+
+    def _values(self, i: np.ndarray, j: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each bound's derivative values [bound, coefficient] and gauge."""
+        alpha = self.alpha[order]
+        at = np.where(order < self.deriv.shape[1], i, j)
+        return self.deriv[at, alpha] + 0.0, self.gauges(i, j)[np.arange(len(order)), alpha]
+
+    def rows(self, i: np.ndarray, j: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The +row and -row of each bound (i[k], j[k], order[k]), i < j, in
+        turn: (a_ub, b_ub) as the full LP has them."""
+        vals, gauge = self._values(i, j, order)
+        a = np.zeros((len(order), 2, self.cols))  # [bound, sign, column]
+        bound = np.arange(len(order))[:, None]
+        coef = np.arange(vals.shape[1])
+        for sign, (on_i, on_j) in enumerate(((vals, 0.0 - vals), (0.0 - vals, vals))):
+            a[bound, sign, self.starts[i][:, None] + coef] = on_i
+            a[bound, sign, self.starts[j][:, None] + coef] = on_j
+        if self.lam is None:
+            a[..., 0] = -gauge[:, None]
+            return a.reshape(-1, self.cols), np.zeros(2 * len(order))
+        return a.reshape(-1, self.cols), np.repeat(self.lam * gauge, 2)
+
+    def separate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``lp_solve``'s separation: the rows of the bounds that x violates
+        and the LP does not hold yet, at most _PER_NODE bounds per node
+        chosen, each node's most violated first."""
+        self.rounds += 1
+        coef = x[self.starts[:-1, None] + np.arange(self.vals.shape[1])]
+        disc = np.einsum("kc,kc->k", self.vals, coef[self.i] - coef[self.j])
+        excess = (np.abs(disc) - (x[0] if self.lam is None else self.lam) * self.gauge) / self.norm
+        tol = _SEPARATION_TOL * max(1.0, float(np.abs(x).max()))
+        worst = np.flatnonzero((excess > tol) & ~self.present)
+        worst = worst[np.argsort(-excess[worst], kind="stable")]
+        at_node = [(self.i[worst] == k) | (self.j[worst] == k) for k in range(len(self.starts) - 1)]
+        picked = np.unique(np.concatenate([worst[at][:_PER_NODE] for at in at_node]))
+        self.present[picked] = True
+        a, b = self.rows(self.i[picked], self.j[picked], self.order[picked])
+        self.added.append(a)
+        return a, b
+
+    def witness(self, dual: np.ndarray) -> tuple[int, ...]:
+        """The nodes whose columns meet a row of nonzero dual."""
+        a = np.vstack([self.problem.a_ub, self.problem.a_eq, *self.added])
+        touched = (a[dual != 0.0] != 0.0).any(axis=0)
+        return tuple(np.flatnonzero(np.logical_or.reduceat(touched, self.starts[:-1])).tolist())
+
+
+def _solve(inst: SelectionInstance, lam: float | None) -> SelectionResult:
+    """The selection at the least scale (lam None) or at the fixed scale lam."""
+    lp = _SelectionLP(inst, lam)
+    sol = lp_solve(lp.problem, lp.separate)
+    generated = 2 * int(lp.present.sum())
+    if sol.status != "optimal":
+        fixed = math.nan if lam is None else lam
+        return SelectionResult((), fixed, sol.status, False, lp.rounds, generated)
+    polys, box_active = _extract_polys(inst, sol.x, lp.starts[:-1])
+    return SelectionResult(
+        polys,
+        float(sol.x[0]) if lam is None else lam,
+        "optimal",
+        box_active,
+        lp.rounds,
+        generated,
+        lp.witness(sol.dual),
+    )
 
 
 def _extract_polys(
-    inst: SelectionInstance, sol_x: np.ndarray, starts: list[int]
+    inst: SelectionInstance, sol_x: np.ndarray, starts: Sequence[int]
 ) -> tuple[tuple[Poly, ...], bool]:
     """The node polynomials, and whether a node column is at its COEF_BOX bound."""
     degree = inst.top_degree
@@ -243,18 +350,15 @@ def best_selection(inst: SelectionInstance) -> SelectionResult:
     scale seminorm of the chosen field.
 
     A single LP: the seminorm bound enters each pairwise derivative row
-    linearly through the scale variable.  The optimum equals the seminorm of
-    the returned field.  Coefficient variables are boxed at +-1e6 as a safety
-    net; an active box is flagged in the result.
+    linearly through the scale variable.  It is solved by constraint
+    generation: most pairwise rows never bind, so the LP starts from each
+    node's nearest pairs and takes the others as a sweep over all pairs
+    finds them violated.  The optimum equals the seminorm of the returned
+    field; the LP's optimum is degenerate, and the polynomials are one
+    optimal vertex of it.  Coefficient variables are boxed at +-1e6 as a
+    safety net; an active box is flagged in the result.
     """
-    problem, starts = _selection_lp(inst, None)
-    sol = lp_solve(problem)
-    if sol.status != "optimal":
-        return SelectionResult(polys=(), lam=math.nan, status=sol.status, box_active=False)
-    polys, box_active = _extract_polys(inst, sol.x, starts)
-    return SelectionResult(
-        polys=polys, lam=float(sol.x[0]), status="optimal", box_active=box_active
-    )
+    return _solve(inst, None)
 
 
 def relaxed_feasible(inst: SelectionInstance, lam: float) -> SelectionResult:
@@ -262,12 +366,7 @@ def relaxed_feasible(inst: SelectionInstance, lam: float) -> SelectionResult:
     within the lam-relaxed set membership whose field satisfies the pairwise
     seminorm bound lam?  Raises ValueError unless lam is finite and
     non-negative.  An active coefficient box is flagged in the result."""
-    problem, starts = _selection_lp(inst, lam)
-    sol = lp_solve(problem)
-    if sol.status != "optimal":
-        return SelectionResult(polys=(), lam=lam, status=sol.status, box_active=False)
-    polys, box_active = _extract_polys(inst, sol.x, starts)
-    return SelectionResult(polys=polys, lam=lam, status="optimal", box_active=box_active)
+    return _solve(inst, lam)
 
 
 def selection_field(inst: SelectionInstance, polys: Sequence[Poly]) -> PolyField:

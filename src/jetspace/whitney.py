@@ -569,14 +569,21 @@ def lipschitz_forms(field: PolyField, mod: Modulus, lam: float) -> tuple[bool, b
     scaled = copy.copy(_rows(field))
     coef, jets = scaled.coef, scaled.jets
     scaled.coef = np.multiply(coef, 1.0 / lam, out=np.zeros_like(coef), where=coef != 0.0)
-    # stops at the first violation; a NaN distance fails no comparison
+    # one row's peaks per call; stops at the first violation, and a NaN
+    # distance fails no comparison
+    size = len(jets)
     metric_ok = not any(
-        scaled.distances(mod, i, [j])[0]
-        > weighted_cube_distance(mod, jets[i].cube, jets[j].cube)
-        for i in range(len(jets))
-        for j in range(i + 1, len(jets))
+        distance > _cube_distance(field, mod, i, j)
+        for i in range(size - 1)
+        for j, distance in zip(range(i + 1, size), scaled.distances(mod, i, range(i + 1, size)))
     )
     return ratio_ok, metric_ok
+
+
+@_once_per_field
+def _cube_distance(field: PolyField, mod: Modulus, i: int, j: int) -> float:
+    """The weighted cube distance of the field's cubes i and j."""
+    return weighted_cube_distance(mod, field.entries[i][0], field.entries[j][0])
 
 
 @dataclass(frozen=True)

@@ -626,3 +626,15 @@ def test_routes_at_an_overflowing_reach_match_mpmath(q):
                 # and +inf there
                 with pytest.raises(OverflowError):
                     route(*jets)
+
+
+def test_distance_beyond_the_float_range_raises_overflow():
+    # the core integral from the smaller radius 1e-292 is beyond the float
+    # range at every scale, so the gauge cannot be inverted; this is an
+    # overflow, as the weighted cube distance of the same cubes reports
+    mod = Modulus.power(0.5, 3)
+    small, unit = Cube((0.0,), 1e-292), Cube((1.0,), 1.0)
+    with pytest.raises(OverflowError):
+        weighted_cube_distance(mod, small, unit)
+    with pytest.raises(OverflowError, match="every evaluation overflowed"):
+        jet_distance(mod, Jet(Poly(1, 2, {(2,): 1.0}), small), Jet(Poly.zero(1, 2), unit))

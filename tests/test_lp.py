@@ -757,12 +757,12 @@ def test_equalities_solve_as_inequality_pairs(monkeypatch):
     # lp_solve enters an equality as that pair of rows, so the LP written
     # with the pairs by hand has the same dual: the same pivots, counts and
     # bytes of x.  The LPs: the fits behind a small check (centers
-    # interpolated), the select LP of a benchmark input (it takes a lift),
-    # and LPs with redundant equalities (rows dropped after phase 1)
-    from jetspace import selection, whitney
+    # interpolated), the full select LP of a benchmark input (it takes a
+    # lift), and LPs with redundant equalities (rows dropped after phase 1)
+    from jetspace import whitney
     from jetspace.cubes import cube_family, dyadic_radii
     from jetspace.whitney import SampleSet, fit_field
-    from test_selection import _op_seed, _select_workload_instance
+    from test_selection import _op_seed, _oracle_selection_lp, _select_workload_instance
 
     problems, redundant = [], []
 
@@ -776,11 +776,10 @@ def test_equalities_solve_as_inequality_pairs(monkeypatch):
 
     drive_out_artificials = lp._drive_out_artificials
     monkeypatch.setattr(whitney, "lp_solve", record)
-    monkeypatch.setattr(selection, "lp_solve", record)
     pts = tuple(tuple(map(float, p)) for p in np.random.default_rng(3).uniform(-1, 1, (6, 2)))
     sample = SampleSet(n=2, points=pts, values=tuple(math.sin(x) * y for x, y in pts))
     fit_field(sample, cube_family(pts, dyadic_radii(pts, 2)), k=1, m=2, interpolate_center=True)
-    selection.best_selection(_select_workload_instance(_op_seed(1, 0), 24))
+    problems.append(_oracle_selection_lp(_select_workload_instance(_op_seed(1, 0), 24), None))
     monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
     lifts = 0
     for problem in [*problems, *_redundant_lps()]:
@@ -888,3 +887,109 @@ def test_non_finite_data_raises(part, value):
     getattr(problem, part).flat[0] = value
     with pytest.raises(ArithmeticError, match="non-finite"):
         lp_solve(problem)
+
+
+# -- delayed constraint generation ---------------------------------------------------
+
+
+def _generated(problem, start):
+    """``problem`` with only its inequality rows ``start`` (and every
+    equality) to begin with, and a separation that hands over the others
+    as an optimum violates them, each row once; it records what it hands over."""
+    a, b = problem.a_ub[~start], problem.b_ub[~start]
+    taken = np.zeros(len(b), dtype=bool)
+    handed = []
+
+    def separate(x):
+        violated = (a @ x - b > 1e-12 * max(1.0, np.abs(x).max())) & ~taken
+        taken[violated] = True
+        handed.append((a[violated], b[violated]))
+        return handed[-1]
+
+    begin = LPProblem(problem.objective, problem.a_ub[start], problem.b_ub[start], problem.a_eq, problem.b_eq)
+    return begin, separate, handed
+
+
+def _assert_dual_certifies(problem, sol, added=()):
+    """y >= 0 on the inequality rows, a^T y = -c and c.x = -b.y, over the
+    problem's rows and then the rows added."""
+    a = np.vstack([problem.a_ub, problem.a_eq, *(rows for rows, _ in added)])
+    b = np.concatenate([problem.b_ub, problem.b_eq, *(rhs for _, rhs in added)])
+    y = sol.dual
+    assert y.shape == b.shape
+    ineq = np.ones(b.size, dtype=bool)
+    ineq[problem.b_ub.size : problem.b_ub.size + problem.b_eq.size] = False
+    assert y[ineq].min(initial=0.0) >= -1e-9
+    assert np.abs(a.T @ y + problem.objective).max() <= 1e-8 * max(1.0, np.abs(y).max())
+    assert float(b @ y) == pytest.approx(-sol.objective, rel=1e-9, abs=1e-9)
+
+
+def test_dual_certifies_the_optimum():
+    for problem in [*_mixed_lps(), *_redundant_lps(), *_degenerate_lps(4)]:
+        sol = lp_solve(problem)
+        if sol.status == "optimal":
+            _assert_dual_certifies(problem, sol)
+        else:
+            assert sol.dual is None
+
+
+def test_separation_reaches_the_full_optimum():
+    # the box rows start the LP (they bound it), and the separation hands
+    # over the other inequality rows
+    for problem in [*_mixed_lps(), *_redundant_lps(), *_degenerate_lps(4)]:
+        start = np.zeros(problem.b_ub.size, dtype=bool)
+        start[-2 * problem.objective.size :] = True  # the box
+        begin, separate, handed = _generated(problem, start)
+        full, sol = lp_solve(problem), lp_solve(begin, separate)
+        assert sol.status == full.status
+        if full.status == "optimal":
+            assert sol.objective == pytest.approx(full.objective, rel=1e-9, abs=1e-9)
+            assert not handed[-1][1].size
+            _assert_dual_certifies(begin, sol, handed)
+
+
+def test_separation_after_a_dropped_row_solves_again(monkeypatch):
+    # min x subject to x >= -5 leaves z in no row: its dual row is dropped
+    # after phase 1, so x = -5 comes from a reduced basis.  The separation
+    # then adds z - x <= 1, where the reduced basis no longer fits, and the
+    # solve starts again; then -z <= 1, which resumes phase 2: x = -2
+    full = LPProblem(
+        np.array([1.0, 0.0]), np.array([[-1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]),
+        np.array([5.0, 1.0, 1.0]), np.zeros((0, 2)), np.zeros(0),
+    )
+    begin, separate, handed = _generated(full, np.array([True, False, False]))
+    calls, dropped = [], []
+    solve_dual, drive_out_artificials = lp._solve_dual, lp._drive_out_artificials
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return solve_dual(*args)
+
+    def drive_out(*args):
+        dropped.append(drive_out_artificials(*args))
+        return dropped[-1]
+
+    monkeypatch.setattr(lp, "_solve_dual", counted)
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    sol = lp_solve(begin, separate)
+    assert sol.status == "optimal" and sol.x.tolist() == [-2.0, -1.0]
+    assert [rhs.size for _, rhs in handed] == [1, 1, 0]
+    assert calls == [1, 2] and dropped == [[1], []]  # one fresh start, with both rows
+    _assert_dual_certifies(begin, sol, handed)
+    assert sol.objective == lp_solve(full).objective
+
+
+def test_separation_needs_a_bounded_start():
+    # min x subject to x <= 0 alone is unbounded, though the rows a
+    # separation would add might bound it
+    with pytest.raises(ValueError, match="bound the objective"):
+        lp_solve(_UNBOUNDED, lambda x: (np.array([[-1.0]]), np.array([5.0])))
+    no_rows = LPProblem(np.ones(1), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(ValueError, match="bound the objective"):
+        lp_solve(no_rows, lambda x: (np.zeros((0, 1)), np.zeros(0)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_added_row_raises(value):
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        lp_solve(_two_bounds(), lambda x: (np.array([[value, 1.0]]), np.array([1.0])))

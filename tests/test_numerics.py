@@ -315,6 +315,16 @@ def test_inversion_cap_raises():
         invert_increasing(lambda t: (0.0, 0.0), 0.5)
 
 
+def test_inversion_raises_overflow_where_every_evaluation_overflows():
+    # the bracket halves toward 0 as at a jump, but no value was ever seen:
+    # the inverse is beyond what the function can be evaluated at
+    def fdf(t):
+        raise OverflowError("math range error")
+
+    with pytest.raises(OverflowError, match="every evaluation overflowed"):
+        invert_increasing(fdf, 0.5)
+
+
 def test_inversion_overflow_counts_as_infinite():
     def fdf(t):
         if t > 10.0:

@@ -21,7 +21,7 @@ from jetspace.selection import (
     membership_block,
     relaxed_feasible,
     selection_field,
-    _selection_lp,
+    _SelectionLP,
 )
 from jetspace.whitney import lo_seminorm, pair_gauges
 
@@ -564,11 +564,11 @@ def _above_order_instance():
 
 
 def _recorded_problems(monkeypatch, inst, lams):
-    """The LPs best_selection (lam None) and relaxed_feasible pass to
+    """The start LPs best_selection (lam None) and relaxed_feasible pass to
     lp_solve, which is stubbed out."""
     problems = []
 
-    def recording_lp_solve(problem):
+    def recording_lp_solve(problem, separate=None):
         problems.append(problem)
         return LPSolution(status="infeasible")
 
@@ -585,7 +585,41 @@ def _lp_bytes(problem):
     ]
 
 
+def _pairwise_end(problem, lam):
+    """Where a selection LP's pairwise rows end: the scale row (if any) and
+    the box rows follow them."""
+    scale = int(lam is None)
+    return problem.b_ub.size - 2 * (problem.objective.size - scale) - scale
+
+
+def _pairwise_block(problem, inst, lam):
+    """The slice of the full LP's inequality rows that its pairwise rows
+    fill, after the membership rows."""
+    pairs = len(inst.nodes) * (len(inst.nodes) - 1) // 2
+    alphas = multi_indices(inst.n, inst.top_degree)
+    rows = 2 * pairs * (2 * len(alphas) - sum(mi_order(a) == inst.top_degree for a in alphas))
+    end = _pairwise_end(problem, lam)
+    return slice(end - rows, end)
+
+
+def _full_selection_lp(inst, lam):
+    """The full selection LP from ``_SelectionLP``: its start LP with the
+    pairwise rows of every bound in place of those it starts with."""
+    lp_ = _SelectionLP(inst, lam)
+    start = lp_.problem
+    a_pairs, b_pairs = lp_.rows(lp_.i, lp_.j, lp_.order)
+    end = _pairwise_end(start, lam)
+    begin = end - 2 * int(lp_.present.sum())
+    a_ub = np.vstack([start.a_ub[:begin], a_pairs, start.a_ub[end:]])
+    b_ub = np.concatenate([start.b_ub[:begin], b_pairs, start.b_ub[end:]])
+    return LPProblem(start.objective, a_ub, b_ub, start.a_eq, start.b_eq)
+
+
 def test_selection_lp_bit_identical_to_builder_oracle(monkeypatch):
+    # the start LP that best_selection and relaxed_feasible pass to lp_solve
+    # is the oracle's full LP without the pairwise rows it does not start
+    # with, bit for bit; the row helper gives the oracle's pairwise rows for
+    # any (i, j, order) bounds, every bound in order and a shuffled subset
     rng = np.random.default_rng(29)
     instances = [
         *(_select_workload_instance(_op_seed(1, op), 24) for op in (0, 42, 121)),
@@ -599,7 +633,20 @@ def test_selection_lp_bit_identical_to_builder_oracle(monkeypatch):
     for inst in instances:
         problems = _recorded_problems(monkeypatch, inst, lams)
         for lam, problem in zip(lams, problems):
-            assert _lp_bytes(problem) == _lp_bytes(_oracle_selection_lp(inst, lam))
+            oracle, lp_ = _oracle_selection_lp(inst, lam), _SelectionLP(inst, lam)
+            block = _pairwise_block(oracle, inst, lam)
+            keep = np.ones(oracle.b_ub.size, dtype=bool)
+            keep[block] = np.repeat(lp_.present, 2)
+            start = LPProblem(oracle.objective, oracle.a_ub[keep], oracle.b_ub[keep], oracle.a_eq, oracle.b_eq)
+            assert _lp_bytes(problem) == _lp_bytes(start)
+            a_pairs, b_pairs = lp_.rows(lp_.i, lp_.j, lp_.order)
+            assert a_pairs.tobytes() == oracle.a_ub[block].tobytes()
+            assert b_pairs.tobytes() == oracle.b_ub[block].tobytes()
+            some = rng.permutation(lp_.order.size)[: lp_.order.size // 2]
+            a_some, b_some = lp_.rows(lp_.i[some], lp_.j[some], lp_.order[some])
+            rows = np.stack([2 * some, 2 * some + 1], axis=1).ravel()
+            assert a_some.tobytes() == oracle.a_ub[block][rows].tobytes()
+            assert b_some.tobytes() == oracle.b_ub[block][rows].tobytes()
 
 
 def _without_repeated_top_rows(problem, inst):
@@ -630,7 +677,7 @@ def _without_repeated_top_rows(problem, inst):
 def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
     rng = np.random.default_rng(61)
     for inst in (_select_1d_instance(rng, 8), _jet_instance_2d(rng, 5)):
-        new, _ = _selection_lp(inst, lam_fixed)
+        new = _full_selection_lp(inst, lam_fixed)
         old = _oracle_selection_lp(inst, lam_fixed, _scalar_pairwise_rows)
         a_ub, b_ub = _without_repeated_top_rows(old, inst)
         # the gauges (the scale's column, or the right-hand sides at a fixed
@@ -645,16 +692,22 @@ def test_pairwise_rows_bit_identical_to_scalar_oracle(lam_fixed):
         assert new.a_eq.tobytes() == old.a_eq.tobytes()
 
 
-def test_selection_lp_objective_matches_highs(monkeypatch):
-    # the select workload's shape: 1-D interval sets, k=0, m=2, power q=1
-    optimize = pytest.importorskip("scipy.optimize")
-    solved = []
+def _recording_lp_solve(solved):
+    """lp_solve that appends each (start problem, solution) to ``solved``."""
 
-    def recording_lp_solve(problem):
-        solved.append((problem, lp_solve(problem)))
+    def recording_lp_solve(problem, separate=None):
+        solved.append((problem, lp_solve(problem, separate)))
         return solved[-1][1]
 
-    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    return recording_lp_solve
+
+
+def test_selection_lp_objective_matches_highs(monkeypatch):
+    # the select workload's shape: 1-D interval sets, k=0, m=2, power q=1.
+    # HiGHS solves the full LP, every pairwise row in it
+    optimize = pytest.importorskip("scipy.optimize")
+    solved = []
+    monkeypatch.setattr(selection, "lp_solve", _recording_lp_solve(solved))
     rng = np.random.default_rng(1)
     for nodes in (8, 12, 16, 24) * 3:
         spec = []
@@ -662,8 +715,9 @@ def test_selection_lp_objective_matches_highs(monkeypatch):
             x, r, lo = rng.uniform(-6.0, 6.0), rng.uniform(0.2, 1.5), rng.uniform(-2.0, 2.0)
             spec.append((interval_set(lo, lo + rng.uniform(0.05, 1.0)), Cube((x,), r)))
         inst = SelectionInstance(n=1, k=0, m=2, modulus=Modulus.power(1, 2), nodes=tuple(spec))
-        best_selection(inst)
-    for problem, sol in solved:
+        res = best_selection(inst)
+        _, sol = solved[-1]
+        problem = _oracle_selection_lp(inst, None)
         ref = optimize.linprog(
             problem.objective,
             A_ub=problem.a_ub,
@@ -673,15 +727,17 @@ def test_selection_lp_objective_matches_highs(monkeypatch):
             bounds=(None, None),
             method="highs",
         )
-        assert ref.status == 0 and sol.status == "optimal"
-        assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        assert ref.status == 0 and sol.status == res.status == "optimal"
+        assert res.lam == sol.objective == pytest.approx(ref.fun, rel=1e-9)
         # the box rows and -scale <= -0 start every row of the dual
         assert sol.pivots[0] == 0
+    assert len(solved) == 12
 
 
 def test_relaxed_feasible_status_matches_highs(monkeypatch):
     # the select workload's shape, just below and just above the optimum,
-    # and at half of it, where the relaxed LP is often infeasible
+    # and at half of it, where the relaxed LP is often infeasible.  HiGHS
+    # solves the full LP
     from test_lp import _highs
 
     rng = np.random.default_rng(1)
@@ -694,16 +750,11 @@ def test_relaxed_feasible_status_matches_highs(monkeypatch):
         lam = best_selection(inst).lam
         for factor in (0.5, 0.95, 1.05):
             solved = []
-
-            def recording_lp_solve(problem):
-                solved.append((problem, lp_solve(problem)))
-                return solved[-1][1]
-
             with monkeypatch.context() as patch:
-                patch.setattr(selection, "lp_solve", recording_lp_solve)
+                patch.setattr(selection, "lp_solve", _recording_lp_solve(solved))
                 res = relaxed_feasible(inst, lam * factor)
-            (problem, sol), = solved
-            assert res.status == sol.status == _highs(problem)[0]
+            (_, sol), = solved
+            assert res.status == sol.status == _highs(_oracle_selection_lp(inst, lam * factor))[0]
 
 
 def _op_seed(workload_seed, index):
@@ -729,23 +780,20 @@ def _select_workload_instance(seed, nodes):
 )
 def test_select_workload_lp_matches_highs(monkeypatch, op, nodes):
     # two inputs the select benchmark runs (ops 42 and 121 of workload seed
-    # 1), and the generator at 48 and 64 nodes, whose LPs have 7,201 and
-    # 12,673 rows
+    # 1), and the generator at 48 and 64 nodes, whose full LPs have 7,201
+    # and 12,673 rows; HiGHS solves the full LP
     from test_lp import _highs
 
     solved = []
-
-    def recording_lp_solve(problem):
-        solved.append((problem, lp_solve(problem)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    monkeypatch.setattr(selection, "lp_solve", _recording_lp_solve(solved))
     inst = _select_workload_instance(_op_seed(1, op), nodes)
     res = best_selection(inst)
-    (problem, sol), = solved
+    (_, sol), = solved
+    problem = _oracle_selection_lp(inst, None)
+    assert problem.b_ub.size + problem.b_eq.size == {24: 1873, 48: 7201, 64: 12673}[nodes]
     status, fun = _highs(problem)
     assert status == sol.status == res.status == "optimal"
-    assert sol.objective == pytest.approx(fun, rel=1e-9)
+    assert res.lam == pytest.approx(fun, rel=1e-9)
     assert sol.pivots[0] == 0
     assert res.lam == pytest.approx(lo_seminorm(selection_field(inst, res.polys), inst.modulus).value, rel=1e-9)
 
@@ -770,29 +818,23 @@ def test_selection_lp_memory_peak():
     ids=["lift", "zero-lift", "large-lift"],
 )
 def test_degenerate_stalls_match_highs(monkeypatch, lift, branch):
-    # the 32-node selection LPs stall on degenerate pivots.  The default lift
-    # breaks the stalls; a zero lift leaves them to Bland's rule; a lift of
-    # half the largest basic value reaches bases that are infeasible once it
-    # is undone, so those runs resume from where the lift started.  The
-    # solver's count of the branch named shows that it ran
+    # the full 32-node selection LPs stall on degenerate pivots.  The
+    # default lift breaks the stalls; a zero lift leaves them to Bland's
+    # rule; a lift of half the largest basic value reaches bases that are
+    # infeasible once it is undone, so those runs resume from where the
+    # lift started.  The solver's count of the branch named shows that it ran
     from test_lp import _highs
 
     monkeypatch.setattr(lp, "_LIFT", lift)
     taken = 0
     for op in range(4):
-        solved = []
-
-        def recording_lp_solve(lp_problem):
-            solved.append((lp_problem, lp.lp_solve(lp_problem)))
-            return solved[-1][1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(selection, "lp_solve", recording_lp_solve)
-            res = best_selection(_select_workload_instance(_op_seed(1, op), 32))
-        (problem, sol), = solved
+        inst = _select_workload_instance(_op_seed(1, op), 32)
+        problem = _oracle_selection_lp(inst, None)
+        sol = lp.lp_solve(problem)
         status, fun = _highs(problem)
-        assert res.status == status == "optimal"
-        assert res.lam == pytest.approx(fun, rel=1e-9)
+        assert sol.status == status == "optimal"
+        assert sol.objective == pytest.approx(fun, rel=1e-9)
+        assert best_selection(inst).lam == pytest.approx(fun, rel=1e-9)
         taken += getattr(sol, branch)
     assert taken > 0
 
@@ -850,3 +892,33 @@ def test_instance_and_set_dimension_and_degree_checks():
             directions=(Poly(1, 0, {(0,): 1.0}),),
             inequalities=(((1.0, 0.0), 1.0),),
         )
+
+
+# -- constraint generation against the full LP --------------------------------------
+
+
+def test_generated_optimum_is_the_full_optimum_on_every_select_input():
+    # the 128 inputs of the select benchmark (workload seed 1): the least
+    # scale equals the full LP's optimum, the seminorm of the returned
+    # field, and the optimum on the witness nodes alone
+    for op in range(128):
+        inst = _select_workload_instance(_op_seed(1, op), 24)
+        res = best_selection(inst)
+        full = lp_solve(_oracle_selection_lp(inst, None))
+        assert res.status == full.status == "optimal"
+        assert res.lam == pytest.approx(full.objective, rel=1e-9)
+        field = selection_field(inst, res.polys)
+        assert lo_seminorm(field, inst.modulus).value == pytest.approx(res.lam, rel=1e-9)
+        assert 2 <= len(res.witness) < len(inst.nodes)
+        assert best_selection(inst.subset(res.witness)).lam == pytest.approx(res.lam, rel=1e-9)
+
+
+def test_generated_rows_stay_few():
+    # deterministic counts at 64 nodes: the LP ends with at most a quarter
+    # of the full LP's 12,096 pairwise rows
+    inst = _select_workload_instance(_op_seed(1, 0), 64)
+    res = best_selection(inst)
+    full_pairwise = 64 * 63 // 2 * 6
+    assert res.rounds >= 2
+    assert res.generated_rows <= full_pairwise // 4
+    assert best_selection(inst) == res

@@ -900,6 +900,21 @@ def _oracle_metric_form(field, mod, lam):
     return True, seen
 
 
+def _record_distances(monkeypatch):
+    """The list that every distance ``_JetRows.distances`` hands out is
+    appended to, in hex, as its caller reaches it."""
+    seen = []
+    row_distances = _JetRows.distances
+
+    def recorded(self, mod, i, js):
+        for d in row_distances(self, mod, i, js):
+            seen.append(d.hex())
+            yield d
+
+    monkeypatch.setattr(_JetRows, "distances", recorded)
+    return seen
+
+
 def _sweep_modulus(family, m):
     if family == "power":
         return Modulus.power(0.5 * m, m)
@@ -913,15 +928,7 @@ def _sweep_modulus(family, m):
 def test_pairwise_sweep_matches_scalar_oracles(family, n, k, m, monkeypatch):
     rng = np.random.default_rng(1000 * n + 100 * k + 10 * m + len(family))
     mod = _sweep_modulus(family, m)
-    seen = []
-    row_distances = _JetRows.distances
-
-    def recorded(self, mod, i, js):
-        out = row_distances(self, mod, i, js)
-        seen.extend(d.hex() for d in out)
-        return out
-
-    monkeypatch.setattr(_JetRows, "distances", recorded)
+    seen = _record_distances(monkeypatch)
     for _ in range(3):
         field = _random_field(rng, n, k, m, 5)
         ratio, order = pairwise_sweep(field, mod)
@@ -967,15 +974,7 @@ def test_metric_form_scales_sparse_jets_as_scale_does(lam, monkeypatch):
             (Cube((3.0,), 2.0), Poly.zero(1, 1)),
         ),
     )
-    seen = []
-    row_distances = _JetRows.distances
-
-    def recorded(self, mod, i, js):
-        out = row_distances(self, mod, i, js)
-        seen.extend(d.hex() for d in out)
-        return out
-
-    monkeypatch.setattr(_JetRows, "distances", recorded)
+    seen = _record_distances(monkeypatch)
     if math.isnan(lam):
         with pytest.raises(ValueError, match="scale must be positive"):
             lipschitz_forms(field, MOD, lam)
@@ -1072,7 +1071,7 @@ def test_pair_gauges_reader_reads_the_pairs_it_is_given(family):
     mod = _sweep_modulus(family, 2)
     cubes = cube_family(rng.uniform(-2.0, 2.0, size=(4, 2)).tolist(), [0.3, 1.1])
     alphas = multi_indices(2, 2)
-    orders = [*alphas, *alphas[:3]]  # repeated multi-indices, as ``_selection_lp`` asks
+    orders = [*alphas, *alphas[:3]]  # repeated multi-indices are read like any others
     gauges = whitney.pair_gauges(mod, 2, orders, cubes)
     want = _oracle_pair_gauges(mod, 2, orders, cubes)
     # both orientations, i == j, and a repeated pair
