@@ -3,11 +3,11 @@
 Variables are free reals; constraints are linear inequalities (<=) and
 equalities.  Every LP here is tall and thin, with far more constraints than
 variables, so ``lp_solve`` solves the dual (a row per variable, a column per
-constraint) by two-phase revised simplex with Bland's anti-cycling rule,
-keeping only the basis inverse and the basic values.  The start basis takes
-the unit columns that the problem's bound rows (x_j <= u, x_j >= l, x_j = v)
-supply to the dual, and an artificial only for a dual row without one; when
-every row has one, phase 1 is skipped.  An equality a x = b enters as the
+constraint) by two-phase revised simplex, keeping only the basis inverse and
+the basic values, which a seeded lift moves off every degenerate stall.  The
+start basis takes the unit columns that the problem's bound rows (x_j <= u,
+x_j >= l, x_j = v) supply to the dual, and an artificial only for a dual row
+without one; when every row has one, phase 1 is skipped.  An equality a x = b enters as the
 pair of inequalities a x <= b and -a x <= -b, so everything below
 ``lp_solve`` works on the single form a x <= b.  The primal solution is the
 final dual basis's simplex multipliers.  Before a status is returned its
@@ -73,9 +73,8 @@ class LPSolution:
     dual: np.ndarray | None = None
     pivots: tuple[int, int] = (0, 0)  # in phase 1 (artificials driven out too), phase 2
     reinversions: int = 0  # rebuilds of the basis inverse
-    lifts: int = 0  # degenerate stalls broken by the seeded lift
-    restarts: int = 0  # runs resumed from the pre-lift basis
-    bland_pivots: int = 0  # pivots chosen by Bland's rule; every count repeats exactly
+    lifts: int = 0  # every lift of the basic values, one per degenerate stall
+    restarts: int = 0  # runs resumed from the pre-lift basis; every count repeats exactly
 
 
 @dataclass
@@ -183,12 +182,12 @@ def lp_solve(problem: LPProblem, separate: Separation | None = None) -> LPSoluti
         scales.append(_norms(b_new, a_new))
         return a_new.T / scales[-1], b_new / scales[-1]
 
-    work = [0] * 6  # phase-1 pivots, phase-2 pivots, rebuilds, lifts, restarts, Bland pivots
+    work = [0] * 5  # phase-1 pivots, phase-2 pivots, rebuilds, lifts, restarts
     solution = _solve_dual(c, original, b, work, columns if separate else None)
     if separate is not None and solution.status == "unbounded":
         raise ValueError("a separation needs start rows that bound the objective")
     solution.pivots = (work[0], work[1])
-    solution.reinversions, solution.lifts, solution.restarts, solution.bland_pivots = work[2:]
+    solution.reinversions, solution.lifts, solution.restarts = work[2:]
     if solution.dual is not None:
         w = solution.dual / np.concatenate(scales)
         solution.dual = np.concatenate([w[:m_ub], w[m_ub:m] - w[m : m + m_eq], w[m + m_eq :]])
@@ -379,49 +378,52 @@ def _simplex(
 
     ``inverse`` = [B^-1 | basic values], B the basic columns of ``original``,
     is updated in place.  Columns < ``limit`` are priced as cost - (cost_B
-    B^-1) original (phase 2 keeps the artificials out).  Ordinarily the
-    entering column is the most negative reduced cost and ratio-test ties
-    are broken on the largest pivot (numerical stability).  A pivot entry
-    must exceed _PIVOT_TOL and 1e-9 of its column's largest entry.  An
-    objective at or below ``floor``, a known lower bound, counts as optimal.
+    B^-1) original (phase 2 keeps the artificials out).  The entering
+    column is the most negative reduced cost below -_COST_TOL times
+    max(1, |cost_B B^-1|), the size of the multipliers at the last rebuild,
+    and ratio-test ties are broken on the largest pivot (numerical
+    stability).  A pivot entry must exceed _PIVOT_TOL and 1e-9 of its
+    column's largest entry.  An objective at or below ``floor``, a known
+    lower bound, counts as optimal.
 
-    When the objective first stalls on degenerate pivots, every basic value
-    is lifted by a random 1 to 2 times _LIFT of the largest one (seeded, so
-    runs repeat), which breaks the ratio-test ties behind the stall.  The
-    lift is undone before a status is returned; if the basis reached is
-    infeasible without it, the run resumes from the basis the lift started
-    at.  When the objective stalls again, the rule switches to Bland's
-    smallest-index selection, whose termination guarantee breaks the cycle.
+    Whenever the objective stalls for over 40 degenerate pivots, every
+    basic value is lifted by a random 1 to 2 times _LIFT of the largest one
+    (one generator seeded 0, so runs repeat), which breaks the ratio-test
+    ties behind the stall.  The lifts are undone together before a status
+    is returned, from the right-hand side saved at the first; if the basis
+    reached is infeasible without them, the run resumes from the basis the
+    first started at.
 
     Every _REINVERT pivots, and before a status is returned, ``inverse`` is
     rebuilt from ``original`` and the basis, so that rounding does not
     accumulate; a status counts only when read off a fresh rebuild.  Returns
     the status and the entering column (the unbounded one when the status is
     "unbounded").  ``work`` counts the pivots of ``phase``, the rebuilds, the
-    lifts, the restarts from the pre-lift basis and the Bland pivots.
+    lifts and the restarts from the pre-lift basis.
     """
     binv, rhs = inverse[:, :-1], inverse[:, -1]  # views, kept current in place
     max_iter = 20000 + 200 * (basis.size + original.shape[1] - 1)
     stall = 0
     last_obj = math.inf
     fresh, since = False, 0
-    exact = start = None  # the right-hand side and the basis before the lift
-    may_lift = True
+    exact = start = rng = None  # the right-hand side and the basis before the first lift; its generator
     for _ in range(max_iter):
-        if stall > 40 and may_lift:
-            exact, start, may_lift = original[:, -1].copy(), basis.copy(), False
+        if stall > 40:
+            if exact is None:
+                exact, start, rng = original[:, -1].copy(), basis.copy(), rng or np.random.default_rng(0)
             size = _LIFT * max(1.0, _amax(rhs))
-            lift = np.random.default_rng(0).uniform(size, 2.0 * size, basis.size)
+            lift = rng.uniform(size, 2.0 * size, basis.size)
             original[:, -1] += original[:, basis] @ lift
             rhs += lift
             stall, work[3] = 0, work[3] + 1
-        reduced = cost[:limit] - (cost[basis] @ binv) @ original[:, :limit]
+        y = cost[basis] @ binv
+        if since == 0:  # at the start and after each rebuild
+            tol = _COST_TOL * max(1.0, _amax(y))
+        reduced = cost[:limit] - y @ original[:, :limit]
         reduced[basis[basis < limit]] = 0.0
-        bland = stall > 40
-        # Bland: the first improving column; otherwise the most negative
-        entering = int((reduced < -_COST_TOL).argmax() if bland else reduced.argmin())
+        entering = int(reduced.argmin())
         status = ""
-        if not reduced[entering] < -_COST_TOL or float(cost[basis] @ rhs) <= floor:
+        if not reduced[entering] < -tol or float(cost[basis] @ rhs) <= floor:
             status = "optimal"
         else:
             col = binv @ original[:, entering]
@@ -431,8 +433,7 @@ def _simplex(
         if status and fresh:
             if exact is None:
                 return status, entering
-            original[:, -1] = exact
-            exact = None
+            original[:, -1], exact = exact, None
             _reinvert(inverse, basis, original, work)
             if float(rhs.min(initial=0.0)) < -1e-9 * max(1.0, _amax(rhs)):
                 # the basis reached is infeasible without the lift
@@ -448,11 +449,9 @@ def _simplex(
         ratios = np.maximum(rhs[rows], 0.0) / col[rows]
         best_ratio = float(ratios.min())
         tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
-        # first tied row with the largest pivot, or the smallest basic index
-        leaving = int(tied[basis[tied].argmin()] if bland else tied[col[tied].argmax()])
+        leaving = int(tied[col[tied].argmax()])  # the first tied row with the largest pivot
         _pivot(inverse, basis, leaving, entering, col)
         fresh, since, work[phase] = False, since + 1, work[phase] + 1
-        work[5] += bland
         obj = float(cost[basis] @ rhs)
         if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
             stall = 0

@@ -148,8 +148,9 @@ class Modulus:
 
         Each piece [c, end] is integrated from c and x = ln(1 + step/c), never
         from a rounded v + t.  t = +inf (or a t reaching a table's last knot)
-        gives the tail mass, with slope 0.  A finite t past the last knot
-        raises ValueError; a finite t whose integral overflows, OverflowError.
+        gives the tail mass, with slope 0, and +inf for a tail beyond the
+        float range.  A finite t past the last knot raises ValueError; a
+        finite t whose integral overflows, OverflowError.
         """
         room = self.domain_max - v
         if room < 0.0 or room < t < math.inf:
@@ -170,10 +171,10 @@ class Modulus:
             if not rest > 0.0:
                 break
             c = upper
+        if not total > -math.inf or total == math.inf > t:  # NaN or -inf, or a finite step beyond the float range
+            raise OverflowError("core integral beyond the float range")
         if t == math.inf:
             return total, 0.0
-        if total == math.inf:
-            raise OverflowError("core integral beyond the float range")
         try:  # the kernel at end = v + t, in the last piece integrated
             return total, end**k * math.log1p(end) if coef is None else coef * end**k
         except OverflowError:
@@ -201,9 +202,7 @@ class Modulus:
                 masses = _log_masses if coef is None else _power_masses
                 total[on] += (1.0 if coef is None else coef) * masses(k + 1.0, cs, x, end)
                 rest[on], c[on] = np.where(rs > step, rs - step, np.nan), upper
-        upper, _, k = self._core[-1]  # +inf is a tail mass only where the last piece's diverges
-        finite = (t < np.inf) | (upper < np.inf) | (k < -1.0)
-        if np.any(~(total > -np.inf) | ((total == np.inf) & finite)):
+        if np.any(~(total > -np.inf) | ((total == np.inf) & (t < np.inf))):  # as in _increment
             raise OverflowError("core integral beyond the float range")
         return total
 
@@ -360,14 +359,27 @@ def _power_mass(a: float, c: float, x: float, end: float) -> float:
     """Integral of s^(a-1) over [c, end], given x = ln(end / c): as
     c^a expm1(a x) / a while |a x| <= 1/2, else as (end^a - c^a) / a, which
     then cannot cancel.  end = 0 (x = -inf) integrates down to 0: -c^a / a,
-    or -inf where that diverges; x = 0 gives 0, also where c^a overflows."""
+    or -inf where that diverges; x = 0 gives 0, also where c^a overflows.
+    Where a power overflows, ``_log_power_mass``."""
     if a == 0.0 or x == 0.0:
         return x
-    if abs(a * x) <= 0.5:
-        return c**a * math.expm1(a * x) / a
     if end == 0.0 and a < 0.0:
         return -math.inf
-    return (end**a - c**a) / a
+    try:
+        return c**a * math.expm1(a * x) / a if abs(a * x) <= 0.5 else (end**a - c**a) / a
+    except OverflowError:
+        return float(_log_power_mass(a, c, x, end))
+
+
+def _log_power_mass(a, c, x, end):
+    """``_power_mass`` at x != 0 in the log domain, where c^a or end^a is
+    beyond the float range: s^a (1 - e^-|a x|) / |a| with the sign of x, s
+    the end of the larger power; +-inf only where the mass is beyond the
+    float range itself."""
+    s = np.where((a > 0.0) == (x > 0.0), end, c)
+    with np.errstate(over="ignore"):
+        size = a * np.log(s) + np.log(-np.expm1(-np.abs(a * x))) - np.log(np.abs(a))
+        return np.copysign(np.exp(size), x)
 
 
 def _log_mass(a: float, c: float, x: float, end: float) -> float:
@@ -406,7 +418,10 @@ def _power_masses(a, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarra
     """``_power_mass`` over arrays with end > 0; a may be an array too."""
     ax, ca = a * x, c**a
     out = np.where(np.abs(ax) <= 0.5, ca * np.expm1(ax) / a, (end**a - ca) / a)
-    return np.where((a == 0.0) | (x == 0.0), x, out)
+    out = np.where((a == 0.0) | (x == 0.0), x, out)
+    if not np.isfinite(out).all():  # a power beyond the float range, or a divergent tail
+        out = np.where(np.isfinite(out) | (a == 0.0), out, _log_power_mass(a, c, x, end))
+    return out
 
 
 def _log_masses(a: float, c: np.ndarray, x: np.ndarray, end: np.ndarray) -> np.ndarray:

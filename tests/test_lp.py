@@ -787,8 +787,8 @@ def test_equalities_solve_as_inequality_pairs(monkeypatch):
         got, want = lp_solve(problem), lp_solve(_as_inequality_pairs(problem))
         assert got.status == want.status == "optimal"
         assert got.x.tobytes() == want.x.tobytes()
-        assert (got.pivots, got.reinversions, got.lifts, got.restarts, got.bland_pivots) == (
-            want.pivots, want.reinversions, want.lifts, want.restarts, want.bland_pivots
+        assert (got.pivots, got.reinversions, got.lifts, got.restarts) == (
+            want.pivots, want.reinversions, want.lifts, want.restarts
         )
         lifts += got.lifts
     assert len(problems) > 2 and lifts > 0 and any(redundant)
@@ -993,3 +993,96 @@ def test_separation_needs_a_bounded_start():
 def test_non_finite_added_row_raises(value):
     with pytest.raises(ArithmeticError, match="non-finite"):
         lp_solve(_two_bounds(), lambda x: (np.array([[value, 1.0]]), np.array([1.0])))
+
+
+# -- the field LP on check's cubes -------------------------------------------------
+
+
+def _field_start_lp(op):
+    """The start LP of the best field on the cubes of the check benchmark's
+    input ``op`` (workload seed 1), and the ``_SelectionLP`` whose separation
+    adds the field LP's other pairwise rows.  Columns: the scale lam, then the
+    6 global coefficients of each cube's quadratic P_Q.  Rows: per cube and
+    captured sample y in turn, +-(P_Q(y) - f(y)) <= lam r_Q w(r_Q) (k = 1);
+    then the pairwise rows of each cube's nearest cubes, -lam <= -0 and the
+    coefficient box, as ``_SelectionLP`` holds them for nodes that are single
+    polynomials (whose equalities are left out)."""
+    from jetspace.cubes import cube_family, dyadic_radii
+    from jetspace.modulus import Modulus
+    from jetspace.poly import Poly, deriv_matrix
+    from jetspace.selection import ConvexSetSpec, SelectionInstance, _SelectionLP
+    from jetspace.whitney import SampleSet, _captured, _interleave
+    from test_selection import _op_seed
+
+    pts = [tuple(p) for p in np.random.default_rng(_op_seed(1, op)).uniform(-1.0, 1.0, (12, 2)).tolist()]
+    values = tuple(math.sin(2.0 * x) * math.cos(y) + 0.5 * x * y for x, y in pts)  # the benchmark's function
+    sample = SampleSet(n=2, points=tuple(pts), values=values)
+    mod, cubes = Modulus.power(1.0, 2), cube_family(pts, dyadic_radii(pts, 3))
+    nodes = tuple((ConvexSetSpec(Poly.zero(2, 2)), cube) for cube in cubes)
+    sel = _SelectionLP(SelectionInstance(n=2, k=1, m=2, modulus=mod, nodes=nodes), None)
+    monomials = deriv_matrix(2, 2, [(0, 0)], pts)[:, 0]
+    a, b = [], []
+    for cube, start, idx in zip(cubes, sel.starts, _captured(sample, cubes)):
+        plus = np.zeros((len(idx), sel.cols))
+        plus[:, start : start + monomials.shape[1]] = monomials[idx]
+        minus = -plus
+        plus[:, 0] = minus[:, 0] = -cube.radius * mod.eval(cube.radius)
+        f = np.array(values)[idx]
+        a.append(_interleave(plus, minus))
+        b.append(_interleave(f, -f))
+    a_ub, b_ub = np.vstack([*a, sel.problem.a_ub]), np.concatenate([*b, sel.problem.b_ub])
+    return LPProblem(sel.problem.objective, a_ub, b_ub, np.zeros((0, sel.cols)), np.zeros(0)), sel
+
+
+def test_field_start_lps_match_highs(monkeypatch):
+    # concentric cubes repeat rows of the start LP (a pair's rows at x_j are
+    # its rows at x_i), and multipliers as large as the box rows price such
+    # a duplicate at about -2e-9 where its true reduced cost is 0: an
+    # absolute pricing tolerance cycled between the two, and a smallest-index
+    # rule never left the stall.  A solve round may take 5,000 pivots
+    from jetspace.selection import _SEPARATION_TOL
+
+    taken = [0]
+
+    def counted(*args):
+        taken[0] += 1
+        if taken[0] > 5000:
+            raise AssertionError("a solve round took over 5,000 pivots")
+        pivot(*args)
+
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", counted)
+    for op in (3, 11):
+        problem, _ = _field_start_lp(op)
+        taken[0] = 0
+        sol = lp_solve(problem)
+        status, fun = _highs(problem)
+        assert sol.status == status == "optimal" and sol.pivots[1] <= 2000
+        assert sol.objective == pytest.approx(fun, rel=1e-9)
+    # op 10 by separation rounds, each with a fresh budget; the first round
+    # solves the start LP.  It takes several lifts, and restarts
+    problem, sel = _field_start_lp(10)
+    rounds, handed = [], []
+
+    def separate(x):
+        rounds.append((float(x[0]), taken[0]))
+        taken[0] = 0
+        handed.append(sel.separate(x))
+        return handed[-1]
+
+    taken[0] = 0
+    sol = lp_solve(problem, separate)
+    status, fun = _highs(problem)
+    assert sol.status == status == "optimal" and sol.lifts > 1 and sol.restarts > 0
+    assert rounds[0][0] == pytest.approx(fun, rel=1e-9) and rounds[0][1] <= 2000
+    held = LPProblem(
+        problem.objective, np.vstack([problem.a_ub, *(a for a, _ in handed)]),
+        np.concatenate([problem.b_ub, *(b for _, b in handed)]), problem.a_eq, problem.b_eq,
+    )
+    assert sol.objective == pytest.approx(_highs(held)[1], rel=1e-9)
+    _assert_dual_certifies(problem, sol, handed)
+    # no row of the full field LP is violated beyond the separation's tolerance
+    tol = _SEPARATION_TOL * max(1.0, float(np.abs(sol.x).max()))
+    for at in np.array_split(np.arange(len(sel.order)), 8):
+        a, b = sel.rows(sel.i[at], sel.j[at], sel.order[at])
+        assert ((a @ sol.x - b) / np.abs(a).max(axis=1)).max() <= tol

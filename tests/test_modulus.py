@@ -226,6 +226,31 @@ def test_tail_mass_power_closed_form():
     assert math.isinf(Modulus.power(1, 1).tail_mass(1.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_tail_beyond_the_float_range_is_inf():
+    # kernel s^(-2.5): the tail from v is v^(-1.5) / 1.5, beyond the float
+    # range from about v = 3e-206 down, where v^(-1.5) overflows first; both
+    # routes take the mass in the log domain there, so the window where
+    # v^(-1.5) overflows and the mass does not keeps its value, and a finite
+    # step beyond the float range still raises
+    mp = pytest.importorskip("mpmath")
+    mod = Modulus.power(0.5, 3)
+    assert mod.tail_mass(1e-292) == math.inf
+    assert mod.core_integrals(np.array([1e-292, 1.0]), np.array([np.inf, np.inf])).tolist() == [
+        math.inf, mod.tail_mass(1.0)
+    ]
+    for size in ("1.2e308", "1.7e308", "2.6e308"):
+        with mp.workdps(30):
+            v = float(mp.mpf(size) ** (mp.mpf(-2) / 3))
+            exact = float(mp.mpf(v) ** mp.mpf(-1.5) / mp.mpf(1.5))
+        assert mod.tail_mass(v) == pytest.approx(exact, rel=1e-12)
+        assert mod.core_integrals(np.array([v]), np.array([np.inf]))[0] == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(OverflowError, match="float range"):
+        mod.integral_core(1e-292, 1.0)
+    with pytest.raises(OverflowError, match="float range"):
+        mod.core_integrals(np.array([1e-292]), np.array([1.0]))
+
+
 def test_tail_mass_powerlog_against_truncation():
     mp = pytest.importorskip("mpmath")
     mod = Modulus.power_log(0.2, 2)  # kernel s^(-1.8) ln(1+s)

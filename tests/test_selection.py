@@ -814,15 +814,15 @@ def test_selection_lp_memory_peak():
 
 @pytest.mark.parametrize(
     "lift, branch",
-    [(lp._LIFT, "lifts"), (0.0, "bland_pivots"), (0.5, "restarts")],
-    ids=["lift", "zero-lift", "large-lift"],
+    [(lp._LIFT, "lifts"), (0.5, "restarts")],
+    ids=["lift", "large-lift"],
 )
 def test_degenerate_stalls_match_highs(monkeypatch, lift, branch):
     # the full 32-node selection LPs stall on degenerate pivots.  The
-    # default lift breaks the stalls; a zero lift leaves them to Bland's
-    # rule; a lift of half the largest basic value reaches bases that are
-    # infeasible once it is undone, so those runs resume from where the
-    # lift started.  The solver's count of the branch named shows that it ran
+    # default lift breaks the stalls; a lift of half the largest basic
+    # value reaches bases that are infeasible once it is undone, so those
+    # runs resume from where the lift started.  The solver's count of the
+    # branch named shows that it ran
     from test_lp import _highs
 
     monkeypatch.setattr(lp, "_LIFT", lift)
