@@ -7,9 +7,11 @@ constraint) by two-phase revised simplex, keeping only the basis inverse and
 the basic values, which a seeded lift moves off every degenerate stall.  The
 start basis takes the unit columns that the problem's bound rows (x_j <= u,
 x_j >= l, x_j = v) supply to the dual, and an artificial only for a dual row
-without one; when every row has one, phase 1 is skipped.  An equality a x = b enters as the
-pair of inequalities a x <= b and -a x <= -b, so everything below
-``lp_solve`` works on the single form a x <= b.  The primal solution is the
+without one.  Phase 1 is skipped when every row has one, and also when every
+artificial starts at zero (c_j = 0 on its row): those are driven out of the
+start basis at once.  An equality a x = b enters as the pair of inequalities
+a x <= b and -a x <= -b, so everything below ``lp_solve`` works on the
+single form a x <= b.  The primal solution is the
 final dual basis's simplex multipliers.  Before a status is returned its
 certificate is checked: primal and dual feasibility and the duality gap for
 "optimal", a Farkas ray for "infeasible", a feasible point and an improving
@@ -148,13 +150,19 @@ def lp_solve(problem: LPProblem, separate: Separation | None = None) -> LPSoluti
     Raises ArithmeticError when an entry of the problem (or of an added row)
     is not finite (an overflowed coefficient, say), which no certificate
     could vouch for."""
-    c, a_ub, a_eq = problem.objective, problem.a_ub, problem.a_eq
-    n, m_ub, m_eq = c.size, a_ub.shape[0], a_eq.shape[0]
+    c = problem.objective
+    n, m_ub, m_eq = c.size, problem.b_ub.size, problem.b_eq.size
     m = m_ub + m_eq
+    # the single form a x <= b: the equalities enter again, negated.  The
+    # dual's columns are its rows, written straight into place, then room
+    # for the artificials and the right-hand side, which _solve_dual fills in
+    b = np.concatenate([problem.b_ub, problem.b_eq, problem.b_eq])
+    original = np.empty((n, b.size + n + 1))
+    core = original[:, :m]
+    core[:, :m_ub], core[:, m_ub:] = problem.a_ub.T, problem.a_eq.T
     # row equilibration: scale every constraint to unit max-norm so pivot
     # tolerances are meaningful across badly mixed data scales
-    b = np.concatenate([problem.b_ub, problem.b_eq])
-    norms = _norms(b, a_ub, a_eq)
+    norms = _norms(b[:m], core.T)
     if not np.isfinite(c).all():
         raise ArithmeticError("LP data has a non-finite entry")
     if m == 0:
@@ -164,15 +172,10 @@ def lp_solve(problem: LPProblem, separate: Separation | None = None) -> LPSoluti
         if np.any(c != 0.0):
             return LPSolution(status="unbounded")
         return LPSolution(status="optimal", x=np.zeros(n), objective=0.0)
-    b /= norms
-    # the single form a x <= b: the equalities enter again, negated.  The
-    # dual's columns are written straight from its rows, then room for the
-    # artificials and the right-hand side, which _solve_dual fills in
-    b = np.append(b, -b[m_ub:])
-    original = np.empty((n, b.size + n + 1))
-    np.divide(a_ub.T, norms[:m_ub], out=original[:, :m_ub])
-    np.divide(a_eq.T, norms[m_ub:], out=original[:, m_ub:m])
-    np.negative(original[:, m_ub:m], out=original[:, m : b.size])
+    b[:m] /= norms
+    np.negative(b[m_ub:m], out=b[m:])
+    core /= norms
+    np.negative(core[:, m_ub:], out=original[:, m : b.size])
     scales = [norms, norms[m_ub:]]  # of every row of the single form
 
     def columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +193,16 @@ def lp_solve(problem: LPProblem, separate: Separation | None = None) -> LPSoluti
     solution.reinversions, solution.lifts, solution.restarts = work[2:]
     if solution.dual is not None:
         w = solution.dual / np.concatenate(scales)
-        solution.dual = np.concatenate([w[:m_ub], w[m_ub:m] - w[m : m + m_eq], w[m + m_eq :]])
+        w[m_ub:m] -= w[m : m + m_eq]
+        solution.dual = np.concatenate([w[:m], w[m + m_eq :]])
     return solution
 
 
-def _norms(b: np.ndarray, *parts: np.ndarray) -> np.ndarray:
-    """The max-norm of each row of the stacked parts, 1 for a zero row.
-    Raises ArithmeticError if a row or b has an entry that is not finite:
-    exactly then is a norm, or b, NaN or infinite."""
-    norms = np.concatenate(
-        [np.maximum(part.max(axis=1, initial=0.0), -part.min(axis=1, initial=0.0)) for part in parts]
-    )
+def _norms(b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The max-norm of each row, 1 for a zero row.  Raises ArithmeticError
+    if a row or b has an entry that is not finite: exactly then is a norm,
+    or b, NaN or infinite."""
+    norms = np.abs(rows).max(axis=1, initial=0.0)
     if not (np.isfinite(norms).all() and np.isfinite(b).all()):
         raise ArithmeticError("LP data has a non-finite entry")
     norms[norms == 0.0] = 1.0
@@ -238,41 +240,42 @@ def _solve_dual(
     n, n_core = c.size, b.size
     a = original[:, :n_core].T  # the certificate checks read the full rows
     sign = np.where(c > 0, -1.0, 1.0)
-    original[:, n_core:-1] = 0.0
-    original[np.arange(n), n_core + np.arange(n)] = sign
-    original[:, -1] = -c
-    basis = n_core + np.arange(n)
-    # the columns with a single nonzero, its row, and those equal to sign_j e_j
-    core = original[:, :n_core]
-    units = (np.count_nonzero(core, axis=0) == 1).nonzero()[0]
-    at = (core[:, units] != 0.0).argmax(axis=0)
-    fits = core[at, units] == sign[at]
-    at, first = np.unique(at[fits], return_index=True)
-    basis[at] = units[fits][first]
-    inverse = np.hstack([np.diag(sign), np.abs(c)[:, None]])
     rows = np.arange(n)  # the variables of x whose rows are kept
+    original[:, n_core:-1] = 0.0
+    original[rows, n_core + rows] = sign
+    original[:, -1] = -c
+    # in each row j, the first column whose one nonzero is sign_j there
+    core = original[:, :n_core]
+    fits = (core == sign[:, None]) & ((core != 0.0).sum(axis=0) == 1)
+    basis = np.where(fits.any(axis=1), fits.argmax(axis=1), n_core + rows)
+    inverse = np.zeros((n, n + 1))
+    inverse[rows, rows] = sign
+    inverse[:, -1] = np.abs(c)
 
-    if (basis >= n_core).any():
-        # phase 1 ends as soon as the artificials sum to zero within
-        # tolerance, its lower bound: further pivots there are degenerate
-        phase1_cost = np.zeros(n_core + n)
-        phase1_cost[n_core:] = 1.0
-        floor = _FEAS_TOL * max(1.0, _amax(c))
-        if float(phase1_cost[basis] @ inverse[:, -1]) == 0.0:
-            # the artificials start at zero: optimal, cleaned as _reinvert would
-            inverse[np.abs(inverse[:, -1]) < 1e-13, -1] = 0.0
-        elif _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
-            raise ArithmeticError("phase-1 simplex failed to terminate")
-        if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
-            # no dual feasible point: the primal is unbounded or infeasible.
-            # The phase-1 multipliers are a ray d with a d <= 0 along which
-            # c.x falls; the same LP without objective tells whether the
-            # primal is feasible
-            ray = phase1_cost[basis] @ inverse[:, :-1]
-            if _solve_dual(np.zeros(n), original, b, work).status == "infeasible":
-                return LPSolution(status="infeasible")
-            _check_primal_ray(c, a, ray)
-            return LPSolution(status="unbounded")
+    artificial = basis >= n_core
+    if artificial.any():
+        if not c[artificial].any():
+            # the artificials start at zero: phase 1 is optimal at once, and
+            # the basic values |c| are cleaned as _reinvert would
+            inverse[inverse[:, -1] < 1e-13, -1] = 0.0
+        else:
+            # phase 1 ends as soon as the artificials sum to zero within
+            # tolerance, its lower bound: further pivots there are degenerate
+            phase1_cost = np.zeros(n_core + n)
+            phase1_cost[n_core:] = 1.0
+            floor = _FEAS_TOL * max(1.0, _amax(c))
+            if _simplex(inverse, basis, phase1_cost, n_core + n, original, work, 0, floor)[0] != "optimal":
+                raise ArithmeticError("phase-1 simplex failed to terminate")
+            if float(phase1_cost[basis] @ inverse[:, -1]) > floor:
+                # no dual feasible point: the primal is unbounded or
+                # infeasible.  The phase-1 multipliers are a ray d with
+                # a d <= 0 along which c.x falls; the same LP without
+                # objective tells whether the primal is feasible
+                ray = phase1_cost[basis] @ inverse[:, :-1]
+                if _solve_dual(np.zeros(n), original, b, work).status == "infeasible":
+                    return LPSolution(status="infeasible")
+                _check_primal_ray(c, a, ray)
+                return LPSolution(status="unbounded")
         # a basis row whose artificial cannot leave is redundant: drop it and
         # the original row it belongs to, which depends on the others
         # (multiplier 0); B holds that artificial's column sign_j e_j, so
@@ -280,9 +283,13 @@ def _solve_dual(
         redundant = _drive_out_artificials(inverse, basis, original, n_core, work)
         if redundant:
             dependent = basis[redundant] - n_core
+            # np.delete leaves B^-1 C-ordered after one column and F-ordered
+            # after more; products with it round by that order, so it stays
             inverse = np.delete(np.delete(inverse, redundant, axis=0), dependent, axis=1)
             basis = np.delete(basis, redundant)
-            original, rows = np.delete(original, dependent, axis=0), np.delete(rows, dependent)
+            kept = np.ones(n, dtype=bool)
+            kept[dependent] = False
+            original, rows = original[kept], rows[kept]
 
     while True:
         cost = np.zeros(n_core + n)
@@ -309,10 +316,10 @@ def _solve_dual(
         n_core = b.size
         a = original[:, :n_core].T
 
-    w = np.zeros(n_core + n)
+    w = np.zeros(n_core)
     w[basis] = inverse[:, -1]
-    _check_optimal(c, a, b, x, w[:n_core])
-    return LPSolution(status="optimal", x=x, objective=float(c @ x), dual=w[:n_core])
+    _check_optimal(c, a, b, x, w)
+    return LPSolution(status="optimal", x=x, objective=float(c @ x), dual=w)
 
 
 def _amax(v: np.ndarray) -> float:
@@ -321,19 +328,20 @@ def _amax(v: np.ndarray) -> float:
 
 def _excess(resid: np.ndarray) -> float:
     """How far resid <= 0 is violated; NaN when an entry is NaN."""
-    return float(np.max(resid, initial=0.0))
+    return float(resid.max(initial=0.0))
 
 
 def _check_optimal(c, a, b, x, w) -> None:
     """x primal feasible, w dual feasible and c.x = -b.w, each within _CERT_TOL
     of the size of its terms (rows of a are at most 1; the gap's size is the
     finite larger of |c|.|x| and |b|.|w|).  Every test is written so that NaN fails it."""
-    if not _excess(a @ x - b) <= _CERT_TOL * max(1.0, _amax(x)):
+    abs_c, abs_x, abs_w = np.abs(c), np.abs(x), np.abs(w)
+    if not _excess(a @ x - b) <= _CERT_TOL * max(1.0, float(abs_x.max(initial=0.0))):
         raise ArithmeticError("simplex lost primal feasibility")
-    tol = _CERT_TOL * max(1.0, _amax(w), _amax(c))
-    if not (float(np.min(w, initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
+    tol = _CERT_TOL * max(1.0, float(abs_w.max(initial=0.0)), float(abs_c.max(initial=0.0)))
+    if not (float(w.min(initial=0.0)) >= -tol and _amax(a.T @ w + c) <= tol):
         raise ArithmeticError("simplex lost dual feasibility")
-    size = max(float(np.abs(c) @ np.abs(x)), float(np.abs(b) @ np.abs(w)))
+    size = max(float(abs_c @ abs_x), float(np.abs(b) @ abs_w))
     if not abs(float(c @ x) + float(b @ w)) <= _CERT_TOL * max(1.0, size) < math.inf:
         raise ArithmeticError("simplex left a duality gap")
 
@@ -402,6 +410,8 @@ def _simplex(
     lifts and the restarts from the pre-lift basis.
     """
     binv, rhs = inverse[:, :-1], inverse[:, -1]  # views, kept current in place
+    priced, priced_cost = original[:, :limit], cost[:limit]
+    basic_cost = cost[basis]  # kept equal to cost[basis]
     max_iter = 20000 + 200 * (basis.size + original.shape[1] - 1)
     stall = 0
     last_obj = math.inf
@@ -416,14 +426,14 @@ def _simplex(
             original[:, -1] += original[:, basis] @ lift
             rhs += lift
             stall, work[3] = 0, work[3] + 1
-        y = cost[basis] @ binv
+        y = basic_cost @ binv
         if since == 0:  # at the start and after each rebuild
             tol = _COST_TOL * max(1.0, _amax(y))
-        reduced = cost[:limit] - y @ original[:, :limit]
-        reduced[basis[basis < limit]] = 0.0
+        reduced = priced_cost - y @ priced
+        reduced[basis] = 0.0  # every basic column is priced: phase 2 holds no artificial
         entering = int(reduced.argmin())
         status = ""
-        if not reduced[entering] < -tol or float(cost[basis] @ rhs) <= floor:
+        if not reduced[entering] < -tol or (floor > -math.inf and float(basic_cost @ rhs) <= floor):
             status = "optimal"
         else:
             col = binv @ original[:, entering]
@@ -438,6 +448,7 @@ def _simplex(
             if float(rhs.min(initial=0.0)) < -1e-9 * max(1.0, _amax(rhs)):
                 # the basis reached is infeasible without the lift
                 basis[:] = start
+                basic_cost = cost[basis]
                 _reinvert(inverse, basis, original, work)
                 work[4] += 1
             since = 0
@@ -451,8 +462,9 @@ def _simplex(
         tied = rows[ratios <= best_ratio + 1e-9 * max(1.0, best_ratio)]
         leaving = int(tied[col[tied].argmax()])  # the first tied row with the largest pivot
         _pivot(inverse, basis, leaving, entering, col)
+        basic_cost[leaving] = cost[entering]
         fresh, since, work[phase] = False, since + 1, work[phase] + 1
-        obj = float(cost[basis] @ rhs)
+        obj = float(basic_cost @ rhs)
         if obj < last_obj - 1e-12 * (1.0 + abs(obj)):
             stall = 0
         else:
@@ -490,12 +502,13 @@ def _drive_out_artificials(
     """Pivot degenerate artificials out of the basis; returns the basis rows
     where none can leave, whose entries of B^-1 original are noise (every
     constraint column has unit max-norm): those rows are redundant."""
+    binv, core = inverse[:, :-1], original[:, :n_core]
     redundant = []
     for i in np.flatnonzero(basis >= n_core):
-        row = inverse[i, :-1] @ original[:, :n_core]
-        j = int(np.argmax(np.abs(row)))
+        row = binv[i] @ core
+        j = int(np.abs(row).argmax())
         if abs(row[j]) > _PIVOT_TOL:
-            _pivot(inverse, basis, i, j, inverse[:, :-1] @ original[:, j])
+            _pivot(inverse, basis, i, j, binv @ core[:, j])
             work[0] += 1
         else:
             redundant.append(int(i))

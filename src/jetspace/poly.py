@@ -113,14 +113,24 @@ def add_shifted_power(
 ) -> None:
     """Add lead * (y - x)^beta to ``out``, expanded into origin monomials
     through exact binomials."""
-    for gamma in product(*(range(b + 1) for b in beta)):
+    for gamma, factors in _binomial_terms(tuple(beta)):
         c = lead
-        for bi, gi, xi in zip(beta, gamma, x):
-            c *= math.comb(bi, gi)
-            if bi - gi:
-                c *= (-xi) ** (bi - gi)
+        for (comb, rest), xi in zip(factors, x):
+            c *= comb
+            if rest:
+                c *= (-xi) ** rest
         if c != 0.0:
             out[gamma] = out.get(gamma, 0.0) + c
+
+
+@lru_cache(maxsize=None)
+def _binomial_terms(beta: MultiIndex) -> tuple:
+    """Every gamma <= beta, in ``product`` order, with its factors
+    (comb(beta_i, gamma_i), beta_i - gamma_i) per coordinate."""
+    return tuple(
+        (gamma, tuple((math.comb(b, g), b - g) for b, g in zip(beta, gamma)))
+        for gamma in product(*(range(b + 1) for b in beta))
+    )
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,10 @@ class Poly:
             raise ValueError("degree bound must be non-negative")
         clean: dict[MultiIndex, float] = {}
         for alpha, c in self.coef.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.n or min(alpha) < 0:
                 raise ValueError(f"bad multi-index {alpha} for dimension {self.n}")
-            if mi_order(alpha) > self.degree:
+            if sum(alpha) > self.degree:
                 raise ValueError(
                     f"coefficient order {mi_order(alpha)} exceeds degree bound {self.degree}"
                 )

@@ -23,10 +23,15 @@ from .cubes import Cube, cube_distance
 from .lp import LPProblem, lp_solve
 from .modulus import Modulus
 from .poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
-from .whitney import PolyField, _interleave, pair_gauges
+from .whitney import PolyField, pair_gauges
 
 COEF_BOX = 1e6
 SUBSET_BUDGET = 5000
+
+
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Rows (or entries) of ``first`` and ``second`` alternating, first[0] first."""
+    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -204,11 +204,6 @@ def seminorm_estimate(
 # local polynomial fitting
 
 
-def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Rows (or entries) of ``first`` and ``second`` alternating, first[0] first."""
-    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
-
-
 def _sup_fit(
     cube: Cube,
     degree: int,
@@ -241,34 +236,55 @@ def _sup_fit(
         raise OverflowError(f"fit basis of order {degree} overflows on a cube of radius {cube.radius!r}")
 
     rows = deriv_matrix(n, degree, orders, offsets) * col_scale
-    a = rows.reshape(-1, size)
-    t = targets.ravel()
-    w = np.tile(weights, len(offsets))
+    w = np.asarray(weights)[:, None]  # broadcasts over the points and both rows of a pair
+    count = targets.size
     if center is None:
         a_eq, b_eq = np.zeros((0, size)), np.zeros(0)
     else:
         a_eq, b_eq = rows[center], targets[center]
 
-    # stage one over (d, eps): +-(row . d - target) <= eps * weight, eps >= 0
-    a_ub = _interleave(np.column_stack([a, -w]), np.column_stack([-a, -w]))
-    a_ub = np.vstack([a_ub, np.append(np.zeros(size), -1.0)])
-    b_ub = np.append(_interleave(t, -t), -0.0)
-    a_eq1 = np.column_stack([a_eq, np.zeros(len(b_eq))])
-    sol = lp_solve(LPProblem(np.append(np.zeros(size), 1.0), a_ub, b_ub, a_eq1, b_eq))
+    # stage one over (d, eps): the row pairs +-(row . d - target) <= eps *
+    # weight, then eps >= 0
+    objective = np.zeros(size + 1)
+    objective[size] = 1.0
+    a_ub = np.empty((2 * count + 1, size + 1))
+    pairs = a_ub[:-1].reshape(*targets.shape, 2, size + 1)
+    pairs[..., 0, :size] = rows
+    minus = np.negative(rows, out=pairs[..., 1, :size])
+    pairs[..., size] = -w
+    a_ub[-1, :size], a_ub[-1, size] = 0.0, -1.0
+    b_ub = np.empty(2 * count + 1)
+    b_pairs = b_ub[:-1].reshape(*targets.shape, 2)
+    b_pairs[..., 0] = targets
+    np.negative(targets, out=b_pairs[..., 1])
+    b_ub[-1] = -0.0
+    a_eq1 = np.zeros((len(b_eq), size + 1))
+    a_eq1[:, :size] = a_eq
+    sol = lp_solve(LPProblem(objective, a_ub, b_ub, a_eq1, b_eq))
     if sol.status != "optimal":
         raise ArithmeticError(f"sup-norm fit LP ended with status {sol.status}")
     eps_star = max(sol.objective, 0.0)
 
-    # stage two over (pos, neg), d = pos - neg: pos_j, neg_j >= 0, then the
-    # row pairs with eps fixed at its optimum
+    # stage two over (pos, neg), d = pos - neg: the rows -pos_j <= -0 and
+    # -neg_j <= -0 in turn, then the row pairs with eps fixed at its optimum
     eps_fix = eps_star + 1e-11 * (1.0 + eps_star)
-    eye = np.eye(2 * size)
-    split = np.hstack([a, -a])
-    a_ub = np.vstack([_interleave(-eye[:size], -eye[size:]), _interleave(split, -split)])
-    b_ub = np.concatenate(
-        [np.full(2 * size, -0.0), _interleave(t + eps_fix * w, eps_fix * w - t)]
-    )
-    sol2 = lp_solve(LPProblem(np.ones(2 * size), a_ub, b_ub, np.hstack([a_eq, -a_eq]), b_eq))
+    a_ub = np.full((2 * size + 2 * count, 2 * size), -0.0)
+    # -1 at row 2j, column j and at row 2j + 1, column size + j: flat
+    # positions j (4 size + 1) and 3 size past them
+    signs = a_ub[: 2 * size].reshape(-1)
+    signs[:: 4 * size + 1] = signs[3 * size :: 4 * size + 1] = -1.0
+    pairs = a_ub[2 * size :].reshape(*targets.shape, 2, 2 * size)
+    pairs[..., 0, :size] = pairs[..., 1, size:] = rows
+    pairs[..., 0, size:] = pairs[..., 1, :size] = minus
+    b_ub = np.full(2 * size + 2 * count, -0.0)
+    b_pairs = b_ub[2 * size :].reshape(*targets.shape, 2)
+    slack = eps_fix * w[:, 0]
+    np.add(targets, slack, out=b_pairs[..., 0])
+    np.subtract(slack, targets, out=b_pairs[..., 1])
+    a_eq2 = np.empty((len(b_eq), 2 * size))
+    a_eq2[:, :size] = a_eq
+    np.negative(a_eq, out=a_eq2[:, size:])
+    sol2 = lp_solve(LPProblem(np.ones(2 * size), a_ub, b_ub, a_eq2, b_eq))
     if sol2.status != "optimal":
         raise ArithmeticError(f"tie-break LP ended with status {sol2.status}")
     d = (sol2.x[:size] - sol2.x[size:]).tolist()
@@ -295,10 +311,10 @@ def _fit_points(sample: SampleSet, cube: Cube, captured: Sequence[int] | None, p
     y - x_Q, and with ``pin`` the position of x_Q among them (else None); a
     center that is a sample point is always captured."""
     idx = _captured(sample, [cube])[0] if captured is None else captured
-    at = [p for p, i in enumerate(idx) if pin and sample.points[i] == cube.center]
-    if pin and not at:
+    points = [sample.points[i] for i in idx]
+    if pin and cube.center not in points:
         raise ValueError(f"cube center {cube.center} is not a sample point")
-    return idx, [point_sub(sample.points[i], cube.center) for i in idx], at[0] if pin else None
+    return idx, [point_sub(y, cube.center) for y in points], points.index(cube.center) if pin else None
 
 
 def local_fit(
@@ -321,7 +337,7 @@ def local_fit(
     if sample.values is None:
         raise ValueError("scalar sample data required (use jet_fit for jet data)")
     idx, offsets, center = _fit_points(sample, cube, captured, interpolate_center)
-    targets = np.array([[sample.values[i]] for i in idx])
+    targets = np.array([sample.values[i] for i in idx])[:, None]
     return _sup_fit(cube, degree, [(0,) * sample.n], [1.0], offsets, targets, center)
 
 

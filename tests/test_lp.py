@@ -889,6 +889,88 @@ def test_non_finite_data_raises(part, value):
         lp_solve(problem)
 
 
+def _two_sided_norms(b, *parts):
+    """The row norms as max(row max, -row min) over each part in turn."""
+    norms = np.concatenate(
+        [np.maximum(part.max(axis=1, initial=0.0), -part.min(axis=1, initial=0.0)) for part in parts]
+    )
+    if not (np.isfinite(norms).all() and np.isfinite(b).all()):
+        raise ArithmeticError("LP data has a non-finite entry")
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+@pytest.mark.parametrize(
+    "entry", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.5, 3.0, 5e-324, -1e308]
+)
+def test_norms_match_the_two_sided_formula(entry):
+    # edge rows: a non-finite entry, an all-zero row (+0.0 or -0.0), -0.0
+    # entries beside others, with the equalities empty or not, and one part
+    # alone as a separation hands it over.  The norms are bit for bit the
+    # two-sided formula's, and exactly the same cases raise
+    a_ub = np.array([[entry, 0.0, -0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [-0.0, 2.0, -0.0]])
+    a_eq = np.array([[1.0, -0.0, entry], [-4.0, 0.5, 0.0]])
+    for b, parts in [
+        (np.ones(6), (a_ub, a_eq)),
+        (np.ones(4), (a_ub, np.zeros((0, 3)))),
+        (np.ones(2), (a_eq,)),
+        (np.array([1.0, entry]), (a_eq,)),
+    ]:
+        try:
+            want = _two_sided_norms(b, *parts)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                lp._norms(b, np.concatenate(parts))
+            assert not math.isfinite(entry)
+        else:
+            assert lp._norms(b, np.concatenate(parts)).tobytes() == want.tobytes()
+
+
+def test_phase_two_holds_no_artificial(monkeypatch):
+    # _simplex zeroes the basic columns' reduced costs through
+    # reduced[basis], which needs every basic column below ``limit``: phase 1
+    # prices every column, and phase 2 prices only the constraint columns,
+    # so no phase-2 basis may hold an artificial.  Checked on entry and at
+    # the status over the corpora, separation rounds (one of them solving
+    # again after a dropped row), LPs that drop redundant rows, and runs
+    # resumed from the pre-lift basis
+    from test_selection import _op_seed, _oracle_selection_lp, _select_workload_instance
+
+    entered, dropped = [0, 0], []
+    simplex, drive_out_artificials = lp._simplex, lp._drive_out_artificials
+
+    def checked(inverse, basis, cost, limit, original, work, phase, *floor):
+        assert (basis < limit).all()
+        entered[phase] += 1
+        result = simplex(inverse, basis, cost, limit, original, work, phase, *floor)
+        assert (basis < limit).all()
+        return result
+
+    def drive_out(*args):
+        dropped.append(drive_out_artificials(*args))
+        return dropped[-1]
+
+    monkeypatch.setattr(lp, "_simplex", checked)
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    corpus = [*_mixed_lps(), *_redundant_lps(), *_status_lps(), *_degenerate_lps(), *_unit_row_lps()]
+    for problem in corpus:
+        lp_solve(problem)
+    for problem in [*_mixed_lps(), *_redundant_lps(), *_degenerate_lps(4)]:
+        start = np.zeros(problem.b_ub.size, dtype=bool)
+        start[-2 * problem.objective.size :] = True  # the box
+        begin, separate, _ = _generated(problem, start)
+        lp_solve(begin, separate)
+    full = LPProblem(
+        np.array([1.0, 0.0]), np.array([[-1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]),
+        np.array([5.0, 1.0, 1.0]), np.zeros((0, 2)), np.zeros(0),
+    )
+    begin, separate, _ = _generated(full, np.array([True, False, False]))
+    assert lp_solve(begin, separate).x.tolist() == [-2.0, -1.0]
+    monkeypatch.setattr(lp, "_LIFT", 0.5)  # lifts that large reach bases infeasible without them
+    assert lp_solve(_oracle_selection_lp(_select_workload_instance(_op_seed(1, 3), 32), None)).restarts > 0
+    assert min(entered) > 0 and any(dropped)
+
+
 # -- delayed constraint generation ---------------------------------------------------
 
 
@@ -1010,8 +1092,8 @@ def _field_start_lp(op):
     from jetspace.cubes import cube_family, dyadic_radii
     from jetspace.modulus import Modulus
     from jetspace.poly import Poly, deriv_matrix
-    from jetspace.selection import ConvexSetSpec, SelectionInstance, _SelectionLP
-    from jetspace.whitney import SampleSet, _captured, _interleave
+    from jetspace.selection import ConvexSetSpec, SelectionInstance, _SelectionLP, _interleave
+    from jetspace.whitney import SampleSet, _captured
     from test_selection import _op_seed
 
     pts = [tuple(p) for p in np.random.default_rng(_op_seed(1, op)).uniform(-1.0, 1.0, (12, 2)).tolist()]

@@ -1,5 +1,6 @@
 """Polynomial calculus: exact derivatives, Taylor recentering, algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from jetspace.poly import (
     Poly,
+    add_shifted_power,
     deriv_matrix,
     mi_factorial,
     mi_order,
@@ -56,10 +58,12 @@ def test_zero_coefficients_dropped():
 
 
 def test_degree_bound_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficient order 2 exceeds degree bound 1"):
         Poly(1, 1, {(2,): 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad multi-index \(1,\) for dimension 2"):
         Poly(2, 1, {(1,): 1.0})  # wrong index arity
+    with pytest.raises(ValueError, match=r"bad multi-index \(1, -1\) for dimension 2"):
+        Poly(2, 1, {(1.0, -1): 1.0})  # entries are read as ints
 
 
 def test_taylor_fixes_low_degree():
@@ -122,3 +126,34 @@ def test_deriv_matrix_bit_identical_to_deriv_eval():
                         assert mat[p, a, b].tobytes() == np.float64(want).tobytes()
     with pytest.raises(ValueError):
         deriv_matrix(2, 1, multi_indices(2, 1), [(0.0,)])
+
+
+def _shifted_power_loop(out, lead, beta, x):
+    """lead * (y - x)^beta added to ``out`` term by term, comb and power
+    factors taken coordinate by coordinate as they are met."""
+    for gamma in itertools.product(*(range(b + 1) for b in beta)):
+        c = lead
+        for bi, gi, xi in zip(beta, gamma, x):
+            c *= math.comb(bi, gi)
+            if bi - gi:
+                c *= (-xi) ** (bi - gi)
+        if c != 0.0:
+            out[gamma] = out.get(gamma, 0.0) + c
+
+
+def test_add_shifted_power_matches_the_term_loop():
+    # the same products in the same order: every coefficient bit for bit and
+    # the keys in the same order, over sums of shifted powers with zero,
+    # signed-zero and wide-ranging leads and centers
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for degree in range(5):
+            for _ in range(4):
+                x = tuple(float(v) for v in rng.choice([0.0, -0.0, 1e-200, -3.5, 1e60, 0.7], size=n))
+                got, want = {}, {}
+                for beta in multi_indices(n, degree):
+                    lead = float(rng.choice([0.0, -0.0, 1.25, -7e-300, 3e200]))
+                    add_shifted_power(got, lead, beta, x)
+                    _shifted_power_loop(want, lead, beta, x)
+                assert list(got) == list(want)
+                assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()

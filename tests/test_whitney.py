@@ -565,16 +565,91 @@ def test_fit_field_rejects_duplicate_cubes_before_fitting(monkeypatch):
     assert fits == []
 
 
+def _check_sample(op):
+    """The input of the check benchmark workload at op seed ``op`` of
+    workload seed 1: 12 points, 48 cubes."""
+    seed = int(np.random.SeedSequence(entropy=1, spawn_key=(op,)).generate_state(1)[0])
+    pts = tuple(tuple(map(float, p)) for p in np.random.default_rng(seed).uniform(-1, 1, (12, 2)))
+    vals = tuple(math.sin(2.0 * x) * math.cos(y) + 0.5 * x * y for x, y in pts)
+    return SampleSet(n=2, points=pts, values=vals)
+
+
+def _interleave(first, second):
+    """Rows (or entries) of ``first`` and ``second`` alternating, first[0] first."""
+    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
+
+
+def _oracle_fit_problems(cube, degree, orders, weights, offsets, targets, center):
+    """``_sup_fit``'s two LPProblems for its arguments, assembled row pair by
+    row pair through ``_interleave``, ``column_stack``, ``vstack``, ``eye`` and
+    ``hstack``; stage two reads the stage-one optimum."""
+    size = len(multi_indices(cube.dim, degree))
+    col_scale = [(1.0 / cube.radius) ** mi_order(beta) for beta in multi_indices(cube.dim, degree)]
+    rows = deriv_matrix(cube.dim, degree, orders, offsets) * col_scale
+    a, t, w = rows.reshape(-1, size), targets.ravel(), np.tile(weights, len(offsets))
+    if center is None:
+        a_eq, b_eq = np.zeros((0, size)), np.zeros(0)
+    else:
+        a_eq, b_eq = rows[center], targets[center]
+    a_ub = _interleave(np.column_stack([a, -w]), np.column_stack([-a, -w]))
+    a_ub = np.vstack([a_ub, np.append(np.zeros(size), -1.0)])
+    b_ub = np.append(_interleave(t, -t), -0.0)
+    a_eq1 = np.column_stack([a_eq, np.zeros(len(b_eq))])
+    stage1 = lp.LPProblem(np.append(np.zeros(size), 1.0), a_ub, b_ub, a_eq1, b_eq)
+    eps_star = max(lp.lp_solve(stage1).objective, 0.0)
+    eps_fix = eps_star + 1e-11 * (1.0 + eps_star)
+    eye = np.eye(2 * size)
+    split = np.hstack([a, -a])
+    a_ub = np.vstack([_interleave(-eye[:size], -eye[size:]), _interleave(split, -split)])
+    b_ub = np.concatenate([np.full(2 * size, -0.0), _interleave(t + eps_fix * w, eps_fix * w - t)])
+    stage2 = lp.LPProblem(np.ones(2 * size), a_ub, b_ub, np.hstack([a_eq, -a_eq]), b_eq)
+    return stage1, stage2
+
+
+def test_fit_problems_equal_the_interleaved_assembly(monkeypatch):
+    # _sup_fit writes both stages into preallocated arrays; the LPProblems it
+    # hands lp_solve equal the row-pair assembly's array for array, to the
+    # byte, so the -0.0 entries of the bound rows and right-hand sides count.
+    # Every fit of the corpus (scalar and jet data, centers pinned or not)
+    # and of two check benchmark inputs
+    calls, problems = [], []
+    sup_fit = whitney._sup_fit
+
+    def recording_sup_fit(*args):
+        calls.append(args)
+        return sup_fit(*args)
+
+    def record(problem):
+        problems.append(problem)
+        return lp.lp_solve(problem)
+
+    monkeypatch.setattr(whitney, "_sup_fit", recording_sup_fit)
+    monkeypatch.setattr(whitney, "lp_solve", record)
+    for kind, sample, cube, degree, k, mod, interp in _fit_corpus():
+        if kind == "scalar":
+            local_fit(sample, cube, degree, interp)
+        else:
+            jet_fit(sample, cube, k, degree, mod, interp)
+    for op in (2, 6):
+        sample = _check_sample(op)
+        cubes = cube_family(sample.points, dyadic_radii(sample.points, 3))
+        fit_field(sample, cubes, k=1, m=2, interpolate_center=True)
+    assert len(calls) == (6 + 8) * 2 * 5 + 2 * 48 and len(problems) == 2 * len(calls)
+    for args, stage1, stage2 in zip(calls, problems[::2], problems[1::2]):
+        for got, want in zip((stage1, stage2), _oracle_fit_problems(*args)):
+            for name in ("objective", "a_ub", "b_ub", "a_eq", "b_eq"):
+                mine, theirs = getattr(got, name), getattr(want, name)
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+
+
 @pytest.mark.parametrize("op", [2, 6])
 def test_check_sample_fits_match_primal_tableau(monkeypatch, op):
     # inputs of the check benchmark workload (op seeds 2 and 6 of workload
     # seed 1): 12 points, 48 cubes.  Some fitting LPs have more basis
     # coefficients than the captured points determine, so the dual has
     # redundant rows, whose artificials phase 1 can leave in any tableau row
-    seed = int(np.random.SeedSequence(entropy=1, spawn_key=(op,)).generate_state(1)[0])
-    pts = tuple(tuple(map(float, p)) for p in np.random.default_rng(seed).uniform(-1, 1, (12, 2)))
-    vals = tuple(math.sin(2.0 * x) * math.cos(y) + 0.5 * x * y for x, y in pts)
-    sample = SampleSet(n=2, points=pts, values=vals)
+    sample = _check_sample(op)
+    pts = sample.points
     problems, redundant = [], []
 
     def record(problem):
