@@ -20,7 +20,7 @@ above 2 and by a fixed Gauss-Legendre rule in between; no adaptive quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -142,9 +142,9 @@ class Modulus:
 
     # -- integrals ---------------------------------------------------------
 
-    def _increment(self, v: float, t: float, weight: float | None = None) -> tuple[float, float]:
-        """Integral of w(s)/s^weight (default: weight m) over [v, v + t] as a
-        function of the increment t >= 0, and its slope, the kernel at v + t.
+    def _increment(self, v: float, t: float) -> tuple[float, float]:
+        """Integral of w(s)/s^m over [v, v + t] as a function of the
+        increment t >= 0, and its slope, the kernel at v + t.
 
         Each piece [c, end] is integrated from c and x = ln(1 + step/c), never
         from a rounded v + t.  t = +inf (or a t reaching a table's last knot)
@@ -157,7 +157,7 @@ class Modulus:
             raise ValueError("integration range beyond table range")
         rest = math.inf if t >= room else t
         total, c, end = 0.0, v, v
-        for upper, coef, k in self._core if weight is None else self._pieces(weight):
+        for upper, coef, k in self._core:
             if c >= upper:
                 continue
             step, end = (rest, c + rest) if rest < upper - c else (upper - c, upper)
@@ -208,18 +208,11 @@ class Modulus:
 
     def integral_core(self, a: float, b: float) -> float:
         """Integral of w(s)/s^m over [a, b] with 0 < a <= b."""
-        return self._integral(a, b, None)
-
-    def integral_weighted(self, a: float, b: float, p: int) -> float:
-        """Integral of w(t) * t^(-p-1) over [a, b] with 0 < a <= b."""
-        return self._integral(a, b, p + 1)
-
-    def _integral(self, a: float, b: float, weight: float | None) -> float:
         if not a > 0:
             raise ValueError("lower integration bound must be positive")
         if not b >= a:
             raise ValueError("integration bounds out of order")
-        return self._increment(a, b - a, weight)[0]
+        return self._increment(a, b - a)[0]
 
     def tail_mass(self, v: float) -> float:
         """Integral of w(s)/s^m over [v, +inf); +inf when divergent.  For a
@@ -266,13 +259,13 @@ class Modulus:
     # -- quasipower estimate -----------------------------------------------
 
     def _mass_below(self, t: float) -> float:
-        """Integral of w(s)/s over (0, t]: the first piece down to 0 in closed
-        form, the rest by ``_increment``."""
-        upper, coef, k = self._pieces(1.0)[0]
+        """Integral of w(s)/s^m over (0, t]: the first piece down to 0 in
+        closed form, the rest by ``_increment``."""
+        upper, coef, k = self._core[0]
         c = min(t, upper)
         a, x = k + 1.0, -math.inf
         head = -(_log_mass(a, c, x, 0.0) if coef is None else coef * _power_mass(a, c, x, 0.0))
-        return head + self._increment(c, t - c, 1.0)[0] if t > c else head
+        return head + self._increment(c, t - c)[0] if t > c else head
 
 
 @dataclass(frozen=True)
@@ -295,13 +288,14 @@ def quasipower_constant(mod: Modulus, t_grid: Sequence[float]) -> QuasipowerEsti
         raise ValueError("empty grid")
     worst = 0.0
     bounded = True
+    order_one = replace(mod, m=1)  # its core kernel is w(s)/s
     for t in t_grid:
         if t <= 0:
             raise ValueError("grid points must be positive")
         wt = mod.eval(t)
         if wt == 0.0:
             raise ValueError("modulus vanishes at a positive grid point")
-        mass = mod._mass_below(t)
+        mass = order_one._mass_below(t)
         if math.isinf(mass):
             bounded = False
             worst = math.inf

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubes import Cube, cube_distance
-from .lp import LPProblem, lp_solve
+from .lp import LPProblem, _norms, lp_solve
 from .modulus import Modulus
 from .poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
 from .whitney import PolyField, pair_gauges
@@ -220,26 +220,21 @@ class _SelectionLP:
         self.lam = lam
         self.starts = scale + np.cumsum([0] + [blk[0].shape[1] for blk in blocks])
         self.cols = cols = int(self.starts[-1])
-        # a bound's row order r is alphas[r] at x_i, or after them the non-top alphas at x_j
-        self.alpha = np.concatenate(
+
+        # every bound of the full LP, pair-major as its rows: pair (i, j)'s
+        # bounds are each alphas[a] at x_i, then each non-top one at x_j
+        alpha = np.concatenate(
             [np.arange(len(alphas)), np.flatnonzero([mi_order(a) < degree for a in alphas])]
         )
-        self.deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
-        self.gauges = pair_gauges(inst.modulus, degree, alphas, cubes)
-
-        # every bound of the full LP, pair-major as its rows: (i, j, order)
-        size, orders = len(cubes), len(self.alpha)
+        size, orders = len(cubes), len(alpha)
         i, j = np.triu_indices(size, 1)
         self.i, self.j = np.repeat(i, orders), np.repeat(j, orders)
-        self.order = np.tile(np.arange(orders), len(i))
-        self.vals, self.gauge = self._values(self.i, self.j, self.order)
+        at = np.where(np.arange(orders) < len(alphas), i[:, None], j[:, None])  # [pair, order]
+        deriv = deriv_matrix(inst.n, degree, alphas, [q.center for q in cubes])
+        self.vals = deriv[at, alpha].reshape(-1, deriv.shape[2]) + 0.0  # [bound, coefficient]
+        self.gauge = pair_gauges(inst.modulus, degree, [alphas[a] for a in alpha], cubes)(i, j).ravel()
         bound = self.gauge * (1.0 if lam is None else lam)
-        if not (np.isfinite(self.vals).all() and np.isfinite(bound).all()):
-            raise ArithmeticError("LP data has a non-finite entry")
-        self.norm = np.abs(self.vals).max(axis=1, initial=0.0)
-        if lam is None:
-            np.maximum(self.norm, self.gauge, out=self.norm)
-        self.norm[self.norm == 0.0] = 1.0
+        self.norm = np.maximum(_norms(bound, self.vals), scale * self.gauge)
 
         # each node's nearest cubes: ln(1 + span / v) grows with span / v
         centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
@@ -251,7 +246,7 @@ class _SelectionLP:
         node = np.repeat(np.arange(size), len(near) // size)
         near_pairs = np.minimum(node, near) * size + np.maximum(node, near)
         self.present = np.isin(self.i * size + self.j, near_pairs)  # the bounds the LP holds
-        a_pairs, b_pairs = self.rows(self.i[self.present], self.j[self.present], self.order[self.present])
+        a_pairs, b_pairs = self.rows(np.flatnonzero(self.present))
 
         def diagonal(part: int) -> np.ndarray:
             out = np.zeros((sum(len(blk[part]) for blk in blocks), cols))
@@ -268,28 +263,22 @@ class _SelectionLP:
         b_ub = np.concatenate([*(blk[3] for blk in blocks), b_pairs, np.full(scale, -0.0), b_box])
         b_eq = np.concatenate([blk[1] for blk in blocks])
         self.problem = LPProblem(scale * eye[0], a_ub, b_ub, diagonal(0), b_eq)
-        self.added: list[np.ndarray] = []
+        self.added = np.zeros(0, dtype=int)  # the bounds separation added, in order
         self.rounds = 0
 
-    def _values(self, i: np.ndarray, j: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each bound's derivative values [bound, coefficient] and gauge."""
-        alpha = self.alpha[order]
-        at = np.where(order < self.deriv.shape[1], i, j)
-        return self.deriv[at, alpha] + 0.0, self.gauges(i, j)[np.arange(len(order)), alpha]
-
-    def rows(self, i: np.ndarray, j: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The +row and -row of each bound (i[k], j[k], order[k]), i < j, in
-        turn: (a_ub, b_ub) as the full LP has them."""
-        vals, gauge = self._values(i, j, order)
-        a = np.zeros((len(order), 2, self.cols))  # [bound, sign, column]
-        bound = np.arange(len(order))[:, None]
+    def rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The +row and -row of each bound k in turn: (a_ub, b_ub) as the
+        full LP has them."""
+        i, j, vals, gauge = self.i[k], self.j[k], self.vals[k], self.gauge[k]
+        a = np.zeros((len(k), 2, self.cols))  # [bound, sign, column]
+        bound = np.arange(len(k))[:, None]
         coef = np.arange(vals.shape[1])
         for sign, (on_i, on_j) in enumerate(((vals, 0.0 - vals), (0.0 - vals, vals))):
             a[bound, sign, self.starts[i][:, None] + coef] = on_i
             a[bound, sign, self.starts[j][:, None] + coef] = on_j
         if self.lam is None:
             a[..., 0] = -gauge[:, None]
-            return a.reshape(-1, self.cols), np.zeros(2 * len(order))
+            return a.reshape(-1, self.cols), np.zeros(2 * len(k))
         return a.reshape(-1, self.cols), np.repeat(self.lam * gauge, 2)
 
     def separate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,13 +295,13 @@ class _SelectionLP:
         at_node = [(self.i[worst] == k) | (self.j[worst] == k) for k in range(len(self.starts) - 1)]
         picked = np.unique(np.concatenate([worst[at][:_PER_NODE] for at in at_node]))
         self.present[picked] = True
-        a, b = self.rows(self.i[picked], self.j[picked], self.order[picked])
-        self.added.append(a)
-        return a, b
+        self.added = np.append(self.added, picked)
+        return self.rows(picked)
 
     def witness(self, dual: np.ndarray) -> tuple[int, ...]:
-        """The nodes whose columns meet a row of nonzero dual."""
-        a = np.vstack([self.problem.a_ub, self.problem.a_eq, *self.added])
+        """The nodes whose columns meet a row of nonzero dual: the held rows
+        are the start LP's, then those of the bounds separation added."""
+        a = np.vstack([self.problem.a_ub, self.problem.a_eq, self.rows(self.added)[0]])
         touched = (a[dual != 0.0] != 0.0).any(axis=0)
         return tuple(np.flatnonzero(np.logical_or.reduceat(touched, self.starts[:-1])).tolist())
 
@@ -412,7 +401,8 @@ def finiteness_experiment(
     """Solve the selection LP on every subset of at most
     2^min(ell + 1, dim of the degree-k polynomial space) nodes (or a seeded
     sample of subsets when their number exceeds the budget) and compare with
-    the full optimum."""
+    the full optimum.  Raises ValueError, naming the LP status, unless the
+    full selection LP is optimal."""
     if ell is None:
         ell = max(spec.dim for spec, _ in inst.nodes)
     if ell < 0:
@@ -425,6 +415,9 @@ def finiteness_experiment(
         raise ValueError(
             f"instance has {total} nodes; need at least {n_subset} for the experiment"
         )
+    full = best_selection(inst)  # every subset of a feasible instance is feasible
+    if full.status != "optimal":
+        raise ValueError(f"the experiment needs a feasible instance; its selection LP is {full.status}")
     all_subsets: list[tuple[int, ...]] = []
     count = 0
     for size in range(2, n_subset + 1):
@@ -444,7 +437,6 @@ def finiteness_experiment(
             attempts += 1
         all_subsets = sorted(chosen)
 
-    lam_full = best_selection(inst).lam
     subset_lams = []
     worst = 0.0
     arg = all_subsets[0]
@@ -455,13 +447,13 @@ def finiteness_experiment(
             worst = lam
             arg = subset
     if worst == 0.0:
-        gamma = 1.0 if lam_full <= 1e-12 else math.inf
+        gamma = 1.0 if full.lam <= 1e-12 else math.inf
     else:
-        gamma = lam_full / worst
+        gamma = full.lam / worst
     return FinitenessReport(
         subset_size_bound=n_subset,
         gamma_hat=gamma,
-        lam_full=lam_full,
+        lam_full=full.lam,
         max_subset_lam=worst,
         argmax_subset=tuple(arg),
         subset_count=len(all_subsets),

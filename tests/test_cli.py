@@ -245,20 +245,22 @@ def test_select_singleton(tmp_path):
     assert data["lambda_star"] > 0
 
 
-def test_select_with_experiment(tmp_path, capsys):
-    def interval(lo, hi, x):
-        return {
-            "cube": {"x": [x], "r": 1.0},
-            "set": {
-                "base": {"n": 1, "L": 0, "coef": {}},
-                "dirs": [{"n": 1, "L": 0, "coef": {"[0]": 1.0}}],
-                "ineq": [{"a": [1.0], "b": hi}, {"a": [-1.0], "b": -lo}],
-            },
-        }
+def _interval_node(lo, hi, x):
+    """A select node on Q(x, 1) whose set is the constants in [lo, hi]."""
+    return {
+        "cube": {"x": [x], "r": 1.0},
+        "set": {
+            "base": {"n": 1, "L": 0, "coef": {}},
+            "dirs": [{"n": 1, "L": 0, "coef": {"[0]": 1.0}}],
+            "ineq": [{"a": [1.0], "b": hi}, {"a": [-1.0], "b": -lo}],
+        },
+    }
 
+
+def test_select_with_experiment(tmp_path, capsys):
     payload = {
         "context": {"n": 1, "k": 0, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1}},
-        "nodes": [interval(0, 0.2, 0.0), interval(1, 1.5, 1.0), interval(-2, -1.2, 3.0)],
+        "nodes": [_interval_node(0, 0.2, 0.0), _interval_node(1, 1.5, 1.0), _interval_node(-2, -1.2, 3.0)],
         "experiment": {"ell": 1},
     }
     path = _write(tmp_path, "in.json", payload)
@@ -276,6 +278,23 @@ def test_select_with_experiment(tmp_path, capsys):
         path = _write(tmp_path, "in.json", {**payload, "experiment": experiment})
         assert main(["select", "--input", path, *argv]) == 2
         assert _error(capsys)["type"] == "ValueError"
+
+
+def test_select_experiment_on_an_infeasible_instance_exits_2(tmp_path, capsys):
+    # one node's set is empty (theta <= 0, theta >= 1): the experiment once
+    # printed gamma_hat Infinity and lambda_full NaN and exited 0
+    payload = {
+        "context": {"n": 1, "k": 0, "m": 1, "omega": {"family": "power", "q": 1.0, "m": 1}},
+        "nodes": [_interval_node(0, 0.2, 0.0), _interval_node(1, 0, 1.0)],
+    }
+    path = _write(tmp_path, "in.json", payload)
+    code, text = _run(tmp_path, ["select", "--input", path])
+    assert code == 0 and json.loads(text)["status"] == "infeasible"
+    (tmp_path / "out.json").unlink()
+    code, text = _run(tmp_path, ["select", "--input", path, "--experiment-ell", "0"])
+    assert code == 2 and text is None
+    error = _error(capsys)
+    assert error["type"] == "ValueError" and "selection LP is infeasible" in error["message"]
 
 
 def test_counterexample_json_and_monotonicity(tmp_path):

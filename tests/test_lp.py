@@ -1165,6 +1165,6 @@ def test_field_start_lps_match_highs(monkeypatch):
     _assert_dual_certifies(problem, sol, handed)
     # no row of the full field LP is violated beyond the separation's tolerance
     tol = _SEPARATION_TOL * max(1.0, float(np.abs(sol.x).max()))
-    for at in np.array_split(np.arange(len(sel.order)), 8):
-        a, b = sel.rows(sel.i[at], sel.j[at], sel.order[at])
+    for at in np.array_split(np.arange(len(sel.i)), 8):
+        a, b = sel.rows(at)
         assert ((a @ sol.x - b) / np.abs(a).max(axis=1)).max() <= tol

@@ -159,23 +159,22 @@ def test_table_integral_matches_quadrature():
 
 
 # -- weighted integral -------------------------------------------------------
+# the integral of w(t) t^(-p-1) is the core integral at order m = p + 1
 
 
 def test_integral_weighted_log_case():
     # q - p - 1 = -1 gives the logarithm
-    mod = Modulus.power(2, 1)
-    assert mod.integral_weighted(1.0, 5.0, p=2) == pytest.approx(math.log(5.0), rel=1e-14)
+    mod = Modulus.power(2, 3)
+    assert mod.integral_core(1.0, 5.0) == pytest.approx(math.log(5.0), rel=1e-14)
 
 
 def test_integral_weighted_empty():
-    assert Modulus.power(2, 1).integral_weighted(1.0, 1.0, p=0) == 0.0
+    assert Modulus.power(2, 1).integral_core(1.0, 1.0) == 0.0
 
 
 def test_integral_weighted_linear_case():
     # integrand t for q=2, p=0
-    assert Modulus.power(2, 1).integral_weighted(1.0, 2.0, p=0) == pytest.approx(
-        1.5, rel=1e-14
-    )
+    assert Modulus.power(2, 1).integral_core(1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
 
 
 # -- quasipower constant -----------------------------------------------------

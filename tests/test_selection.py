@@ -314,6 +314,19 @@ def test_finiteness_interval_instance():
     assert rep.lam_full >= rep.max_subset_lam - 1e-12
 
 
+def test_finiteness_rejects_an_infeasible_instance(monkeypatch):
+    # an empty set (theta <= 0, theta >= 1) makes the full LP infeasible:
+    # this once reported gamma_hat inf, max_subset_lam 0.0 and lam_full NaN.
+    # The experiment raises before it solves a single subset
+    nodes = ((interval_set(0.0, 0.2), Cube((0.0,), 1.0)), (interval_set(1.0, 0.0), Cube((1.0,), 1.0)))
+    inst = SelectionInstance(n=1, k=0, m=1, modulus=MOD1, nodes=nodes)
+    solved = []
+    monkeypatch.setattr(selection, "best_selection", lambda i: solved.append(i) or best_selection(i))
+    with pytest.raises(ValueError, match="selection LP is infeasible"):
+        finiteness_experiment(inst)
+    assert solved == [inst]
+
+
 def test_finiteness_budget_sampling():
     rng = np.random.default_rng(31)
     nodes = tuple(
@@ -607,7 +620,7 @@ def _full_selection_lp(inst, lam):
     pairwise rows of every bound in place of those it starts with."""
     lp_ = _SelectionLP(inst, lam)
     start = lp_.problem
-    a_pairs, b_pairs = lp_.rows(lp_.i, lp_.j, lp_.order)
+    a_pairs, b_pairs = lp_.rows(np.arange(len(lp_.i)))
     end = _pairwise_end(start, lam)
     begin = end - 2 * int(lp_.present.sum())
     a_ub = np.vstack([start.a_ub[:begin], a_pairs, start.a_ub[end:]])
@@ -619,7 +632,7 @@ def test_selection_lp_bit_identical_to_builder_oracle(monkeypatch):
     # the start LP that best_selection and relaxed_feasible pass to lp_solve
     # is the oracle's full LP without the pairwise rows it does not start
     # with, bit for bit; the row helper gives the oracle's pairwise rows for
-    # any (i, j, order) bounds, every bound in order and a shuffled subset
+    # any bounds by index, every bound in order and a shuffled subset
     rng = np.random.default_rng(29)
     instances = [
         *(_select_workload_instance(_op_seed(1, op), 24) for op in (0, 42, 121)),
@@ -639,11 +652,11 @@ def test_selection_lp_bit_identical_to_builder_oracle(monkeypatch):
             keep[block] = np.repeat(lp_.present, 2)
             start = LPProblem(oracle.objective, oracle.a_ub[keep], oracle.b_ub[keep], oracle.a_eq, oracle.b_eq)
             assert _lp_bytes(problem) == _lp_bytes(start)
-            a_pairs, b_pairs = lp_.rows(lp_.i, lp_.j, lp_.order)
+            a_pairs, b_pairs = lp_.rows(np.arange(len(lp_.i)))
             assert a_pairs.tobytes() == oracle.a_ub[block].tobytes()
             assert b_pairs.tobytes() == oracle.b_ub[block].tobytes()
-            some = rng.permutation(lp_.order.size)[: lp_.order.size // 2]
-            a_some, b_some = lp_.rows(lp_.i[some], lp_.j[some], lp_.order[some])
+            some = rng.permutation(len(lp_.i))[: len(lp_.i) // 2]
+            a_some, b_some = lp_.rows(some)
             rows = np.stack([2 * some, 2 * some + 1], axis=1).ravel()
             assert a_some.tobytes() == oracle.a_ub[block][rows].tobytes()
             assert b_some.tobytes() == oracle.b_ub[block][rows].tobytes()
@@ -911,6 +924,45 @@ def test_generated_optimum_is_the_full_optimum_on_every_select_input():
         assert lo_seminorm(field, inst.modulus).value == pytest.approx(res.lam, rel=1e-9)
         assert 2 <= len(res.witness) < len(inst.nodes)
         assert best_selection(inst.subset(res.witness)).lam == pytest.approx(res.lam, rel=1e-9)
+
+
+def _handed_witness(monkeypatch, solve):
+    """solve()'s result, and the witness computed from the rows lp_solve
+    was handed (the start LP's, then those the wrapped separation returned):
+    the nodes whose columns meet a row of nonzero dual, () unless optimal."""
+    expected = []
+
+    def recording_lp_solve(problem, separate):
+        handed = [problem.a_ub, problem.a_eq]
+
+        def recorded(x):
+            a, b = separate(x)
+            handed.append(a)
+            return a, b
+
+        sol = lp_solve(problem, recorded)
+        starts = separate.__self__.starts
+        touched = (np.vstack(handed)[sol.dual != 0.0] != 0.0).any(axis=0) if sol.status == "optimal" else []
+        expected.append(tuple(k for k in range(len(starts) - 1) if np.any(touched[starts[k] : starts[k + 1]])))
+        return sol
+
+    monkeypatch.setattr(selection, "lp_solve", recording_lp_solve)
+    res = solve()
+    return res, expected[0]
+
+
+@pytest.mark.parametrize("lam", [None, 0.7])
+def test_witness_matches_the_rows_lp_solve_was_handed(monkeypatch, lam):
+    # witness rebuilds the separated rows from their bound indices; the
+    # nodes it names are those the rows lp_solve actually held give
+    instances = [*(_select_workload_instance(_op_seed(1, op), 24) for op in range(4)), _interval_instance()]
+    separated = 0
+    for inst in instances:
+        solve = (lambda: best_selection(inst)) if lam is None else (lambda: relaxed_feasible(inst, lam))
+        res, expected = _handed_witness(monkeypatch, solve)
+        assert res.witness == expected
+        separated += res.rounds > 1
+    assert separated >= 3
 
 
 def test_generated_rows_stay_few():
