@@ -175,7 +175,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     result = best_selection(inst)
     payload: dict = {
         "status": result.status,
-        "lambda_star": result.lam,
+        "lambda_star": result.lam if result.status == "optimal" else None,  # NaN is not JSON
         "box_active": result.box_active,
         "polys": [ser.poly_to_dict(p) for p in result.polys],
         "geodesic_note": (

@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .modulus import Modulus
 
 Point = tuple[float, ...]
@@ -68,6 +70,16 @@ def pair_scales(q1: Cube, q2: Cube) -> tuple[float, float, float]:
         max(q1.radius, q2.radius) + sep,
         q1.radius + q2.radius + sep,
     )
+
+
+def pair_scale_arrays(cubes: Sequence[Cube], i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_scales``' smaller radius and span of the pairs (cubes[i],
+    cubes[j]) for index arrays i and j (they broadcast), in its expression
+    order, so rounded alike; a span beyond the float range is +inf."""
+    centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
+    with np.errstate(over="ignore"):
+        sep = np.abs(centers[i] - centers[j]).max(axis=-1, initial=0.0)
+        return np.minimum(radii[i], radii[j]), np.maximum(radii[i], radii[j]) + sep
 
 
 def _log_eightfold(num: float, den: float) -> float:

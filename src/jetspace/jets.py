@@ -18,7 +18,8 @@ free derivative orders) and ``sobolev_distance`` (w(t) = t, order 1) specialize
 them.  ``jet_distance``, ``jet_gap``, ``geodesic.d_upper``, the
 ``geodesic`` chain sums, ``whitney.pairwise_sweep`` and the metric form of
 ``whitney.lipschitz_forms`` take the derivative discrepancies as array rows
-(``_JetRows``); the other four routes share one scaffold over each order's
+(``_JetRows``), and ``whitney``'s pointwise bound and limit jets take the
+jets' signed derivatives from it; the other four routes share one scaffold over each order's
 peak discrepancy through ``Poly.deriv_eval`` (``_reference_distance``), so
 that a cross-check compares two independent computations.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .cubes import Cube, pair_scales, reach_integral
 from .modulus import Modulus
 from .numerics import invert_increasing, rel_close
-from .poly import Poly, deriv_matrix, mi_order, multi_indices
+from .poly import Poly, _deriv_picks, deriv_matrix, mi_order, multi_indices, poly_space_dim
 
 
 @dataclass(frozen=True)
@@ -178,20 +179,6 @@ def _discrepancies(t1: Jet, t2: Jet, at: Sequence[float] | None) -> list[float]:
     return peak
 
 
-@lru_cache(maxsize=None)
-def _support(n: int, top: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Over alpha, beta in ``multi_indices(n, top)``: the mask of beta_i >=
-    alpha_i for all i, where D^alpha y^beta may be non-zero, and the position
-    of each order's first alpha (the indices are sorted by order)."""
-    betas = multi_indices(n, top)
-    support = np.array(
-        [[all(bi >= ai for ai, bi in zip(alpha, beta)) for beta in betas] for alpha in betas]
-    )
-    support.flags.writeable = False
-    orders = [mi_order(alpha) for alpha in betas]
-    return support, tuple(orders.index(a) for a in range(top + 1))
-
-
 class _JetRows:
     """The derivative discrepancies of a list of jets, as array rows.
 
@@ -202,32 +189,35 @@ class _JetRows:
     taken elementwise and summed along the last axis, so that a row is
     rounded the same whichever batch it is computed in.  Entries with some
     beta_i < alpha_i are masked rather than multiplied (an infinite difference
-    times 0 would be NaN), as ``Poly.deriv_eval`` skips them.
+    times 0 would be NaN), as ``Poly.deriv_eval`` skips them: the mask is the
+    cells ``poly._deriv_picks`` gives ``deriv_matrix``.
     """
 
     def __init__(self, jets: Sequence[Jet], at: Sequence[float] | None = None) -> None:
         n, top, points = _context(jets, at)
         betas = multi_indices(n, top)
-        column = {beta: b for b, beta in enumerate(betas)}
         self.jets = jets
-        self.coef = np.zeros((len(jets), len(betas)))
-        for k, jet in enumerate(jets):
-            for beta, c in jet.poly.coef.items():
-                self.coef[k, column[beta]] = c
+        coef = [[jet.poly.coef.get(beta, 0.0) for beta in betas] for jet in jets]
+        self.coef = np.reshape(coef, (len(jets), len(betas)))
         self.deriv = deriv_matrix(n, top, betas, points)
-        self.support, self.order_starts = _support(n, top)
+        cells = _deriv_picks(n, top, betas)[0]  # deriv_matrix's: where D^alpha y^beta may be nonzero
+        self.support = np.bincount(cells, minlength=len(betas) ** 2).reshape(len(betas), -1) > 0
+        self.order_starts = (0, *(poly_space_dim(n, a) for a in range(top)))  # each order's first alpha
 
-    def _product_sum(self, i: int, js: Sequence[int], deriv: np.ndarray) -> np.ndarray:
-        terms = np.zeros((len(js), *self.support.shape))
-        diff = self.coef[i] - self.coef[js]
-        np.multiply(diff[:, None, :], deriv, out=terms, where=self.support)
-        return np.abs(terms.sum(axis=-1))
+    def derivatives(self, coef: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+        """Row r, column alpha: D^alpha of the polynomial with coefficient
+        row coef[r], signed: the masked sum over beta of coef[r, beta] times
+        D^alpha y^beta, from one ``deriv`` matrix or from deriv[r]."""
+        terms = np.zeros((len(coef), *self.support.shape))
+        np.multiply(coef[:, None, :], deriv, out=terms, where=self.support)
+        return terms.sum(axis=-1)
 
     def discrepancies(self, i: int, js: Sequence[int]) -> np.ndarray:
         """|D^alpha(P_i - P_j)| at jet i's evaluation point (its cube center,
         or ``at``): one row per j in js, one column per alpha in
         ``multi_indices(n, top)``."""
-        return self._product_sum(i, js, self.deriv[i if len(self.deriv) > 1 else 0])
+        at_i = self.deriv[i if len(self.deriv) > 1 else 0]
+        return np.abs(self.derivatives(self.coef[i] - self.coef[js], at_i))
 
     def peaks(self, i: int, js: Sequence[int]) -> list[list[float]]:
         """For each j in js, the largest |D^alpha(P_i - P_j)(y)| of each order
@@ -237,7 +227,7 @@ class _JetRows:
         with np.errstate(over="ignore", invalid="ignore"):
             disc = self.discrepancies(i, js)
             if len(self.deriv) > 1:
-                disc = np.fmax(disc, self._product_sum(i, js, self.deriv[js]))
+                disc = np.fmax(disc, np.abs(self.derivatives(self.coef[i] - self.coef[js], self.deriv[js])))
             peak = np.fmax.reduceat(disc, self.order_starts, axis=1)
         return np.fmax(peak, 0.0).tolist()
 

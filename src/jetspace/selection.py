@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cubes import Cube, cube_distance
+from .cubes import Cube, cube_distance, pair_scale_arrays
 from .lp import LPProblem, _norms, lp_solve
 from .modulus import Modulus
 from .poly import Poly, deriv_matrix, mi_order, multi_indices, poly_space_dim
@@ -237,10 +237,9 @@ class _SelectionLP:
         self.norm = np.maximum(_norms(bound, self.vals), scale * self.gauge)
 
         # each node's nearest cubes: ln(1 + span / v) grows with span / v
-        centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
+        v, span = pair_scale_arrays(cubes, *np.indices((size, size)))
         with np.errstate(over="ignore"):
-            span = np.maximum.outer(radii, radii) + np.abs(centers[:, None] - centers).max(axis=2)
-            ratio = span / np.minimum.outer(radii, radii)
+            ratio = span / v
         np.fill_diagonal(ratio, np.inf)
         near = np.argsort(ratio, axis=1, kind="stable")[:, : min(_NEIGHBOURS, size - 1)].ravel()
         node = np.repeat(np.arange(size), len(near) // size)
@@ -299,10 +298,13 @@ class _SelectionLP:
         return self.rows(picked)
 
     def witness(self, dual: np.ndarray) -> tuple[int, ...]:
-        """The nodes whose columns meet a row of nonzero dual: the held rows
-        are the start LP's, then those of the bounds separation added."""
-        a = np.vstack([self.problem.a_ub, self.problem.a_eq, self.rows(self.added)[0]])
-        touched = (a[dual != 0.0] != 0.0).any(axis=0)
+        """The nodes whose columns meet a row of nonzero dual, from those rows
+        alone: the start LP's a_ub and a_eq rows, then a +row and a -row per
+        bound separation added, which meet the same columns."""
+        ub, eq, added = np.split(dual != 0.0, np.cumsum([len(self.problem.b_ub), len(self.problem.b_eq)]))
+        bounds = self.added[added[::2] | added[1::2]]
+        a = np.vstack([self.problem.a_ub[ub], self.problem.a_eq[eq], self.rows(bounds)[0]])
+        touched = (a != 0.0).any(axis=0)
         return tuple(np.flatnonzero(np.logical_or.reduceat(touched, self.starts[:-1])).tolist())
 
 

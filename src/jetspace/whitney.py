@@ -24,6 +24,7 @@ from .cubes import (
     Cube,
     Point,
     as_point,
+    pair_scale_arrays,
     point_sub,
     uniform_norm,
     weighted_cube_distance,
@@ -422,14 +423,12 @@ def pair_gauges(
 
     The gauge is symmetric in the pair and sees alpha only through
     t^(top - |alpha|), so each unordered pair keeps its span t and core
-    integral: one ``Modulus.core_integrals`` call, at ``pair_scales``' rounding.
+    integral: one ``Modulus.core_integrals`` call over ``pair_scale_arrays``.
     """
     powers = np.array([top - mi_order(alpha) for alpha in orders], dtype=float)
     span, core = np.ones((len(cubes), len(cubes))), np.full((len(cubes), len(cubes)), np.inf)
     i, j = np.triu_indices(len(cubes), 1)
-    centers, radii = np.array([q.center for q in cubes], ndmin=2), np.array([q.radius for q in cubes])
-    v = np.minimum(radii[i], radii[j])
-    t = np.maximum(radii[i], radii[j]) + np.abs(centers[i] - centers[j]).max(axis=1, initial=0.0)
+    v, t = pair_scale_arrays(cubes, i, j)
     span[i, j] = span[j, i] = t
     core[i, j] = core[j, i] = mod.core_integrals(v, t)
 
@@ -444,6 +443,16 @@ def pair_gauges(
 def _rows(field: PolyField) -> _JetRows:
     """The field's jets as ``_JetRows``, at their cube centers."""
     return _JetRows(field.jets())
+
+
+@_once_per_field
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN, as Poly.deriv_eval gives them
+def _center_derivatives(field: PolyField) -> np.ndarray:
+    """D[i, g] = D^gamma P_i(x_i), gamma = ``multi_indices(n, top)[g]``, read-only."""
+    rows = _rows(field)
+    table = rows.derivatives(rows.coef, rows.deriv)
+    table.flags.writeable = False
+    return table
 
 
 @_once_per_field
@@ -502,22 +511,20 @@ class CheckReport:
 
 
 @_once_per_field
+@np.errstate(invalid="ignore")  # 0 * inf, where a radius power underflows
 def _pointwise_bound(field: PolyField) -> tuple[float, dict | None]:
     """Worst center derivative scaled by the radius power it may legally grow
-    with, over cubes of radius <= 1, and its witness.  Computed once per
-    field, so callers copy the witness."""
-    worst = 0.0
-    witness = None
-    for idx, (cube, poly) in enumerate(field.entries):
-        if cube.radius > 1.0:
-            continue
-        for gamma in multi_indices(field.n, field.top_degree):
-            e = max(0, mi_order(gamma) - field.k)
-            ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius**e
-            if ratio > worst:
-                worst = ratio
-                witness = {"cube_index": idx, "order": gamma, "ratio": ratio}
-    return worst, witness
+    with, over cubes of radius <= 1, and its witness: the first worst in
+    cube-then-order order (a NaN never wins).  Computed once per field, so
+    callers copy the witness."""
+    gammas = multi_indices(field.n, field.top_degree)
+    small = [i for i, (cube, _) in enumerate(field.entries) if cube.radius <= 1.0]
+    grow = [[field.entries[i][0].radius ** max(0, mi_order(g) - field.k) for g in gammas] for i in small]
+    ratio = np.fmax(np.abs(_center_derivatives(field)[small]) * np.reshape(grow, (-1, len(gammas))), 0.0)
+    if not ratio.any():
+        return 0.0, None
+    i, g = np.unravel_index(ratio.argmax(), ratio.shape)
+    return float(ratio[i, g]), {"cube_index": small[i], "order": gammas[g], "ratio": float(ratio[i, g])}
 
 
 def check_conditions(
@@ -671,6 +678,7 @@ class LimitJetResult:
         return max((row.ratio for row in self.rows), default=0.0)
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, as in Python floats
 def limit_jet(field: PolyField, mod: Modulus, x: Sequence[float]) -> LimitJetResult:
     """Taylor part at x of the smallest-radius entry centered at x, with a
     convergence diagnostic from the successive entries.
@@ -680,19 +688,13 @@ def limit_jet(field: PolyField, mod: Modulus, x: Sequence[float]) -> LimitJetRes
     center derivatives is compared against r^(k - order) * w(r) at the larger radius.
     """
     x = as_point(x)
-    stack = sorted(
-        ((q.radius, p) for q, p in field.entries if q.center == x),
-        key=lambda t: -t[0],
-    )
-    if len({r for r, _ in stack}) < 3:
+    radius = [q.radius for q, _ in field.entries]
+    stack = sorted((i for i, (q, _) in enumerate(field.entries) if q.center == x), key=lambda i: -radius[i])
+    if len(stack) < 3:  # a field's cubes at one center have distinct radii
         raise ValueError("need at least three radii at the center")
-    rows = []
-    for (r_big, p_big), (_, p_small) in zip(stack, stack[1:]):
-        for alpha in multi_indices(field.n, field.k):
-            diff = abs(p_big.deriv_eval(alpha, x) - p_small.deriv_eval(alpha, x))
-            env = r_big ** (field.k - mi_order(alpha)) * mod.eval(r_big)
-            rows.append(
-                LimitJetRow(order=alpha, radius=r_big, difference=diff, envelope=env)
-            )
-    limit_poly = stack[-1][1].taylor(x, field.k)
-    return LimitJetResult(poly=limit_poly, rows=tuple(rows))
+    rows = tuple(  # the orders <= k are the first columns of _center_derivatives
+        LimitJetRow(alpha, radius[i], diff, radius[i] ** (field.k - mi_order(alpha)) * mod.eval(radius[i]))
+        for i, diffs in zip(stack, np.abs(np.diff(_center_derivatives(field)[stack], axis=0)).tolist())
+        for alpha, diff in zip(multi_indices(field.n, field.k), diffs)
+    )
+    return LimitJetResult(poly=field.entries[stack[-1]][1].taylor(x, field.k), rows=rows)

@@ -289,7 +289,12 @@ def test_select_experiment_on_an_infeasible_instance_exits_2(tmp_path, capsys):
     }
     path = _write(tmp_path, "in.json", payload)
     code, text = _run(tmp_path, ["select", "--input", path])
-    assert code == 0 and json.loads(text)["status"] == "infeasible"
+
+    def reject(constant):  # NaN and Infinity are not JSON
+        raise ValueError(f"{constant} in the output")
+
+    out = json.loads(text, parse_constant=reject)
+    assert code == 0 and out["status"] == "infeasible" and out["lambda_star"] is None
     (tmp_path / "out.json").unlink()
     code, text = _run(tmp_path, ["select", "--input", path, "--experiment-ell", "0"])
     assert code == 2 and text is None

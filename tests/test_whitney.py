@@ -14,6 +14,7 @@ from jetspace.cubes import (
     Cube,
     cube_family,
     dyadic_radii,
+    pair_scale_arrays,
     pair_scales,
     point_sub,
     uniform_norm,
@@ -1138,6 +1139,28 @@ def test_pair_gauges_match_the_scalar_loop(family, n, m, monkeypatch):
         assert t.tolist() == [pair_scales(cubes[a], cubes[b])[1] for a, b in zip(i, j)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_scale_arrays_round_as_pair_scales(n):
+    # centers near +-1e308 too, whose spans overflow to +inf, as pair_scales' do
+    rng = np.random.default_rng(70 + n)
+    coords = [-1.7e308, -1e308, -0.5, 0.0, 0.25, 1e308, 1.7e308]
+    cubes = [
+        Cube(tuple(rng.choice(coords, size=n) * rng.uniform(0.99, 1.0, size=n)), float(r))
+        for r in rng.choice([1e-300, 0.3, 1.0, 1e300, 1.7e308], size=12)
+    ]
+    i, j = np.indices((len(cubes), len(cubes)))
+    v, span = pair_scale_arrays(cubes, i, j)
+    want = [[pair_scales(a, b)[:2] for b in cubes] for a in cubes]
+    assert np.isinf(span).any() and np.isfinite(span).any()
+    assert v.tolist() == [[w[0] for w in row] for row in want]
+    assert span.tolist() == [[w[1] for w in row] for row in want]
+    # a scalar i against an array j; no pairs
+    row = pair_scale_arrays(cubes, 3, np.arange(len(cubes)))
+    assert row[0].tolist() == v[3].tolist() and row[1].tolist() == span[3].tolist()
+    empty = np.zeros(0, dtype=int)
+    assert [a.shape for a in pair_scale_arrays([], empty, empty)] == [(0,), (0,)]
+
+
 @pytest.mark.parametrize("family", ["power", "powerlog", "table"])
 def test_pair_gauges_reader_reads_the_pairs_it_is_given(family):
     rng = np.random.default_rng(40 + len(family))
@@ -1223,6 +1246,18 @@ def _count_pair_gauges(monkeypatch):
     return calls
 
 
+def _count_deriv_evals(monkeypatch):
+    evals = []
+    real = Poly.deriv_eval
+
+    def counted(self, *args):
+        evals.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Poly, "deriv_eval", counted)
+    return evals
+
+
 def test_pairwise_sweep_is_kept_per_field_and_modulus(monkeypatch):
     calls = _count_pair_gauges(monkeypatch)
     field = _random_field(np.random.default_rng(27), 1, 0, 2, 3)
@@ -1270,18 +1305,73 @@ def test_star_norm_after_check_reads_the_kept_bound(monkeypatch):
         n=2, k=1, m=2, entries=tuple((Cube(q.center, 0.5 * q.radius), p) for q, p in field.entries)
     )
     rep = check_conditions(None, field, MOD)
-    evals = []
-    real = Poly.deriv_eval
-
-    def counted(self, *args):
-        evals.append(args)
-        return real(self, *args)
-
-    monkeypatch.setattr(Poly, "deriv_eval", counted)
+    evals = _count_deriv_evals(monkeypatch)
     res = star_norm(field)
     assert res.value == rep.pointwise.lambda_hat > 0.0 and not res.empty_sup
     assert lo_norm_full(field, MOD) == res.value + rep.pairwise.lambda_hat
     assert evals == []
+
+
+# -- the center-derivative table -------------------------------------------------------------
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-14 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("n, k, m", [(1, 0, 2), (1, 1, 2), (2, 1, 2), (2, 0, 3), (3, 1, 1)])
+def test_center_derivative_readers_match_deriv_eval(n, k, m, monkeypatch):
+    # random fields on concentric cubes of radii above and below 1, their
+    # coefficient dicts in reverse multi_indices order, some sparse
+    rng = np.random.default_rng(10 * n + 3 * k + m)
+    top = k + m - 1
+    mod = Modulus.power(1.0, m)
+    centers = [tuple(rng.uniform(-3.0, 3.0, size=n).tolist()) for _ in range(3)]
+    entries = []
+    for x in centers:
+        for r in (2.5, 1.0, 0.6, 0.2):
+            coef = {a: rng.uniform(-2.0, 2.0) for a in multi_indices(n, top) if rng.uniform() < 0.8}
+            entries.append((Cube(x, r), Poly(n, top, dict(reversed(coef.items())))))
+    field = PolyField(n=n, k=k, m=m, entries=tuple(entries))
+    assert any(list(p.coef) != sorted(p.coef, key=multi_indices(n, top).index) for _, p in entries)
+
+    worst, witness = 0.0, None
+    for idx, (cube, poly) in enumerate(entries):
+        for gamma in multi_indices(n, top) if cube.radius <= 1.0 else ():
+            ratio = abs(poly.deriv_eval(gamma, cube.center)) * cube.radius ** max(0, mi_order(gamma) - k)
+            if ratio > worst:
+                worst, witness = ratio, (idx, gamma)
+    evals = _count_deriv_evals(monkeypatch)
+    got = star_norm(field).value
+    pointwise = check_conditions(None, field, mod).pointwise
+    assert _close(got, worst) and pointwise.lambda_hat == got
+    assert (pointwise.witness["cube_index"], pointwise.witness["order"]) == witness
+    assert pointwise.witness["ratio"] == got and evals == []
+    for x in centers:
+        stack = [p for q, p in entries if q.center == x]  # radii descending
+        want = [
+            abs(big.deriv_eval(alpha, x) - small.deriv_eval(alpha, x))
+            for big, small in zip(stack, stack[1:])
+            for alpha in multi_indices(n, k)
+        ]
+        evals.clear()
+        rows = limit_jet(field, mod, x).rows
+        assert len(evals) == len(multi_indices(n, k))  # Poly.taylor's alone
+        assert len(rows) == len(want) and all(_close(row.difference, w) for row, w in zip(rows, want))
+
+
+def test_overflowing_center_powers_raise_in_every_reader():
+    # x^2 overflows at x = 1e200: the kept rows take every power, where
+    # Poly.deriv_eval took only those of the nonzero coefficients
+    x = (1e200,)
+    entries = tuple((Cube(x, r), Poly.constant(1, 2, 1.0)) for r in (0.5, 0.25, 0.125))
+    field = PolyField(n=1, k=1, m=2, entries=entries)
+    with pytest.raises(OverflowError) as swept:
+        pairwise_sweep(field, MOD)
+    for reader in (lambda: star_norm(field), lambda: limit_jet(field, MOD, x)):
+        with pytest.raises(OverflowError) as raised:
+            reader()
+        assert str(raised.value) == str(swept.value)
 
 
 # -- star norm -----------------------------------------------------------------------------
